@@ -2,13 +2,15 @@
 
 Exit codes: 0 success (or formula valid), 1 formula invalid with a
 counterexample printed, 2 usage or parse problem, 3 evaluation or
-domain problem, 4 size or budget cap exceeded. Errors go to stderr as
-one JSON line {"error": ..., "message": ...}.
+domain problem, or stdout closed by its reader, 4 size or budget cap
+exceeded. Errors go to stderr as one JSON line
+{"error": ..., "message": ...}.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -28,6 +30,7 @@ from .formulas import (
 from .limits import DEFAULT_LIMITS, Limits
 from .mechanisms import (
     Fitness,
+    _check_switch_bits,
     compare_mechanisms,
     create,
     identify,
@@ -71,13 +74,22 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         limits = _load_limits(args)
-        return args.handler(args, limits)
+        code = args.handler(args, limits)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except _RESOURCE_ERRORS as exc:
         return _fail(4, exc)
     except _USAGE_ERRORS as exc:
         return _fail(2, exc)
     except DitkitError as exc:
         return _fail(3, exc)
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so the flush at
+        # interpreter exit does not fail again; exit 1 means "invalid".
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 3
 
 
 def _fail(code: int, exc: Exception) -> int:
@@ -142,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("formula")
     cmd.add_argument("--logic", choices=("truth", "subset", "partition"), required=True)
     cmd.add_argument("--max-n", type=int, default=None, help="largest universe to scan")
-    cmd.add_argument("--workers", type=int, default=1, help="parallel search width")
     cmd.add_argument("--json", action="store_true", help="emit the verdict as JSON")
     cmd.set_defaults(handler=cmd_taut)
 
@@ -253,11 +264,9 @@ def cmd_taut(args: argparse.Namespace, limits: Limits) -> int:
     if args.logic == "truth":
         verdict = truth_table_tautology(formula, limits)
     elif args.logic == "subset":
-        verdict = subset_valid(formula, args.max_n or 3, limits, workers=args.workers)
+        verdict = subset_valid(formula, args.max_n or 3, limits)
     else:
-        verdict = partition_tautology(
-            formula, args.max_n or 4, limits, workers=args.workers
-        )
+        verdict = partition_tautology(formula, args.max_n or 4, limits)
     if args.json:
         print(verdict.to_json())
     elif verdict.valid:
@@ -296,6 +305,7 @@ def cmd_lattice(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_sim_select(args: argparse.Namespace, limits: Limits) -> int:
+    _check_switch_bits(args.k, limits)
     source = args.fitness.strip()
     if source.startswith("peak@"):
         target = parse_variant(source[len("peak@"):], args.k)
@@ -313,6 +323,7 @@ def cmd_sim_select(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_sim_generate(args: argparse.Namespace, limits: Limits) -> int:
+    _check_switch_bits(args.k, limits)
     events = parse_events(args.events)
     trace = run_generative(args.k, events, overwrite=args.overwrite)
     print(trace.to_json())
@@ -333,6 +344,7 @@ def cmd_sim_create(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_sim_twentyq(args: argparse.Namespace, limits: Limits) -> int:
+    _check_switch_bits(args.k, limits)
     block = twenty_questions(args.k, parse_answers(args.answers))
     rendered = sorted(format_variant(v, args.k) for v in block)
     print(json.dumps({"k": args.k, "block": rendered}, sort_keys=True))
@@ -340,6 +352,7 @@ def cmd_sim_twentyq(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, limits: Limits) -> int:
+    _check_switch_bits(args.k, limits)
     target = parse_variant(args.target, args.k)
     result = compare_mechanisms(
         args.k,

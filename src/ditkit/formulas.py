@@ -5,16 +5,20 @@ Implication associates to the right, the other binary connectives to
 the left. Tokens are ~ & | -> <-> T F ( ) plus variable names matching
 [A-Za-z][A-Za-z0-9_]* (T and F themselves are the constants).
 
-The same tree evaluates two ways: under subset semantics each variable
-denotes a subset of the universe, and under partition semantics each
-variable denotes a partition, with every connective lifted through
-distinction sets.
+A tree compiles to a postfix program, its nodes with every child before
+its parent, and one stack evaluator runs that program over an algebra:
+bitmasks over n points for subset semantics (n = 1 is the truth table),
+or partitions with every connective lifted through distinction sets.
+Parsing, compiling, evaluating and printing all use explicit stacks, so
+no formula is too deep for them.
 """
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import (
     FormulaSyntaxError,
@@ -73,7 +77,8 @@ class Iff(Formula):
     right: Formula
 
 
-_BINARY_CONNECTIVE = {
+_CONNECTIVE = {
+    Not: Connective.NOT,
     And: Connective.AND,
     Or: Connective.OR,
     Implies: Connective.IMPLIES,
@@ -129,149 +134,201 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def parse(self) -> Formula:
-        formula = self.iff()
-        kind, lexeme, position = self.peek()
-        if kind == "RPAREN":
-            raise UnbalancedParensError("unmatched ')'", position)
-        if kind != "END":
-            raise FormulaSyntaxError(f"unexpected {lexeme!r} after formula", position)
-        return formula
-
-    def iff(self) -> Formula:
-        formula = self.implies()
-        while self.peek()[0] == "IFF":
-            self.advance()
-            formula = Iff(formula, self.implies())
-        return formula
-
-    def implies(self) -> Formula:
-        formula = self.disjunction()
-        if self.peek()[0] == "IMPLIES":
-            self.advance()
-            return Implies(formula, self.implies())
-        return formula
-
-    def disjunction(self) -> Formula:
-        formula = self.conjunction()
-        while self.peek()[0] == "OR":
-            self.advance()
-            formula = Or(formula, self.conjunction())
-        return formula
-
-    def conjunction(self) -> Formula:
-        formula = self.unary()
-        while self.peek()[0] == "AND":
-            self.advance()
-            formula = And(formula, self.unary())
-        return formula
-
-    def unary(self) -> Formula:
-        if self.peek()[0] == "NOT":
-            self.advance()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, lexeme, position = self.advance()
-        if kind == "VAR":
-            return Var(lexeme)
-        if kind == "CONST":
-            return Const(lexeme == "T")
-        if kind == "LPAREN":
-            formula = self.iff()
-            closing_kind, _, closing_pos = self.peek()
-            if closing_kind != "RPAREN":
-                raise UnbalancedParensError("expected ')'", closing_pos)
-            self.advance()
-            return formula
-        if kind == "END":
-            raise FormulaSyntaxError("unexpected end of input", position)
-        raise FormulaSyntaxError(f"unexpected {lexeme!r}", position)
-
-
-def parse(text: str) -> Formula:
-    """Parse formula text; raises FormulaSyntaxError with a position."""
-    return _Parser(text).parse()
-
-
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4}
-_OP_TEXT = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
-_NOT_PREC = 5
+_BINARY_TOKEN = {"IFF": Iff, "IMPLIES": Implies, "OR": Or, "AND": And}
+_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
 _ATOM_PREC = 6
 
 
-def _render(f: Formula) -> tuple[str, int]:
-    if isinstance(f, Var):
-        return f.name, _ATOM_PREC
-    if isinstance(f, Const):
-        return ("T" if f.value else "F"), _ATOM_PREC
-    if isinstance(f, Not):
-        text, prec = _render(f.child)
-        if prec < _NOT_PREC:
-            text = f"({text})"
-        return "~" + text, _NOT_PREC
-    prec = _PREC[type(f)]
-    left_text, left_prec = _render(f.left)
-    right_text, right_prec = _render(f.right)
-    if type(f) is Implies:
-        # right-associative: parenthesize an equal-strength left child
-        if left_prec <= prec:
-            left_text = f"({left_text})"
-        if right_prec < prec:
-            right_text = f"({right_text})"
+def _reduce(operators: list, operands: list[Formula]) -> None:
+    shape = operators.pop()
+    if shape is Not:
+        operands.append(Not(operands.pop()))
     else:
-        if left_prec < prec:
-            left_text = f"({left_text})"
-        if right_prec <= prec:
-            right_text = f"({right_text})"
-    return f"{left_text} {_OP_TEXT[type(f)]} {right_text}", prec
+        right = operands.pop()
+        operands.append(shape(operands.pop(), right))
+
+
+def parse(text: str) -> Formula:
+    """Parse formula text; raises FormulaSyntaxError with a position.
+
+    Operator precedence on explicit stacks, so nesting depth is bounded
+    by memory, not by the interpreter's recursion limit.
+    """
+    operands: list[Formula] = []
+    operators: list = []  # Not, binary node classes, and None for an open '('
+    open_parens = 0
+    expect_operand = True
+    for kind, lexeme, position in _tokenize(text):
+        if expect_operand:
+            if kind == "NOT":
+                operators.append(Not)
+            elif kind == "LPAREN":
+                operators.append(None)
+                open_parens += 1
+            elif kind in ("VAR", "CONST"):
+                operands.append(Var(lexeme) if kind == "VAR" else Const(lexeme == "T"))
+                expect_operand = False
+            elif kind == "END":
+                raise FormulaSyntaxError("unexpected end of input", position)
+            else:
+                raise FormulaSyntaxError(f"unexpected {lexeme!r}", position)
+        elif kind in _BINARY_TOKEN:
+            shape = _BINARY_TOKEN[kind]
+            # implication is right-associative: an equal-strength '->' stays stacked
+            bar = _PREC[shape] + (shape is Implies)
+            while operators and operators[-1] is not None and _PREC[operators[-1]] >= bar:
+                _reduce(operators, operands)
+            operators.append(shape)
+            expect_operand = True
+        elif kind == "RPAREN" and open_parens:
+            while operators[-1] is not None:
+                _reduce(operators, operands)
+            operators.pop()
+            open_parens -= 1
+        elif kind == "RPAREN":
+            raise UnbalancedParensError("unmatched ')'", position)
+        elif open_parens:
+            # anything else while a '(' is open is reported against that '('
+            raise UnbalancedParensError("expected ')'", position)
+        elif kind != "END":
+            raise FormulaSyntaxError(f"unexpected {lexeme!r} after formula", position)
+    while operators:
+        _reduce(operators, operands)
+    return operands[0]
+
+
+def _compile(f: Formula) -> tuple[Formula, ...]:
+    """The nodes of f in postfix order: every child before its parent,
+    left subtree before right."""
+    preorder = []
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        if isinstance(node, Not):
+            stack.append(node.child)
+        elif isinstance(node, (And, Or, Implies, Iff)):
+            stack += (node.left, node.right)
+    # node, right subtree, left subtree, reversed: left, right, node
+    return tuple(reversed(preorder))
+
+
+def _variables(program: tuple[Formula, ...]) -> tuple[str, ...]:
+    return tuple(sorted({node.name for node in program if type(node) is Var}))
+
+
+class _Algebra(NamedTuple):
+    """Values for the two constants and an operation per connective node."""
+
+    top: object
+    bottom: object
+    ops: Mapping[type, Callable]
+
+
+def _evaluate(program: tuple[Formula, ...], algebra: _Algebra, env: Mapping[str, object]):
+    """Run a postfix program on one stack; env gives each variable's value."""
+    stack: list = []
+    push, pop, ops = stack.append, stack.pop, algebra.ops
+    for node in program:
+        kind = type(node)
+        if kind is Var:
+            try:
+                push(env[node.name])
+            except KeyError:
+                raise UnboundVariableError(f"variable {node.name!r} has no value") from None
+        elif kind is Const:
+            push(algebra.top if node.value else algebra.bottom)
+        elif kind is Not:
+            push(ops[Not](pop()))
+        else:
+            right = pop()
+            push(ops[kind](pop(), right))
+    return stack[0]
+
+
+def _bitmask_algebra(n: int) -> _Algebra:
+    """Subsets of n points as n-bit masks; at n = 1 this is the truth table."""
+    full = (1 << n) - 1
+    return _Algebra(
+        full,
+        0,
+        {
+            Not: lambda a: full ^ a,
+            And: operator.and_,
+            Or: operator.or_,
+            Implies: lambda a, b: (full ^ a) | b,
+            Iff: lambda a, b: full ^ a ^ b,
+        },
+    )
+
+
+def _partition_algebra(n: int) -> _Algebra:
+    """Partitions of n points, every connective lifted through
+    distinction sets."""
+    return _Algebra(
+        lift_connective(Connective.TOP, (), n=n),
+        lift_connective(Connective.BOTTOM, (), n=n),
+        {
+            shape: lambda *args, conn=conn: lift_connective(conn, args)
+            for shape, conn in _CONNECTIVE.items()
+        },
+    )
+
+
+def _wrap(child: tuple[str, int], bar: int) -> str:
+    text, prec = child
+    return text if prec >= bar else f"({text})"
+
+
+def _render_binary(shape: type, left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
+    prec = _PREC[shape]
+    # an equal-strength child needs parentheses on the side the
+    # connective does not associate to: the left one for '->'
+    right_assoc = shape is Implies
+    left_text = _wrap(left, prec + right_assoc)
+    right_text = _wrap(right, prec + (not right_assoc))
+    return f"{left_text} {_OP_TEXT[shape]} {right_text}", prec
+
+
+_OP_TEXT = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
+# Text paired with the binding strength of its outermost connective.
+_TEXT = _Algebra(
+    ("T", _ATOM_PREC),
+    ("F", _ATOM_PREC),
+    {
+        Not: lambda child: ("~" + _wrap(child, _PREC[Not]), _PREC[Not]),
+        **{shape: functools.partial(_render_binary, shape) for shape in _OP_TEXT},
+    },
+)
 
 
 def format_formula(f: Formula) -> str:
     """Render to concrete syntax; parse(format_formula(f)) rebuilds f."""
-    return _render(f)[0]
+    program = _compile(f)
+    env = {name: (name, _ATOM_PREC) for name in _variables(program)}
+    return _evaluate(program, _TEXT, env)[0]
 
 
 def formula_to_json(f: Formula) -> dict:
     """Plain-dict syntax tree: node kind plus children."""
-    if isinstance(f, Var):
-        return {"kind": "var", "name": f.name}
-    if isinstance(f, Const):
-        return {"kind": "const", "value": "T" if f.value else "F"}
-    if isinstance(f, Not):
-        return {"kind": "not", "children": [formula_to_json(f.child)]}
-    kind = _BINARY_CONNECTIVE[type(f)].value
-    return {"kind": kind, "children": [formula_to_json(f.left), formula_to_json(f.right)]}
+    stack: list[dict] = []
+    for node in _compile(f):
+        kind = type(node)
+        if kind is Var:
+            stack.append({"kind": "var", "name": node.name})
+        elif kind is Const:
+            stack.append({"kind": "const", "value": "T" if node.value else "F"})
+        else:
+            arity = 1 if kind is Not else 2
+            children = stack[-arity:]
+            del stack[-arity:]
+            stack.append({"kind": _CONNECTIVE[kind].value, "children": children})
+    return stack[0]
 
 
 def free_variables(f: Formula) -> tuple[str, ...]:
     """Variable names occurring in f, sorted, without duplicates."""
-    names: set[str] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            names.add(node.name)
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return tuple(sorted(names))
+    return _variables(_compile(f))
 
 
 @dataclass(frozen=True)
@@ -310,48 +367,16 @@ class PartitionAssignment:
                 )
 
 
-def _eval_subset_members(f: Formula, n: int, env: Mapping[str, frozenset[int]]) -> frozenset[int]:
-    if isinstance(f, Var):
-        try:
-            return env[f.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable {f.name!r} has no value") from None
-    if isinstance(f, Const):
-        return frozenset(range(n)) if f.value else frozenset()
-    if isinstance(f, Not):
-        return frozenset(range(n)) - _eval_subset_members(f.child, n, env)
-    left = _eval_subset_members(f.left, n, env)
-    right = _eval_subset_members(f.right, n, env)
-    if isinstance(f, And):
-        return left & right
-    if isinstance(f, Or):
-        return left | right
-    if isinstance(f, Implies):
-        return (frozenset(range(n)) - left) | right
-    return (left & right) | (frozenset(range(n)) - (left | right))
+def _members(n: int, mask: int) -> frozenset[int]:
+    return frozenset(u for u in range(n) if mask >> u & 1)
 
 
 def eval_subset(f: Formula, assignment: SubsetAssignment) -> Subset:
     """Evaluate under subset semantics; the result is a subset of the
     assignment's universe."""
-    env = {name: subset.members for name, subset in assignment.values.items()}
-    return Subset(assignment.n, _eval_subset_members(f, assignment.n, env))
-
-
-def _eval_partition_env(f: Formula, n: int, env: Mapping[str, Partition]) -> Partition:
-    if isinstance(f, Var):
-        try:
-            return env[f.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable {f.name!r} has no value") from None
-    if isinstance(f, Const):
-        tag = Connective.TOP if f.value else Connective.BOTTOM
-        return lift_connective(tag, (), n=n)
-    if isinstance(f, Not):
-        return lift_connective(Connective.NOT, (_eval_partition_env(f.child, n, env),))
-    left = _eval_partition_env(f.left, n, env)
-    right = _eval_partition_env(f.right, n, env)
-    return lift_connective(_BINARY_CONNECTIVE[type(f)], (left, right))
+    n = assignment.n
+    env = {name: sum(1 << u for u in s.members) for name, s in assignment.values.items()}
+    return Subset(n, _members(n, _evaluate(_compile(f), _bitmask_algebra(n), env)))
 
 
 def eval_partition(f: Formula, assignment: PartitionAssignment) -> Partition:
@@ -360,7 +385,7 @@ def eval_partition(f: Formula, assignment: PartitionAssignment) -> Partition:
         raise UniverseTooSmallError(
             f"partition semantics needs n >= 2, got n={assignment.n}"
         )
-    return _eval_partition_env(f, assignment.n, assignment.values)
+    return _evaluate(_compile(f), _partition_algebra(assignment.n), assignment.values)
 
 
 def random_formula(

@@ -36,7 +36,7 @@ from .errors import (
     SwitchIndexError,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .partitions import Partition, _canonical_rgs, join
+from .partitions import Partition, _canonical_rgs
 from .relations import _check_n
 from .unionfind import UnionFind
 
@@ -158,11 +158,16 @@ def switch_partition(k: int, i: int, limits: Limits = DEFAULT_LIMITS) -> Partiti
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if not 1 <= i <= k:
         raise SwitchIndexError(f"switch {i} outside 1..{k}")
+    _check_switch_bits(k, limits)
+    return Partition(2**k, tuple((v >> (i - 1)) & 1 for v in range(2**k)))
+
+
+def _check_switch_bits(k: int, limits: Limits) -> None:
+    """Refuse a space of 2**k variants before any of it is built."""
     if k > limits.max_switch_bits:
         raise ResourceLimitError(
             f"2**{k} variants exceeds the switch cap k <= {limits.max_switch_bits}"
         )
-    return Partition(2**k, tuple((v >> (i - 1)) & 1 for v in range(2**k)))
 
 
 @dataclass(frozen=True)
@@ -454,13 +459,10 @@ def twenty_questions(k: int, answers: Sequence[int]) -> frozenset[int]:
     space = VariantSpace(k)
     if len(answers) > k:
         raise SwitchIndexError(f"{len(answers)} answers for only {k} switches")
-    limits = DEFAULT_LIMITS.replaced(max_switch_bits=max(DEFAULT_LIMITS.max_switch_bits, k))
-    accumulated = Partition(space.size, (0,) * space.size)
     block = set(space.variants())
     for j, answer in enumerate(answers, start=1):
         if answer not in (0, 1):
             raise ValueError(f"answers must be 0 or 1, got {answer!r}")
-        accumulated = join(accumulated, switch_partition(k, j, limits))
         block = {v for v in block if space.bit(v, j) == answer}
     return frozenset(block)
 

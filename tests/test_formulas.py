@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -81,6 +83,42 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(FormulaSyntaxError):
             parse("p q")
+
+
+_PARSE_ERRORS = json.loads(
+    (pathlib.Path(__file__).with_name("parse_errors.json")).read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("row", _PARSE_ERRORS, ids=[repr(r["input"]) for r in _PARSE_ERRORS])
+def test_parse_error_matches_golden(row):
+    # class, message and position as the recursive-descent parser gave them
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse(row["input"])
+    assert type(exc.value).__name__ == row["error"]
+    assert str(exc.value) == row["message"]
+    assert exc.value.position == row["position"]
+
+
+class TestDepth:
+    DEPTH = 3000
+
+    def test_nested_negation(self):
+        f = parse("~" * self.DEPTH + "p")
+        assert format_formula(f) == "~" * self.DEPTH + "p"
+        assert free_variables(f) == ("p",)
+
+    def test_nested_parentheses(self):
+        f = parse("(" * self.DEPTH + "p -> p" + ")" * self.DEPTH)
+        assert f == Implies(Var("p"), Var("p"))
+
+    def test_long_implication_chain(self):
+        f = parse(" -> ".join(["p"] * 5000))
+        assert str(f) == " -> ".join(["p"] * 5000)
+        node, depth = formula_to_json(f), 0
+        while node["kind"] == "implies":
+            node, depth = node["children"][1], depth + 1
+        assert depth == 4999
 
 
 class TestFormat:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles
 from ditkit import (
     Limits,
     PartitionAssignment,
@@ -123,18 +124,6 @@ class TestPartitionTautology:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "text", ["p | ~p", "p -> q", "(p -> q) | (q -> p)", "p & ~p -> q"]
-    )
-    def test_worker_count_does_not_change_verdict(self, text):
-        f = parse(text)
-        solo = partition_tautology(f, 3, workers=1)
-        quad = partition_tautology(f, 3, workers=4)
-        assert solo.to_json() == quad.to_json()
-        s1 = subset_valid(f, 3, workers=1)
-        s4 = subset_valid(f, 3, workers=4)
-        assert s1.to_json() == s4.to_json()
-
     def test_json_shape(self):
         v = partition_tautology(parse("p | ~p"), 3)
         got = json.loads(v.to_json())
@@ -147,3 +136,15 @@ class TestDeterminism:
     def test_valid_json_shape(self):
         got = json.loads(partition_tautology(parse("p -> p"), 3).to_json())
         assert got == {"valid": True, "n_checked": [2, 3], "counterexample": None}
+
+
+class TestAgainstOracles:
+    def test_truth_and_subset_verdicts_on_seeded_corpus(self):
+        # the recursive oracles share nothing with the postfix evaluator
+        rng = random.Random(20261018)
+        for _ in range(300):
+            f = random_formula(rng, max_depth=6)
+            want = json.dumps(oracles.truth_verdict_json(f), sort_keys=True)
+            assert truth_table_tautology(f).to_json() == want
+            want = json.dumps(oracles.subset_verdict_json(f, 3), sort_keys=True)
+            assert subset_valid(f, 3).to_json() == want
