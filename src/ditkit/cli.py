@@ -38,7 +38,7 @@ from .mechanisms import (
     run_selectionist,
     twenty_questions,
 )
-from .partitions import enumerate_partitions, hasse_cover_edges, subset_lattice_nodes
+from .partitions import _lattice
 from .textio import (
     format_partition,
     format_subset,
@@ -264,9 +264,9 @@ def cmd_taut(args: argparse.Namespace, limits: Limits) -> int:
     if args.logic == "truth":
         verdict = truth_table_tautology(formula, limits)
     elif args.logic == "subset":
-        verdict = subset_valid(formula, args.max_n or 3, limits)
+        verdict = subset_valid(formula, 3 if args.max_n is None else args.max_n, limits)
     else:
-        verdict = partition_tautology(formula, args.max_n or 4, limits)
+        verdict = partition_tautology(formula, 4 if args.max_n is None else args.max_n, limits)
     if args.json:
         print(verdict.to_json())
     elif verdict.valid:
@@ -282,14 +282,9 @@ def cmd_taut(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_lattice(args: argparse.Namespace, limits: Limits) -> int:
-    if args.kind == "partition":
-        nodes = list(enumerate_partitions(args.n, limits))
-        texts = [format_partition(p) for p in nodes]
-    else:
-        nodes = subset_lattice_nodes(args.n, limits)
-        texts = [format_subset(s) for s in nodes]
-    index = {node: i for i, node in enumerate(nodes)}
-    edges = [[index[x], index[y]] for x, y in hasse_cover_edges(args.kind, args.n, limits)]
+    nodes, edges = _lattice(args.kind, args.n, limits)
+    render = format_partition if args.kind == "partition" else format_subset
+    texts = [render(node) for node in nodes]
     if args.dot:
         lines = ["digraph lattice {", "  rankdir=BT;"]
         for i, text in enumerate(texts):

@@ -8,7 +8,8 @@ the left. Tokens are ~ & | -> <-> T F ( ) plus variable names matching
 A tree compiles to a postfix program, its nodes with every child before
 its parent, and one stack evaluator runs that program over an algebra:
 bitmasks over n points for subset semantics (n = 1 is the truth table),
-or partitions with every connective lifted through distinction sets.
+or restricted-growth tuples for partitions, every connective lifted
+through distinction sets.
 Parsing, compiling, evaluating and printing all use explicit stacks, so
 no formula is too deep for them.
 """
@@ -27,51 +28,71 @@ from .errors import (
     UniverseMismatchError,
     UniverseTooSmallError,
 )
-from .partitions import Connective, Partition, lift_connective
+from .partitions import Connective, Partition, _lift
 from .relations import Subset, _check_n
 
 
 class Formula:
-    """Base class for formula nodes; instances are immutable."""
+    """Base class for formula nodes; instances are immutable. Equality,
+    hashing and repr read the postfix program, so they work at any depth."""
+
+    def _key(self) -> tuple:
+        return tuple(
+            (type(node), getattr(node, "name", None), getattr(node, "value", None))
+            for node in _compile(self)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        program = _compile(self)
+        env = {name: f"Var(name={name!r})" for name in _variables(program)}
+        return _evaluate(program, _REPR, env)
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Formula):
     value: bool  # True is the top constant T, False the bottom constant F
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula
@@ -263,15 +284,12 @@ def _bitmask_algebra(n: int) -> _Algebra:
 
 
 def _partition_algebra(n: int) -> _Algebra:
-    """Partitions of n points, every connective lifted through
-    distinction sets."""
+    """Partitions of n points as restricted-growth tuples, every
+    connective lifted through distinction sets."""
     return _Algebra(
-        lift_connective(Connective.TOP, (), n=n),
-        lift_connective(Connective.BOTTOM, (), n=n),
-        {
-            shape: lambda *args, conn=conn: lift_connective(conn, args)
-            for shape, conn in _CONNECTIVE.items()
-        },
+        tuple(range(n)),
+        (0,) * n,
+        {shape: functools.partial(_lift, conn) for shape, conn in _CONNECTIVE.items()},
     )
 
 
@@ -298,6 +316,17 @@ _TEXT = _Algebra(
     {
         Not: lambda child: ("~" + _wrap(child, _PREC[Not]), _PREC[Not]),
         **{shape: functools.partial(_render_binary, shape) for shape in _OP_TEXT},
+    },
+)
+
+
+# The dataclass repr of a tree, e.g. Not(child=Var(name='p')).
+_REPR = _Algebra(
+    "Const(value=True)",
+    "Const(value=False)",
+    {
+        Not: "Not(child={})".format,
+        **{shape: f"{shape.__name__}(left={{}}, right={{}})".format for shape in _OP_TEXT},
     },
 )
 
@@ -385,7 +414,8 @@ def eval_partition(f: Formula, assignment: PartitionAssignment) -> Partition:
         raise UniverseTooSmallError(
             f"partition semantics needs n >= 2, got n={assignment.n}"
         )
-    return _evaluate(_compile(f), _partition_algebra(assignment.n), assignment.values)
+    env = {name: p.assignment for name, p in assignment.values.items()}
+    return Partition(assignment.n, _evaluate(_compile(f), _partition_algebra(assignment.n), env))
 
 
 def random_formula(

@@ -423,7 +423,7 @@ def identify(n: int, pairs: Iterable[tuple[int, int]]) -> Partition:
                     f"element {x!r} outside universe of size {n}"
                 )
         uf.union(u, v)
-    return _canonical_rgs([uf.find(u) for u in range(n)])
+    return Partition(n, _canonical_rgs([uf.find(u) for u in range(n)]))
 
 
 def create(n: int, elements: Iterable[int]) -> Trace:

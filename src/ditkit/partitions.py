@@ -12,11 +12,12 @@ bottom: p is below q exactly when q distinguishes every pair p does.
 Distinctions play the role for partitions that elements play for
 subsets, which is what makes the truth-functional connectives liftable:
 apply the subset operation to the distinction sets inside U x U, then
-take the interior.
+take the interior. No pair set is built for that: a table says whether
+the result distinguishes a pair from whether the operands do, and the
+result's blocks are the components of the pairs it leaves undistinguished.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -33,7 +34,6 @@ from .errors import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .relations import PairRelation, Subset, _check_n, _check_same_universe, interior
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,10 @@ class Partition:
         return "|".join(",".join(str(u) for u in block) for block in self.blocks())
 
 
-def _canonical_rgs(labels: Sequence[Hashable]) -> Partition:
+def _canonical_rgs(labels: Sequence[Hashable]) -> tuple[int, ...]:
     """Relabel arbitrary block labels into first-appearance order."""
     remap: dict[Hashable, int] = {}
-    out = []
-    for label in labels:
-        if label not in remap:
-            remap[label] = len(remap)
-        out.append(remap[label])
-    return Partition(len(labels), tuple(out))
+    return tuple(remap.setdefault(label, len(remap)) for label in labels)
 
 
 def partition_from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> Partition:
@@ -115,7 +110,7 @@ def partition_from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> Partition:
     missing = [u for u in range(n) if u not in owner]
     if missing:
         raise MissingElementError(f"elements not covered by any block: {missing}")
-    return _canonical_rgs([owner[u] for u in range(n)])
+    return Partition(n, _canonical_rgs([owner[u] for u in range(n)]))
 
 
 def discrete(n: int) -> Partition:
@@ -162,7 +157,7 @@ def partition_from_equivalence(r: PairRelation) -> Partition:
     labels = []
     for u in range(r.n):
         labels.append(min(v for v in range(r.n) if (u, v) in r.pairs))
-    return _canonical_rgs(labels)
+    return Partition(r.n, _canonical_rgs(labels))
 
 
 def refines(p: Partition, q: Partition) -> bool:
@@ -188,7 +183,7 @@ def join(p: Partition, q: Partition) -> Partition:
     """Least upper bound in refinement order: the partition of nonempty
     pairwise block intersections."""
     _check_same_universe(p, q)
-    return _canonical_rgs(list(zip(p.assignment, q.assignment)))
+    return Partition(p.n, _canonical_rgs(list(zip(p.assignment, q.assignment))))
 
 
 def join_via_ditsets(p: Partition, q: Partition) -> Partition:
@@ -200,15 +195,9 @@ def join_via_ditsets(p: Partition, q: Partition) -> Partition:
 
 def meet(p: Partition, q: Partition) -> Partition:
     """Greatest lower bound: connected components of the union of the
-    two block equivalences."""
+    two block equivalences, which is the lifted AND."""
     _check_same_universe(p, q)
-    uf = UnionFind(p.n)
-    for part in (p, q):
-        for block in part.blocks():
-            first = block[0]
-            for u in block[1:]:
-                uf.union(first, u)
-    return _canonical_rgs([uf.find(u) for u in range(p.n)])
+    return Partition(p.n, _lift(Connective.AND, p.assignment, q.assignment))
 
 
 def meet_via_interior(p: Partition, q: Partition) -> Partition:
@@ -245,10 +234,10 @@ def lift_connective(
 ) -> Partition:
     """Interpret a truth-functional connective on partitions.
 
-    Apply the corresponding Boolean operation to the operands'
-    distinction sets inside U x U, take the interior so the result is
-    again a partition's distinction set, and return that partition.
-    The universe size n is only needed for the 0-ary connectives.
+    By definition the result distinguishes the interior of the Boolean
+    operation on the operands' distinction sets inside U x U; its blocks
+    are the components of the pairs the distinction table leaves
+    undistinguished. The universe size n is only needed for 0-ary ones.
     """
     if not isinstance(conn, Connective):
         raise UnknownConnectiveError(f"unknown connective {conn!r}")
@@ -269,29 +258,43 @@ def lift_connective(
     elif n is None:
         raise ValueError("universe size n is required for 0-ary connectives")
     _check_n(n)
-    return _lift(conn, ops, n)
+    a = ops[0].assignment if ops else (0,) * n  # a 0-ary row is constant
+    b = ops[1].assignment if arity == 2 else None
+    return Partition(n, _lift(conn, a, b))
 
 
-@functools.lru_cache(maxsize=None)
-def _lift(conn: Connective, ops: tuple[Partition, ...], n: int) -> Partition:
-    full = frozenset((u, v) for u in range(n) for v in range(n))
-    dits = [dit(p).pairs for p in ops]
-    if conn is Connective.NOT:
-        raw = full - dits[0]
-    elif conn is Connective.AND:
-        raw = dits[0] & dits[1]
-    elif conn is Connective.OR:
-        raw = dits[0] | dits[1]
-    elif conn is Connective.IMPLIES:
-        raw = (full - dits[0]) | dits[1]
-    elif conn is Connective.IFF:
-        raw = (dits[0] & dits[1]) | ((full - dits[0]) & (full - dits[1]))
-    elif conn is Connective.TOP:
-        raw = full
-    else:
-        raw = frozenset()
-    inner = interior(PairRelation(n, raw))
-    return partition_from_equivalence(inner.complement())
+# _DISTINGUISHES[conn][x][y]: does the Boolean result distinguish a pair
+# that the left operand distinguishes iff x and the right one iff y?
+_DISTINGUISHES = {
+    Connective.NOT: ((True, True), (False, False)),
+    Connective.AND: ((False, False), (False, True)),
+    Connective.OR: ((False, True), (True, True)),
+    Connective.IMPLIES: ((True, True), (False, True)),
+    Connective.IFF: ((True, False), (False, True)),
+    Connective.TOP: ((True, True), (True, True)),
+    Connective.BOTTOM: ((False, False), (False, False)),
+}
+
+
+def _lift(conn: Connective, a: tuple, b: tuple | None = None) -> tuple:
+    """The lifted connective on restricted-growth tuples, blocks labelled
+    by least element; a unary connective reads its operand twice."""
+    row = _DISTINGUISHES[conn]
+    b = a if b is None else b
+    n = len(a)
+    out = [-1] * n
+    blocks = 0
+    for first in range(n):
+        if out[first] < 0:
+            out[first], stack = blocks, [first]
+            while stack:
+                u = stack.pop()
+                for v in range(first + 1, n):
+                    if out[v] < 0 and not row[a[u] != a[v]][b[u] != b[v]]:
+                        out[v] = blocks
+                        stack.append(v)
+            blocks += 1
+    return tuple(out)
 
 
 def bell_number(n: int) -> int:
@@ -359,37 +362,28 @@ def hasse_cover_edges(kind: str, n: int, limits: Limits = DEFAULT_LIMITS) -> lis
     order with the one-block partition at the bottom. Edges come back
     sorted by enumeration position of their endpoints.
     """
-    if kind == "partition":
-        return _partition_covers(n, limits)
-    if kind == "subset":
-        return _subset_covers(n, limits)
-    raise ValueError(f"kind must be 'subset' or 'partition', got {kind!r}")
-
-
-def _merge_blocks(p: Partition, bi: int, bj: int) -> Partition:
-    return _canonical_rgs([bi if a == bj else a for a in p.assignment])
-
-
-def _partition_covers(n: int, limits: Limits) -> list[tuple[Partition, Partition]]:
-    # y covers x exactly when x is y with two blocks merged
-    nodes = list(enumerate_partitions(n, limits))
-    index = {p: i for i, p in enumerate(nodes)}
-    edges = []
-    for iy, y in enumerate(nodes):
-        count = y.block_count()
-        for bi in range(count):
-            for bj in range(bi + 1, count):
-                edges.append((index[_merge_blocks(y, bi, bj)], iy))
-    edges.sort()
+    nodes, edges = _lattice(kind, n, limits)
     return [(nodes[ix], nodes[iy]) for ix, iy in edges]
 
 
-def _subset_covers(n: int, limits: Limits) -> list[tuple[Subset, Subset]]:
-    nodes = subset_lattice_nodes(n, limits)
-    edges = []
-    for mask in range(2**n):
-        for u in range(n):
-            if not mask >> u & 1:
-                edges.append((mask, mask | 1 << u))
+def _lattice(kind: str, n: int, limits: Limits) -> tuple[list, list[tuple[int, int]]]:
+    """The lattice's nodes in enumeration order and its cover edges as
+    sorted pairs of node positions."""
+    if kind == "partition":
+        nodes = list(enumerate_partitions(n, limits))
+        index = {p.assignment: i for i, p in enumerate(nodes)}
+        # y covers x exactly when x is y with blocks bi < bj merged: bj's
+        # elements join bi and the blocks after bj move down one label
+        edges = [
+            (index[tuple(bi if a == bj else a - (a > bj) for a in y.assignment)], iy)
+            for iy, y in enumerate(nodes)
+            for bi in range(y.block_count())
+            for bj in range(bi + 1, y.block_count())
+        ]
+    elif kind == "subset":
+        nodes = subset_lattice_nodes(n, limits)
+        edges = [(m, m | 1 << u) for m in range(2**n) for u in range(n) if not m >> u & 1]
+    else:
+        raise ValueError(f"kind must be 'subset' or 'partition', got {kind!r}")
     edges.sort()
-    return [(nodes[a], nodes[b]) for a, b in edges]
+    return nodes, edges

@@ -159,5 +159,6 @@ def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS)
     names = _variables(program)
     sizes = {n: bell_number(n) for n in range(2, n_max + 1)}
     _check_budget("partition", sizes, len(names), limits)
-    universes = ((n, _partition_algebra(n), enumerate_partitions(n, limits)) for n in sizes)
-    return _scan(program, names, universes, 2, n_max, lambda n, partition: partition)
+    pools = ((n, [p.assignment for p in enumerate_partitions(n, limits)]) for n in sizes)
+    universes = ((n, _partition_algebra(n), pool) for n, pool in pools)
+    return _scan(program, names, universes, 2, n_max, Partition)

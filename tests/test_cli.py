@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -112,6 +113,14 @@ class TestTaut:
             "counterexample": {"n": 3, "assignment": {"p": "0,1|2"}, "value": "0,1|2"},
         }
 
+    @pytest.mark.parametrize("logic, code", [("subset", 2), ("partition", 3)])
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_max_n_below_range_is_refused(self, capsys, logic, code, max_n):
+        # 0 is refused like any value below the range, not read as "the default"
+        got, out, err = run(capsys, "taut", "p & q", "--logic", logic, "--max-n", max_n)
+        assert (got, out) == (code, "")
+        assert json.loads(err)["message"].endswith(f"got {max_n}")
+
 
 class TestLattice:
     def test_partition_json(self, capsys):
@@ -134,6 +143,53 @@ class TestLattice:
         assert out.startswith("digraph")
         assert 'label="0,1,2"' in out
         assert "n0 -> n1" in out
+
+    # sha256 of stdout, recorded with `ditkit lattice` at commit dffb393,
+    # where the CLI enumerated the lattice twice and keyed edges by node
+    GOLDEN = {
+        ("partition", 1, "json"): "d6fefef981531ba4fa8a35302a2af448948cec1cf1925faf907a6c8af98e830d",
+        ("partition", 1, "dot"): "9eb3ea5e7cd32db97fbf513adada1e762c25dd2f39cd22cec268feba0a55631a",
+        ("partition", 2, "json"): "ef83daf74d88c76c3baf21709491d906f511e797733f5f51a73be09c2fce615b",
+        ("partition", 2, "dot"): "a5527cabbad5e7bd4ad9b6ec9d884331e21d126b2e693ae2af31a44e6dcd9695",
+        ("partition", 3, "json"): "e27c6d516116b95fcdbc854ac05970cd19ee16ff8771d7682f75346dd48c4983",
+        ("partition", 3, "dot"): "6588262e0d360fe3fa45b366b2db9eae00ec3f2c0d8ff846c0f4bf7faffffe19",
+        ("partition", 4, "json"): "82773e2ac3345d491b73f04e1d5f74d78825378032feb072bda063536a054ab7",
+        ("partition", 4, "dot"): "8e652c1109c985384128f9cff8e3a413accf800ccd6afddf772b6f6b868202a1",
+        ("partition", 5, "json"): "084e6709f6fbacdcece690aba3a405a02bb660078084f29606cdb378c0d78519",
+        ("partition", 5, "dot"): "1f7f60517675483eef552710b02ea35f750ab1fc88bc788cac96d2478f4e2684",
+        ("partition", 6, "json"): "df79d8a1fedcffd755e6b7105ff25b906f07c608776c37843015a03ff655d20a",
+        ("partition", 6, "dot"): "a5e58a28ca62e917cfef6dc9b0c210e1bfce3d8788852f3b28711890e4064b51",
+        ("partition", 7, "json"): "169cfaeaadee43d3ca64d203f792dde504d2ea957e277d8537927b404eb88abd",
+        ("partition", 7, "dot"): "0fe79530a665cb91371246ea40faf26ac3d936d9d6fce95dae177bc43c456cac",
+        ("partition", 8, "json"): "348d95ad4122c0b53ef271f164d76642924ded3591fea6817f8aeb66b1645520",
+        ("partition", 8, "dot"): "82edacbd8d81195940f4bec4dd4f65e577fa94c84a239e7eb3a03d664f75eb07",
+        ("subset", 1, "json"): "060f34845336db91c0ca9ab4c97a752d1bf012fc38bfa7cb1b8cbd2b5412a898",
+        ("subset", 1, "dot"): "55662886386b7380f5c0c4b434df2f17461a1900d08e2079acd9e954af5467c2",
+        ("subset", 2, "json"): "d57bfbf04068a82c11b29d76d68d8e55d6ff0dd383defe6b88bc82befabbb967",
+        ("subset", 2, "dot"): "51a8e4ec5fd5aa8ec3de13d12db146f77fb317f0f2d497a6a8067efd5d458029",
+        ("subset", 3, "json"): "2ad9a4e247958f3eb70f1c402048d820410fbf3203ed15e78dbd3094815c5c97",
+        ("subset", 3, "dot"): "4497cfed8dd85f5828033b40a0743737eab811107c0d438fea0e4b1411778094",
+        ("subset", 4, "json"): "b79c754ce03d0446de1017c0986851da5fe4c3d9806a7e760a5e04b87c25a31c",
+        ("subset", 4, "dot"): "4fe63eeb50f6c9bcef5ea0399810d37f7c846bbf3eca16e31097082dca11c3b9",
+        ("subset", 5, "json"): "36d1e22c314ed3af07d6313adf808bdb3956648b96fb4eb1af008cd7ee1a4e91",
+        ("subset", 5, "dot"): "d3b951d2d790a5593f522e00d3d587736ab0655cbba5cfedea45b9018deecf91",
+        ("subset", 6, "json"): "4e48b4c37afcf5bbbb62036375c2237bf66a5443b38b96ea06a7e5f1f10fd285",
+        ("subset", 6, "dot"): "af071f2dcbdee40a1c39c4b4a93b079c10384f898cf9bf1338c68f7718191b27",
+        ("subset", 7, "json"): "3d811a07ae0ca9e2a4285cb8d6918249b4b97320e47c025f082eb58f098f2acd",
+        ("subset", 7, "dot"): "d53030f92c8b0f8255c275777dcbbc87fec6799c0c9d900a4c6afb05f94ba67d",
+        ("subset", 8, "json"): "4193d040eea8a61f774f6368f007778d9ae041b0f108f1603de3443b9b05dba4",
+        ("subset", 8, "dot"): "723e413539c7e46774b0d92e47ae81c0b41f2c8b137eef5eec9c6f2c643ee47c",
+        ("subset", 9, "json"): "cb4cff19e5b8feb607d2382b09bad0b86e5f35e6324a87a82955fd2f71efcffb",
+        ("subset", 9, "dot"): "8dd7dda829c4232d816bb5f127e257e1d6a04526692833114ce6dfc6b3fd08ad",
+        ("subset", 10, "json"): "5faf957d7d16619df4c5c91fd5a52785078e1298445af2eb72ddc2246a3b63a9",
+        ("subset", 10, "dot"): "0deea3e03aafdb691c9b33f8bed4c12d10a203a924bf620ae9b4633a5b607947",
+    }
+
+    @pytest.mark.parametrize("kind, n, style", sorted(GOLDEN))
+    def test_output_matches_golden_hash(self, capsys, kind, n, style):
+        code, out, err = run(capsys, "lattice", "--kind", kind, "--n", str(n), f"--{style}")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[kind, n, style]
 
     def test_over_limit(self, capsys):
         code, _, err = run(capsys, "lattice", "--kind", "partition", "--n", "99", "--json")

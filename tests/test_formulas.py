@@ -120,6 +120,24 @@ class TestDepth:
             node, depth = node["children"][1], depth + 1
         assert depth == 4999
 
+    def test_equality_hash_and_repr(self):
+        deep = "~" * self.DEPTH + "p"
+        f, g = parse(deep), parse(deep)
+        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+        assert f != parse("~" + deep) and f != parse(deep.replace("p", "q"))
+        assert repr(f) == "Not(child=" * self.DEPTH + "Var(name='p')" + ")" * self.DEPTH
+        chain = parse(" -> ".join(["p"] * 5000))
+        assert chain == parse(" -> ".join(["p"] * 5000))
+        assert repr(chain).count("Implies(left=Var(name='p'), right=") == 4999
+
+    def test_shallow_repr_and_equality_as_dataclasses(self):
+        f = parse("p & ~q")
+        assert repr(f) == "And(left=Var(name='p'), right=Not(child=Var(name='q')))"
+        assert repr(parse("T | F")) == "Or(left=Const(value=True), right=Const(value=False))"
+        assert repr(parse("p <-> q")) == "Iff(left=Var(name='p'), right=Var(name='q'))"
+        assert f == And(Var("p"), Not(Var("q"))) and f != Or(Var("p"), Not(Var("q")))
+        assert Var("p") != "p" and Const(True) != Var("T")
+
 
 class TestFormat:
     def test_minimal_parens(self):

@@ -22,6 +22,7 @@ from ditkit import (
     hasse_cover_edges,
     indiscrete,
     indit,
+    interior,
     join,
     join_via_ditsets,
     lift_connective,
@@ -34,6 +35,7 @@ from ditkit import (
     rst_closure,
     subset_lattice_nodes,
 )
+from ditkit.partitions import CONNECTIVE_ARITY
 from strategies import partitions
 
 
@@ -213,14 +215,34 @@ class TestLiftedConnectives:
         for p, q in _pairs_same_n(n):
             assert lift_connective(Connective.OR, (p, q)) == join(p, q)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_implies_matches_interior_oracle(self, n):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("conn", list(Connective))
+    def test_matches_interior_of_boolean_ditsets(self, conn, n):
+        # the definition: the interior of the Boolean operation on the
+        # operands' ditsets, by fixpoint up to n = 4 and by rst_closure at 5
         full = oracles.all_pairs(n)
-        for p, q in _pairs_same_n(n):
-            raw = (full - dit(p).pairs) | dit(q).pairs
-            want = oracles.interior_fixpoint(n, raw)
-            got = lift_connective(Connective.IMPLIES, (p, q))
-            assert dit(got).pairs == want
+        pool = [(p, dit(p).pairs) for p in enumerate_partitions(n)]
+        for combo in itertools.product(pool, repeat=CONNECTIVE_ARITY[conn]):
+            raw = _BOOLEAN[conn](full, *(pairs for _, pairs in combo))
+            if n <= 4:
+                want = oracles.interior_fixpoint(n, raw)
+            else:
+                want = interior(PairRelation(n, raw)).pairs
+            got = lift_connective(conn, [p for p, _ in combo], n=n)
+            assert dit(got).pairs == want, (conn, combo)
+
+
+# The Boolean operation each connective applies to distinction sets,
+# given the full pair set U x U.
+_BOOLEAN = {
+    Connective.NOT: lambda full, x: full - x,
+    Connective.AND: lambda full, x, y: x & y,
+    Connective.OR: lambda full, x, y: x | y,
+    Connective.IMPLIES: lambda full, x, y: (full - x) | y,
+    Connective.IFF: lambda full, x, y: (x & y) | ((full - x) & (full - y)),
+    Connective.TOP: lambda full: full,
+    Connective.BOTTOM: lambda full: frozenset(),
+}
 
 
 class TestEnumeration:

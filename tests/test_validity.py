@@ -140,7 +140,8 @@ class TestDeterminism:
 
 class TestAgainstOracles:
     def test_truth_and_subset_verdicts_on_seeded_corpus(self):
-        # the recursive oracles share nothing with the postfix evaluator
+        # the recursive oracles share nothing with the postfix evaluator or
+        # the lift kernel; the partition one pins the minimal counterexample
         rng = random.Random(20261018)
         for _ in range(300):
             f = random_formula(rng, max_depth=6)
@@ -148,3 +149,5 @@ class TestAgainstOracles:
             assert truth_table_tautology(f).to_json() == want
             want = json.dumps(oracles.subset_verdict_json(f, 3), sort_keys=True)
             assert subset_valid(f, 3).to_json() == want
+            want = json.dumps(oracles.partition_verdict_json(f, 3), sort_keys=True)
+            assert partition_tautology(f, 3).to_json() == want
