@@ -37,8 +37,30 @@ from .errors import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import Partition, _canonical_rgs
-from .relations import _check_n
+from .relations import _check_element, _check_n, _is_int
+from .textio import _variant_number, format_variant
 from .unionfind import UnionFind
+
+
+def _check_k(k) -> None:
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+
+
+def _check_switch(i: int, k: int) -> None:
+    if not 1 <= i <= k:
+        raise SwitchIndexError(f"switch {i} outside 1..{k}")
+
+
+def _labels(k: int) -> list[str]:
+    """The text of every variant, indexed by variant number."""
+    return [format_variant(v, k) for v in range(2**k)]
+
+
+def _agreeing(k: int, mask: int, want: int) -> list[int]:
+    """Variants, ascending, whose digits under mask read want: bit i-1
+    of mask marks switch i as set and bit i-1 of want holds its value."""
+    return [v for v in range(2**k) if v & mask == want]
 
 
 @dataclass(frozen=True)
@@ -49,8 +71,7 @@ class VariantSpace:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        _check_k(self.k)
 
     @property
     def size(self) -> int:
@@ -60,16 +81,13 @@ class VariantSpace:
         return range(self.size)
 
     def to_string(self, v: int) -> str:
-        return format(v, f"0{self.k}b")
+        return format_variant(v, self.k)
 
     def from_string(self, text: str) -> int:
-        if len(text) != self.k or any(ch not in "01" for ch in text):
-            raise ValueError(f"variant must be {self.k} binary digits, got {text!r}")
-        return int(text, 2)
+        return _variant_number(text, self.k, strip=False, error=ValueError)
 
     def bit(self, v: int, i: int) -> int:
-        if not 1 <= i <= self.k:
-            raise SwitchIndexError(f"switch {i} outside 1..{self.k}")
+        _check_switch(i, self.k)
         return (v >> (i - 1)) & 1
 
 
@@ -102,8 +120,7 @@ class SwitchBank:
     def __post_init__(self) -> None:
         states = tuple(self.states)
         object.__setattr__(self, "states", states)
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        _check_k(self.k)
         if len(states) != self.k or not all(isinstance(s, SwitchState) for s in states):
             raise ValueError("states must be k SwitchState values")
 
@@ -112,8 +129,7 @@ class SwitchBank:
         return cls(k, (SwitchState.NEUTRAL,) * k)
 
     def state_of(self, i: int) -> SwitchState:
-        if not 1 <= i <= self.k:
-            raise SwitchIndexError(f"switch {i} outside 1..{self.k}")
+        _check_switch(i, self.k)
         return self.states[i - 1]
 
     def set_count(self) -> int:
@@ -127,8 +143,7 @@ def set_switch(bank: SwitchBank, i: int, value, overwrite: bool = False) -> Swit
     overwrite=True; the default models set-once experience.
     """
     option = _as_option(value)
-    if not 1 <= i <= bank.k:
-        raise SwitchIndexError(f"switch {i} outside 1..{bank.k}")
+    _check_switch(i, bank.k)
     if bank.states[i - 1] is not SwitchState.NEUTRAL and not overwrite:
         raise AlreadySetError(f"switch {i} is already set")
     states = list(bank.states)
@@ -136,28 +151,23 @@ def set_switch(bank: SwitchBank, i: int, value, overwrite: bool = False) -> Swit
     return SwitchBank(bank.k, tuple(states))
 
 
+def _bank_block(bank: SwitchBank) -> list[int]:
+    states = list(enumerate(bank.states))
+    mask = sum(1 << i for i, s in states if s is not SwitchState.NEUTRAL)
+    want = sum(1 << i for i, s in states if s is SwitchState.ONE)
+    return _agreeing(bank.k, mask, want)
+
+
 def consistent_block(bank: SwitchBank) -> frozenset[int]:
     """Variants agreeing with every set switch; all of them when every
     switch is neutral, a singleton when all k are set."""
-    space = VariantSpace(bank.k)
-    block = []
-    for v in space.variants():
-        for i, state in enumerate(bank.states, start=1):
-            if state is SwitchState.ZERO and space.bit(v, i) != 0:
-                break
-            if state is SwitchState.ONE and space.bit(v, i) != 1:
-                break
-        else:
-            block.append(v)
-    return frozenset(block)
+    return frozenset(_bank_block(bank))
 
 
 def switch_partition(k: int, i: int, limits: Limits = DEFAULT_LIMITS) -> Partition:
     """Binary partition of the 2**k variants by digit b_i."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not 1 <= i <= k:
-        raise SwitchIndexError(f"switch {i} outside 1..{k}")
+    _check_k(k)
+    _check_switch(i, k)
     _check_switch_bits(k, limits)
     return Partition(2**k, tuple((v >> (i - 1)) & 1 for v in range(2**k)))
 
@@ -180,29 +190,29 @@ class Fitness:
     def __post_init__(self) -> None:
         scores = tuple(float(s) for s in self.scores)
         object.__setattr__(self, "scores", scores)
-        space = VariantSpace(self.k)
-        if len(scores) != space.size:
+        _check_k(self.k)
+        if len(scores) != 2**self.k:
             raise InvalidFitnessError(
-                f"expected {space.size} scores for k={self.k}, got {len(scores)}"
+                f"expected {2**self.k} scores for k={self.k}, got {len(scores)}"
             )
         for v, s in enumerate(scores):
             if not math.isfinite(s) or s <= 0.0:
                 raise NonPositiveFitnessError(
-                    f"fitness of {space.to_string(v)} must be positive, got {s}"
+                    f"fitness of {format_variant(v, self.k)} must be positive, got {s}"
                 )
 
     @classmethod
     def from_table(cls, k: int, table: Mapping[str, float]) -> "Fitness":
-        space = VariantSpace(k)
-        expected = {space.to_string(v) for v in space.variants()}
-        if set(table) != expected:
-            missing = sorted(expected - set(table))
-            extra = sorted(set(table) - expected)
+        _check_k(k)
+        labels = _labels(k)
+        if set(table) != set(labels):
+            missing = sorted(set(labels) - set(table))
+            extra = sorted(set(table) - set(labels))
             raise InvalidFitnessError(
                 f"fitness table must cover every variant exactly once "
                 f"(missing {missing}, unexpected {extra})"
             )
-        return cls(k, tuple(table[space.to_string(v)] for v in space.variants()))
+        return cls(k, tuple(table[label] for label in labels))
 
     @classmethod
     def from_text(cls, k: int, text: str) -> "Fitness":
@@ -234,14 +244,14 @@ class Fitness:
     @classmethod
     def peaked(cls, k: int, target: int, margin: float) -> "Fitness":
         """Score 1 everywhere except 1 + margin at the target variant."""
-        space = VariantSpace(k)
-        if not 0 <= target < space.size:
+        _check_k(k)
+        if not 0 <= target < 2**k:
             raise ElementOutOfRangeError(
-                f"target {target} outside the {space.size}-variant space"
+                f"target {target} outside the {2**k}-variant space"
             )
         if not math.isfinite(margin) or margin <= 0.0:
             raise InvalidFitnessError(f"fitness margin must be positive, got {margin}")
-        scores = [1.0] * space.size
+        scores = [1.0] * 2**k
         scores[target] = 1.0 + margin
         return cls(k, tuple(scores))
 
@@ -312,43 +322,39 @@ def run_selectionist(
     weight 1/2**k, so nothing is extinct at the start and the top
     weight can never be culled.
     """
-    space = VariantSpace(k)
+    _check_k(k)
+    size = 2**k
     if fitness.k != k:
         raise InvalidFitnessError(f"fitness is for k={fitness.k}, expected {k}")
-    if not 0.0 < extinction_threshold < 1.0 / space.size:
+    if not 0.0 < extinction_threshold < 1.0 / size:
         raise InvalidThresholdError(
-            f"threshold must be in (0, {1.0 / space.size}), got {extinction_threshold}"
+            f"threshold must be in (0, {1.0 / size}), got {extinction_threshold}"
         )
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    weights = [1.0 / space.size] * space.size
+    labels = _labels(k)
+    weights = [1.0 / size] * size
     extinct: set[int] = set()
     argmax = fitness.argmax_set()
 
     def snapshot() -> dict:
         return {
-            "weights": {space.to_string(v): weights[v] for v in space.variants()},
-            "extinct": sorted(space.to_string(v) for v in extinct),
+            "weights": dict(zip(labels, weights)),
+            "extinct": [labels[v] for v in sorted(extinct)],
         }
 
     steps = [TraceStep(0, None, snapshot())]
     t = 0
-    while len(extinct) + len(argmax) < space.size and t < max_steps:
+    while len(extinct) + len(argmax) < size and t < max_steps:
         t += 1
-        for v in space.variants():
-            if v not in extinct:
-                weights[v] *= fitness.score(v)
+        weights = [w * s for w, s in zip(weights, fitness.scores)]
         total = sum(weights)
         weights = [w / total for w in weights]
-        newly = [
-            v
-            for v in space.variants()
-            if v not in extinct and weights[v] < extinction_threshold
-        ]
-        if newly:
-            for v in newly:
-                weights[v] = 0.0
-                extinct.add(v)
+        # extinct weights stay 0.0, so below holds them and any new ones
+        below = {v for v, w in enumerate(weights) if w < extinction_threshold}
+        if below != extinct:
+            extinct = below
+            weights = [0.0 if v in extinct else w for v, w in enumerate(weights)]
             total = sum(weights)
             weights = [w / total for w in weights]
         steps.append(TraceStep(t, {"kind": "amplify"}, snapshot()))
@@ -370,14 +376,6 @@ def selection_survivors(trace: Trace) -> frozenset[int]:
     return frozenset(int(s, 2) for s in trace.final["weights"] if s not in extinct)
 
 
-def _bank_snapshot(bank: SwitchBank) -> dict:
-    space = VariantSpace(bank.k)
-    return {
-        "switches": [state.value for state in bank.states],
-        "block": sorted(space.to_string(v) for v in consistent_block(bank)),
-    }
-
-
 def run_generative(
     k: int, experience: Iterable[tuple[int, int]], overwrite: bool = False
 ) -> Trace:
@@ -389,15 +387,21 @@ def run_generative(
     fresh switches are set.
     """
     bank = SwitchBank.neutral(k)
-    steps = [TraceStep(0, None, _bank_snapshot(bank))]
+    labels = _labels(k)
+
+    def snapshot() -> dict:
+        return {
+            "switches": [state.value for state in bank.states],
+            "block": [labels[v] for v in _bank_block(bank)],
+        }
+
+    steps = [TraceStep(0, None, snapshot())]
     events = []
     for index, (i, value) in enumerate(experience, start=1):
         option = _as_option(value)
         bank = set_switch(bank, i, option, overwrite=overwrite)
         events.append((i, int(option.value)))
-        steps.append(
-            TraceStep(index, {"switch": i, "value": option.value}, _bank_snapshot(bank))
-        )
+        steps.append(TraceStep(index, {"switch": i, "value": option.value}, snapshot()))
     return Trace(
         "generative",
         k,
@@ -417,11 +421,8 @@ def identify(n: int, pairs: Iterable[tuple[int, int]]) -> Partition:
     _check_n(n)
     uf = UnionFind(n)
     for u, v in pairs:
-        for x in (u, v):
-            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
-                raise ElementOutOfRangeError(
-                    f"element {x!r} outside universe of size {n}"
-                )
+        _check_element(u, n)
+        _check_element(v, n)
         uf.union(u, v)
     return Partition(n, _canonical_rgs([uf.find(u) for u in range(n)]))
 
@@ -434,8 +435,7 @@ def create(n: int, elements: Iterable[int]) -> Trace:
     steps = [TraceStep(0, None, {"members": []})]
     recorded = []
     for index, u in enumerate(elements, start=1):
-        if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < n:
-            raise ElementOutOfRangeError(f"element {u!r} outside universe of size {n}")
+        _check_element(u, n)
         duplicate = u in members
         members.add(u)
         recorded.append(u)
@@ -456,15 +456,15 @@ def twenty_questions(k: int, answers: Sequence[int]) -> frozenset[int]:
     sequentially joining the partitions halves the designated block,
     reaching a singleton when all k answers are given.
     """
-    space = VariantSpace(k)
+    _check_k(k)
     if len(answers) > k:
         raise SwitchIndexError(f"{len(answers)} answers for only {k} switches")
-    block = set(space.variants())
-    for j, answer in enumerate(answers, start=1):
+    want = 0
+    for j, answer in enumerate(answers):
         if answer not in (0, 1):
             raise ValueError(f"answers must be 0 or 1, got {answer!r}")
-        block = {v for v in block if space.bit(v, j) == answer}
-    return frozenset(block)
+        want |= int(answer) << j
+    return frozenset(_agreeing(k, 2 ** len(answers) - 1, want))
 
 
 @dataclass(frozen=True)
@@ -480,7 +480,7 @@ class MechanismComparison:
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
-            "target": VariantSpace(self.k).to_string(self.target),
+            "target": format_variant(self.target, self.k),
             "agreement": self.agreement,
             "selectionist": self.selectionist.to_json_dict(),
             "generative": self.generative.to_json_dict(),
@@ -505,21 +505,16 @@ def compare_mechanisms(
     for i = 1..k. Agreement means both final states are exactly the
     target singleton.
     """
-    space = VariantSpace(k)
-    if not 0 <= target < space.size:
-        raise ElementOutOfRangeError(
-            f"target {target} outside the {space.size}-variant space"
-        )
     fitness = Fitness.peaked(k, target, fitness_margin)
     if extinction_threshold is None:
-        extinction_threshold = 0.5 / space.size
+        extinction_threshold = 0.5 / 2**k
     if max_steps is None:
         max_steps = (
             math.ceil(math.log(1.0 / extinction_threshold) / math.log1p(fitness_margin))
             + 2
         )
     selection = run_selectionist(k, fitness, extinction_threshold, max_steps)
-    experience = [(i, space.bit(target, i)) for i in range(1, k + 1)]
+    experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
     generation = run_generative(k, experience)
     agreement = (
         selection_survivors(selection)

@@ -33,7 +33,15 @@ from .errors import (
     UnknownConnectiveError,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .relations import PairRelation, Subset, _check_n, _check_same_universe, interior
+from .relations import (
+    PairRelation,
+    Subset,
+    _check_element,
+    _check_n,
+    _check_same_universe,
+    _is_int,
+    interior,
+)
 
 
 @dataclass(frozen=True)
@@ -51,13 +59,15 @@ class Partition:
             raise ValueError(
                 f"assignment length {len(assignment)} != universe size {self.n}"
             )
-        if assignment[0] != 0:
+        if not _is_int(assignment[0]) or assignment[0] != 0:
             raise ValueError("restricted-growth sequence must start at 0")
         peak = 0
         for i, a in enumerate(assignment[1:], start=1):
-            if not isinstance(a, int) or not 0 <= a <= peak + 1:
+            # inline rather than _is_int: this runs for every label of every Partition
+            if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a <= peak + 1:
                 raise ValueError(f"not a restricted-growth sequence at position {i}")
-            peak = max(peak, a)
+            if a > peak:
+                peak = a
 
     def block_count(self) -> int:
         return max(self.assignment) + 1
@@ -100,10 +110,7 @@ def partition_from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> Partition:
         if not items:
             raise EmptyBlockError(f"block {index} is empty")
         for u in items:
-            if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < n:
-                raise ElementOutOfRangeError(
-                    f"element {u!r} outside universe of size {n}"
-                )
+            _check_element(u, n)
             if u in owner:
                 raise OverlappingBlocksError(f"element {u} appears more than once")
             owner[u] = index

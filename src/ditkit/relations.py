@@ -20,9 +20,18 @@ from .errors import ElementOutOfRangeError, UniverseMismatchError
 from .unionfind import UnionFind
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"universe size must be a positive integer, got {n!r}")
+
+
+def _check_element(u, n: int) -> None:
+    if not _is_int(u) or not 0 <= u < n:
+        raise ElementOutOfRangeError(f"element {u!r} outside universe of size {n}")
 
 
 def _check_same_universe(a, b) -> None:
@@ -42,10 +51,7 @@ class Subset:
         members = frozenset(self.members)
         object.__setattr__(self, "members", members)
         for u in members:
-            if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < self.n:
-                raise ElementOutOfRangeError(
-                    f"element {u!r} outside universe of size {self.n}"
-                )
+            _check_element(u, self.n)
 
     @classmethod
     def of(cls, n: int, members: Iterable[int] = ()) -> "Subset":

@@ -3,6 +3,7 @@
 Partition text: blocks joined with '|', elements with ',' ("0,1|2"),
 or the explicit restricted-growth form "rgs:0,0,1". Subset text:
 "{0,2}"; braces are optional on input and the empty subset is "{}".
+Variant text: k binary digits b_k..b_1 ("010"), switch k first.
 Pair relations: "u,v" items joined with ';', sorted. Optional element
 names replace the integers at this layer only; the library itself
 always works on 0..n-1.
@@ -178,12 +179,18 @@ def parse_events(text: str) -> list[tuple[int, int]]:
     return events
 
 
+def _variant_number(text: str, k: int, *, strip: bool, error: type[Exception]) -> int:
+    """The variant text format: exactly k binary digits b_k..b_1, the
+    first for switch k and the last for switch 1."""
+    body = text.strip() if strip else text
+    if len(body) != k or any(ch not in "01" for ch in body):
+        raise error(f"variant must be {k} binary digits, got {text!r}")
+    return int(body, 2)
+
+
 def parse_variant(text: str, k: int) -> int:
     """Parse a k-digit bitstring b_k..b_1 into its variant number."""
-    body = text.strip()
-    if len(body) != k or any(ch not in "01" for ch in body):
-        raise TextFormatError(f"variant must be {k} binary digits, got {text!r}")
-    return int(body, 2)
+    return _variant_number(text, k, strip=True, error=TextFormatError)
 
 
 def format_variant(v: int, k: int) -> str:

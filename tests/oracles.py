@@ -6,7 +6,8 @@ recursive block insertion, covering pairs by scanning for strictly
 intermediate elements, a distinction-set evaluator that composes raw
 set operations with the fixpoint interior at every node, and recursive
 two-valued and frozenset evaluators with the truth-table, subset and
-partition scans built on them.
+partition scans built on them, and the block of switch settings by a
+per-switch scan of every variant.
 """
 from __future__ import annotations
 
@@ -246,3 +247,16 @@ def partition_verdict_json(f, n_max: int) -> dict:
                 }
                 return {"valid": False, "n_checked": [2, n], "counterexample": cx}
     return {"valid": True, "n_checked": [2, n_max], "counterexample": None}
+
+
+def switch_block(k: int, settings: dict[int, int]) -> frozenset[int]:
+    """Variants of the 2**k whose digit b_i is settings[i] for every set
+    switch i, tested one variant and one switch at a time."""
+    block = []
+    for v in range(2**k):
+        for i, value in settings.items():
+            if (v >> (i - 1)) & 1 != value:
+                break
+        else:
+            block.append(v)
+    return frozenset(block)

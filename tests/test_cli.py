@@ -272,6 +272,95 @@ class TestCompare:
         assert json.loads(err)["error"] == "TextFormatError"
 
 
+# A fitness file for k=3 with a tied maximum (011 and 101), comments and
+# blank lines; FITNESS in an argv stands for its path.
+_FITNESS_TEXT = (
+    "# variant score\n000 1\n001 2.5\n010 0.75\n\n"
+    "011 4\n100 1.5\n101 4\n110 3\n111 0.5\n"
+)
+_MECHANISM_CASES = {
+    **{
+        f"compare k={k}": [
+            "--max-switch-bits", "12", "compare", "--k", str(k),
+            "--target", ("10" * 6)[:k],
+        ]
+        for k in range(1, 13)
+    },
+    "compare k=3 margin": [
+        "compare", "--k", "3", "--target", "000", "--margin", "0.25",
+        "--threshold", "0.01",
+    ],
+    "compare k=4 capped": ["compare", "--k", "4", "--target", "1111", "--max-steps", "2"],
+    "select peak": ["sim", "select", "--k", "4", "--fitness", "peak@0110", "--margin", "0.5"],
+    "select peak capped": [
+        "sim", "select", "--k", "3", "--fitness", "peak@001", "--max-steps", "3",
+    ],
+    "select file": ["sim", "select", "--k", "3", "--fitness", "FITNESS"],
+    "select file threshold": [
+        "sim", "select", "--k", "3", "--fitness", "FITNESS", "--threshold", "0.1",
+    ],
+    "generate none": ["sim", "generate", "--k", "3"],
+    "generate": ["sim", "generate", "--k", "4", "--events", "1=0,3=1,2=1"],
+    "generate k=12": [
+        "--max-switch-bits", "12", "sim", "generate", "--k", "12",
+        "--events", "12=1,1=0,7=1",
+    ],
+    "generate overwrite": [
+        "sim", "generate", "--k", "4", "--events", "1=0,1=1,4=0,1=0,2=1", "--overwrite",
+    ],
+    "twentyq none": ["sim", "twentyq", "--k", "4"],
+    "twentyq some": ["sim", "twentyq", "--k", "4", "--answers", "1,0"],
+    "twentyq all": ["sim", "twentyq", "--k", "4", "--answers", "0,1,1,0"],
+    "twentyq k=1": ["sim", "twentyq", "--k", "1", "--answers", "1"],
+    "twentyq k=10": ["sim", "twentyq", "--k", "10", "--answers", "1,1,0"],
+}
+
+
+class TestMechanismGolden:
+    """sha256 of the stdout of each case in _MECHANISM_CASES, recorded at
+    commit 600146b, where the block was a per-switch scan and every label
+    was formatted through VariantSpace."""
+
+    GOLDEN = {
+        "compare k=1": "0f78ea61155fc75d407e524ab2bb23ce064cb8b0f7360963f93d6d2a1e8ff940",
+        "compare k=10": "0623f499d90c1bfee986fa3067d7813e90e106073d3746d5385d83f198e3796d",
+        "compare k=11": "390d81fd69435bd9e6f742750a5928f41d9c8c36c5184e5da61918d6cee2b324",
+        "compare k=12": "1316d2fc6d89c97ea990c40d05b5c1f6eeb0058f9f159cd616c92b51545afab9",
+        "compare k=2": "e2e47b957fb0dc59d25711c72b4977e62c9242c60c2531c365e2859115dc1d57",
+        "compare k=3": "981f8080aefd926d765a4536962e2385a2acac89dcfd02881f312020da612208",
+        "compare k=3 margin": "27fa4384c77d0dfde7320dedb10317ebbb1c1ed2d9cff4b3a9f854c5c27a1be2",
+        "compare k=4": "98ecd64e0cc7b6ae56c553c1128ba5add33d53a141a91361d4ce615176cfa21f",
+        "compare k=4 capped": "5eeea9420af09317e89c12196f08e16b3451bd34f82f360a9f94a8d2555c67d6",
+        "compare k=5": "54198a5b41a58b25eee7be00a890fc4fcc34fcd0edd600ba4ec3b9f00c39f4e2",
+        "compare k=6": "99ea7e69326e81145a0a35156cd8f8d749e000be8e97029d617cb456160dc500",
+        "compare k=7": "0a38996aa7a938adc2fb2f8463c361f67a1b96bd5c5197d5f0dedaa5514cf650",
+        "compare k=8": "06329b132df3acebb3c7f50237f8d7387bea253b2ce3b11e4ce8324dea711918",
+        "compare k=9": "9a2bda3d315a339df57622ee43e643be6bb3a1728796578f1042a1312361184c",
+        "generate": "6e9d39c6802c8ca646d3be80587e2bf63e01ab86922db75e7a36d890d7707bb2",
+        "generate k=12": "8b9843c3ed4c560b09a13400f8082ca3e70acec98b06907f0ec59b7c2ae3dea7",
+        "generate none": "51fef4ee35751de894a1d4dd256e46ba0e56bb9564735019c54fe014acd3f2e7",
+        "generate overwrite": "5953b5a37c15dce41238738caf52ac0b26d434be6faaa45f1242f95372fe01e1",
+        "select file": "0a9ff97adb5096688cacb3583d938e5ed99b5c2ec6639db2c5d28118c9d772c9",
+        "select file threshold": "ae05c873874a24c62e550e744323bf90f6cc27372bf8ba865ec30c9eeee63dd9",
+        "select peak": "cd97b635c13f9a3dc1251a0ec4fcd91752dc9c36d70e6ba97b2b00e9bb0b4373",
+        "select peak capped": "28a9fdc2b8cddd3604512a793238e4a5d034484861022e6d756c9d0ec01ac219",
+        "twentyq all": "388a898165567380b0887debe5d4352938a4d40dd6aeb831d9539c30399cb6cf",
+        "twentyq k=1": "3c504febef1974bd251c3e87d3b63ac1ba990920bbc49a96e56b7787cc968dac",
+        "twentyq k=10": "b0994c1f6f3593bfe27522dc96c36c2bb59e8ce225c64abef5c72c4512e2afce",
+        "twentyq none": "8151e5e4ceec04860465a3a87ee77eb219110b8d877c9503a6c35b964f96a813",
+        "twentyq some": "5f895a6284405571b667c8d28ead25449d2f6f9e5f52455a85c9a0f47a35dcb7",
+    }
+
+    @pytest.mark.parametrize("case", sorted(_MECHANISM_CASES))
+    def test_output_matches_golden_hash(self, capsys, tmp_path, case):
+        fitness = tmp_path / "fitness.txt"
+        fitness.write_text(_FITNESS_TEXT)
+        argv = [str(fitness) if a == "FITNESS" else a for a in _MECHANISM_CASES[case]]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[case]
+
+
 class TestArgHandling:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -378,7 +467,10 @@ class TestCaps:
         def refuse(*args):
             raise AssertionError("variant space built before the switch cap check")
 
-        monkeypatch.setattr(mechanisms, "VariantSpace", refuse)
+        # every mechanism entry point checks k first; labels and blocks
+        # are the 2**k-sized tables
+        for name in ("VariantSpace", "_check_k", "_labels", "_agreeing"):
+            monkeypatch.setattr(mechanisms, name, refuse)
         code, out, err = run(capsys, "--max-switch-bits", "3", *argv)
         assert (code, out) == (4, "")
         assert json.loads(err) == {

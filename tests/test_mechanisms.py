@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from ditkit import (
     AlreadySetError,
     ElementOutOfRangeError,
@@ -61,6 +63,27 @@ class TestVariantSpace:
         with pytest.raises(SwitchIndexError):
             VariantSpace(3).bit(0, 0)
 
+    def test_bad_strings(self):
+        for text in ("01", "0102", " 010", "01x"):
+            with pytest.raises(ValueError, match=f"got {text!r}"):
+                VariantSpace(3).from_string(text)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda k: VariantSpace(k),
+            lambda k: SwitchBank.neutral(k),
+            lambda k: switch_partition(k, 1),
+            lambda k: Fitness.uniform(k),
+            lambda k: twenty_questions(k, []),
+        ],
+        ids=["VariantSpace", "SwitchBank", "switch_partition", "Fitness", "twenty_questions"],
+    )
+    @pytest.mark.parametrize("k", [True, False, 0])
+    def test_k_must_be_a_positive_int_not_a_bool(self, build, k):
+        with pytest.raises(ValueError, match=f"k must be a positive integer, got {k!r}"):
+            build(k)
+
 
 class TestSwitches:
     def test_neutral_bank_is_everything(self):
@@ -107,6 +130,21 @@ class TestSwitches:
     def test_limit(self):
         with pytest.raises(ResourceLimitError):
             switch_partition(11, 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_block_matches_per_switch_oracle(self, k):
+        # every bank of k three-state switches: 3**k of them
+        for states in itertools.product(SwitchState, repeat=k):
+            settings = {
+                i: int(s.value) for i, s in enumerate(states, start=1)
+                if s is not SwitchState.NEUTRAL
+            }
+            expected = oracles.switch_block(k, settings)
+            assert consistent_block(SwitchBank(k, states)) == expected
+            trace = run_generative(k, settings.items())
+            assert generative_block(trace) == expected
+            block = trace.final["block"]
+            assert block == sorted(block) and len(block) == len(expected)
 
 
 class TestFitness:
@@ -257,6 +295,13 @@ class TestTwentyQuestions:
     def test_too_many_answers(self):
         with pytest.raises(SwitchIndexError):
             twenty_questions(2, [0, 1, 0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_per_switch_oracle(self, k):
+        for m in range(k + 1):
+            for answers in itertools.product((0, 1), repeat=m):
+                expected = oracles.switch_block(k, dict(enumerate(answers, start=1)))
+                assert twenty_questions(k, answers) == expected
 
 
 class TestCompare:

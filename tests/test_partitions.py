@@ -47,6 +47,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Partition(3, (0, 2, 1))
 
+    @pytest.mark.parametrize(
+        "n, assignment, message",
+        [
+            (2, (0, True), "not a restricted-growth sequence at position 1"),
+            (2, (False, 1), "restricted-growth sequence must start at 0"),
+            (1, (False,), "restricted-growth sequence must start at 0"),
+            (1, (0.0,), "restricted-growth sequence must start at 0"),
+            (3, (0, 1, 1.0), "not a restricted-growth sequence at position 2"),
+        ],
+    )
+    def test_labels_must_be_ints_not_bools(self, n, assignment, message):
+        # bool and float labels compare equal to 0 and 1 but are refused,
+        # like bool elements in partition_from_blocks
+        with pytest.raises(ValueError, match=message):
+            Partition(n, assignment)
+
     def test_blocks_in_first_appearance_order(self):
         p = Partition(4, (0, 1, 0, 2))
         assert p.blocks() == ((0, 2), (1,), (3,))
