@@ -63,6 +63,7 @@ _LIMIT_FLAGS = (
     "max_truth_vars",
     "max_search_assignments",
     "max_switch_bits",
+    "max_selection_steps",
 )
 
 
@@ -312,7 +313,7 @@ def cmd_sim_select(args: argparse.Namespace, limits: Limits) -> int:
         except OSError as exc:
             raise TextFormatError(f"cannot read fitness file: {exc}") from None
     threshold = args.threshold if args.threshold is not None else 0.5 / 2**args.k
-    trace = run_selectionist(args.k, fitness, threshold, args.max_steps)
+    trace = run_selectionist(args.k, fitness, threshold, args.max_steps, limits)
     print(trace.to_json())
     return 0
 
@@ -355,6 +356,7 @@ def cmd_compare(args: argparse.Namespace, limits: Limits) -> int:
         args.margin,
         extinction_threshold=args.threshold,
         max_steps=args.max_steps,
+        limits=limits,
     )
     print(result.to_json())
     return 0

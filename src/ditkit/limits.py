@@ -23,6 +23,8 @@ class Limits:
     max_search_assignments: int = 10_000
     # switch_partition builds a partition on 2**k elements; cap on k.
     max_switch_bits: int = 10
+    # Step bound of a selectionist run, which keeps a snapshot per step.
+    max_selection_steps: int = 10_000
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):

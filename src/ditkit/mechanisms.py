@@ -126,6 +126,7 @@ class SwitchBank:
 
     @classmethod
     def neutral(cls, k: int) -> "SwitchBank":
+        _check_k(k)
         return cls(k, (SwitchState.NEUTRAL,) * k)
 
     def state_of(self, i: int) -> SwitchState:
@@ -177,6 +178,13 @@ def _check_switch_bits(k: int, limits: Limits) -> None:
     if k > limits.max_switch_bits:
         raise ResourceLimitError(
             f"2**{k} variants exceeds the switch cap k <= {limits.max_switch_bits}"
+        )
+
+
+def _check_threshold(k: int, extinction_threshold: float) -> None:
+    if not 0.0 < extinction_threshold < 1.0 / 2**k:
+        raise InvalidThresholdError(
+            f"threshold must be in (0, {1.0 / 2**k}), got {extinction_threshold}"
         )
 
 
@@ -239,6 +247,7 @@ class Fitness:
 
     @classmethod
     def uniform(cls, k: int) -> "Fitness":
+        _check_k(k)
         return cls(k, (1.0,) * 2**k)
 
     @classmethod
@@ -309,6 +318,7 @@ def run_selectionist(
     fitness: Fitness,
     extinction_threshold: float,
     max_steps: int,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> Trace:
     """Differential amplification over all 2**k variants.
 
@@ -320,18 +330,20 @@ def run_selectionist(
 
     The threshold must lie strictly between 0 and the uniform initial
     weight 1/2**k, so nothing is extinct at the start and the top
-    weight can never be culled.
+    weight can never be culled. max_steps may not exceed the
+    limits' max_selection_steps.
     """
     _check_k(k)
     size = 2**k
     if fitness.k != k:
         raise InvalidFitnessError(f"fitness is for k={fitness.k}, expected {k}")
-    if not 0.0 < extinction_threshold < 1.0 / size:
-        raise InvalidThresholdError(
-            f"threshold must be in (0, {1.0 / size}), got {extinction_threshold}"
-        )
+    _check_threshold(k, extinction_threshold)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if max_steps > limits.max_selection_steps:  # before the first snapshot
+        raise ResourceLimitError(
+            f"{max_steps} selection steps exceeds the cap {limits.max_selection_steps}"
+        )
     labels = _labels(k)
     weights = [1.0 / size] * size
     extinct: set[int] = set()
@@ -497,23 +509,27 @@ def compare_mechanisms(
     *,
     extinction_threshold: float | None = None,
     max_steps: int | None = None,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> MechanismComparison:
     """Run both dynamic mechanisms toward one target variant.
 
     The selectionist run uses fitness peaked at the target by the given
     margin; the generative run sets switch i to the target's digit b_i
     for i = 1..k. Agreement means both final states are exactly the
-    target singleton.
+    target singleton. Without max_steps, the selectionist run may take
+    as many steps as the target needs to push every other variant below
+    the threshold; like a given max_steps, that may not exceed the
+    limits' max_selection_steps.
     """
     fitness = Fitness.peaked(k, target, fitness_margin)
     if extinction_threshold is None:
         extinction_threshold = 0.5 / 2**k
     if max_steps is None:
-        max_steps = (
-            math.ceil(math.log(1.0 / extinction_threshold) / math.log1p(fitness_margin))
-            + 2
-        )
-    selection = run_selectionist(k, fitness, extinction_threshold, max_steps)
+        _check_threshold(k, extinction_threshold)  # the step count below needs it
+        steps = math.log(1.0 / extinction_threshold) / math.log1p(fitness_margin)
+        # a subnormal margin or threshold overflows steps to inf, which the cap refuses
+        max_steps = math.ceil(steps) + 2 if math.isfinite(steps) else steps
+    selection = run_selectionist(k, fitness, extinction_threshold, max_steps, limits)
     experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
     generation = run_generative(k, experience)
     agreement = (
@@ -524,15 +540,18 @@ def compare_mechanisms(
     return MechanismComparison(k, target, selection, generation, agreement)
 
 
-def replay(trace: Trace) -> Trace:
+def replay(trace: Trace, limits: Limits = DEFAULT_LIMITS) -> Trace:
     """Rerun a trace's mechanism from its recorded parameters; a
-    faithful implementation reproduces every snapshot exactly."""
+    faithful implementation reproduces every snapshot exactly. A
+    selectionist trace made under a raised max_selection_steps needs
+    the same limits again."""
     if trace.mechanism == "selectionist":
         return run_selectionist(
             trace.k,
             trace.params["fitness"],
             trace.params["extinction_threshold"],
             trace.params["max_steps"],
+            limits,
         )
     if trace.mechanism == "generative":
         return run_generative(

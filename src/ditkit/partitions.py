@@ -98,7 +98,9 @@ class Partition:
 def _canonical_rgs(labels: Sequence[Hashable]) -> tuple[int, ...]:
     """Relabel arbitrary block labels into first-appearance order."""
     remap: dict[Hashable, int] = {}
-    return tuple(remap.setdefault(label, len(remap)) for label in labels)
+    # from a list, not a generator: tuple() of a generator over-allocates
+    # and shrinks, and the shrunk tuples pile up on CPython's free list
+    return tuple([remap.setdefault(label, len(remap)) for label in labels])
 
 
 def partition_from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> Partition:

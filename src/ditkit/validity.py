@@ -1,4 +1,4 @@
-"""Brute-force validity checking under three semantics.
+"""Exhaustive validity checking under three semantics.
 
 Truth tables, subset semantics over a range of universe sizes, and
 partition semantics over a range of universe sizes. A verdict never
@@ -12,16 +12,32 @@ order, variables sorted by name). All three are one sequential scan
 of the formula's postfix program that stops at the first failure, which
 is therefore the minimal counterexample.
 
+Truth and subset scans evaluate every assignment. A partition scan
+evaluates only orbit representatives. Partition semantics commutes with
+relabelling the universe, so every relabelling of the least failing
+tuple t fails too, and none comes before t in scan order. Hence t's
+first value is the least of its orbit under all relabellings, which
+makes it 0^a 1^b 2^c ... with a >= b >= c >= ... (one value per integer
+partition of n instead of one per set partition), and t's second value
+is the least of its orbit under the relabellings that fix the first.
+The scan runs through the tuples that pass both tests, in the order of
+the full scan, so it meets t first and reports the same verdict and
+counterexample (orderly generation: McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998). Orbits are found by closure under
+generators read from the first value's blocks; the n! relabellings are
+never listed.
+
 Subset and partition scans refuse before they start when a universe has
-more assignments than the budget; a formula with no variables counts as
-one variable there, because each universe's pool of values is built.
+more assignments than the budget, counting every assignment, not only
+the ones evaluated; a formula with no variables counts as one variable
+there, because each universe's pool of values is built.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import ResourceLimitError, TooManyVariablesError, UniverseTooSmallError
 from .formulas import (
@@ -34,7 +50,7 @@ from .formulas import (
     _variables,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .partitions import Partition, bell_number, enumerate_partitions
+from .partitions import Partition, _canonical_rgs, bell_number, enumerate_partitions
 from .relations import Subset
 from .textio import format_partition, format_subset
 
@@ -48,6 +64,11 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The outcome of a scan. assignments_checked counts the assignments
+    evaluated. A partition scan evaluates only orbit representatives (see
+    the module docstring), fewer than the Bell(n)**v per universe that
+    the budget counts."""
+
     valid: bool
     counterexample: Counterexample | None
     universes_checked: tuple[int, int]
@@ -85,13 +106,13 @@ def _render_value(value) -> object:
 
 
 def _scan(program, names, universes, low: int, n_max: int, convert: Callable) -> Verdict:
-    """Try the universes in order and, in each, every assignment of the
-    pool's values to names in itertools.product order; stop at the first
-    value that is not the algebra's top. convert(n, value) gives the
-    counterexample's values their public types."""
+    """Try the universes in order and, in each, the value tuples it
+    yields for names, in order; stop at the first value that is not the
+    algebra's top. convert(n, value) gives the counterexample's values
+    their public types."""
     checked = 0
-    for n, algebra, pool in universes:
-        for combo in itertools.product(pool, repeat=len(names)):
+    for n, algebra, combos in universes:
+        for combo in combos:
             checked += 1
             env = dict(zip(names, combo))
             value = _evaluate(program, algebra, env)
@@ -123,7 +144,7 @@ def truth_table_tautology(f: Formula, limits: Limits = DEFAULT_LIMITS) -> Verdic
         raise TooManyVariablesError(
             f"{len(names)} variables exceeds the truth-table cap {limits.max_truth_vars}"
         )
-    universes = [(1, _bitmask_algebra(1), (0, 1))]
+    universes = [(1, _bitmask_algebra(1), itertools.product((0, 1), repeat=len(names)))]
     return _scan(program, names, universes, 1, 1, lambda n, bit: bool(bit))
 
 
@@ -140,7 +161,10 @@ def subset_valid(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Ver
         )
     sizes = {n: 2**n for n in range(1, n_max + 1)}
     _check_budget("subset", sizes, len(names), limits)
-    universes = ((n, _bitmask_algebra(n), range(size)) for n, size in sizes.items())
+    universes = (
+        (n, _bitmask_algebra(n), itertools.product(range(size), repeat=len(names)))
+        for n, size in sizes.items()
+    )
     return _scan(
         program, names, universes, 1, n_max, lambda n, mask: Subset(n, _members(n, mask))
     )
@@ -160,5 +184,75 @@ def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS)
     sizes = {n: bell_number(n) for n in range(2, n_max + 1)}
     _check_budget("partition", sizes, len(names), limits)
     pools = ((n, [p.assignment for p in enumerate_partitions(n, limits)]) for n in sizes)
-    universes = ((n, _partition_algebra(n), pool) for n, pool in pools)
+    universes = (
+        (n, _partition_algebra(n), _orbit_representatives(pool, len(names)))
+        for n, pool in pools
+    )
     return _scan(program, names, universes, 2, n_max, Partition)
+
+
+def _orbit_representatives(pool: list[tuple], arity: int) -> Iterator[tuple]:
+    """The value tuples of a partition scan: the subsequence of
+    itertools.product(pool, repeat=arity) whose first value comes first
+    in its orbit under all relabellings of the universe, and whose second
+    comes first in its orbit under the relabellings that fix the first.
+    The later values run over the whole pool."""
+    if arity == 0:
+        yield ()
+        return
+    position = {x: i for i, x in enumerate(pool)}
+    moves: dict[tuple[int, ...], list[int]] = {}
+
+    def minima(head: tuple) -> Iterator[tuple]:
+        generators = _stabiliser_generators(head)
+        for g in generators:
+            if g not in moves:  # heads share generators; act on the pool once each
+                moves[g] = [position[_canonical_rgs([x[i] for i in g])] for x in pool]
+        return _orbit_minima(pool, [moves[g] for g in generators])
+
+    # pool[0] is the one-block partition, fixed by every relabelling
+    for head in minima(pool[0]):
+        if arity == 1:
+            yield (head,)
+            continue
+        for second in minima(head):
+            for rest in itertools.product(pool, repeat=arity - 2):
+                yield (head, second, *rest)
+
+
+def _stabiliser_generators(head: tuple) -> list[tuple[int, ...]]:
+    """Generators of the relabellings that fix a partition whose blocks
+    are runs of consecutive elements: each swap of neighbours inside a
+    block, and each swap of two neighbouring blocks of equal size. A
+    generator lists, for each position, the position it reads from."""
+    n = len(head)
+    starts = [u for u in range(n) if u == 0 or head[u] != head[u - 1]] + [n]
+    generators = []
+    for u in range(n - 1):
+        if head[u] == head[u + 1]:
+            generators.append((*range(u), u + 1, u, *range(u + 2, n)))
+    for a, b, c in zip(starts, starts[1:], starts[2:]):
+        if b - a == c - b:
+            generators.append((*range(a), *range(b, c), *range(a, b), *range(c, n)))
+    return generators
+
+
+def _orbit_minima(pool: list[tuple], moves: list[list[int]]) -> Iterator[tuple]:
+    """The members of pool, in pool order, that come first in their orbit
+    under the group the moves span; a move sends each pool position to
+    another. Each orbit is found by closure under the moves; the group
+    itself is never listed."""
+    seen = [False] * len(pool)
+    for i, x in enumerate(pool):
+        if seen[i]:
+            continue
+        yield x  # every earlier orbit is already seen, so x is its orbit's least
+        seen[i] = True
+        stack = [i]
+        while stack:
+            j = stack.pop()
+            for move in moves:
+                k = move[j]
+                if not seen[k]:
+                    seen[k] = True
+                    stack.append(k)

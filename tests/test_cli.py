@@ -478,6 +478,75 @@ class TestCaps:
             "message": "2**4 variants exceeds the switch cap k <= 3",
         }
 
+    @pytest.mark.parametrize(
+        "argv, steps",
+        [
+            (["sim", "select", "--k", "3", "--fitness", "peak@010",
+              "--max-steps", "100000000000"], 100000000000),
+            (["compare", "--k", "3", "--target", "010", "--margin", "1e-12"], 2772588722244),
+            (["compare", "--k", "3", "--target", "010", "--max-steps", "10001"], 10001),
+            (["--max-selection-steps", "5", "compare", "--k", "3", "--target", "010"], 6),
+        ],
+        ids=["select", "compare derived", "compare given", "compare flag"],
+    )
+    def test_selection_step_cap_before_run(self, capsys, monkeypatch, argv, steps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("selectionist run started before the step cap check")
+
+        for name in ("_labels", "run_generative"):
+            monkeypatch.setattr(mechanisms, name, refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        cap = 5 if "--max-selection-steps" in argv else 10000
+        assert json.loads(err) == {
+            "error": "ResourceLimitError",
+            "message": f"{steps} selection steps exceeds the cap {cap}",
+        }
+
+    def test_selection_step_cap_from_config(self, capsys, tmp_path):
+        config = tmp_path / "limits.json"
+        config.write_text('{"max_selection_steps": 5}')
+        argv = ["--config", str(config), "compare", "--k", "3", "--target", "010"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert json.loads(err)["message"] == "6 selection steps exceeds the cap 5"
+        config.write_text('{"max_selection_steps": 6}')
+        assert run(capsys, *argv)[0] == 0
+
+    def test_partition_budget_counts_unreduced_assignments(self, capsys):
+        # the scan evaluates 138 assignments, but the budget is checked on
+        # Bell(5)**2 = 2704 before it starts
+        argv = ["taut", "p -> (q -> p)", "--logic", "partition", "--max-n", "5"]
+        code, out, err = run(capsys, "--max-search-assignments", "2703", *argv)
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "ResourceLimitError",
+            "message": "partition search at n=5 needs 2704 assignments, budget is 2703",
+        }
+        assert run(capsys, "--max-search-assignments", "2704", *argv) == (0, "valid (n=2..5)\n", "")
+
+
+def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
+    # Import time is part of every CLI call. Once the standard modules that
+    # ditkit imports are loaded, importing it may load only its own modules.
+    src = pathlib.Path(ditkit.__file__).parent.parent
+    code = (
+        "import sys, __future__, dataclasses, enum, functools, itertools, json, math,"
+        " operator, random, typing\n"
+        "before = set(sys.modules)\n"
+        "import ditkit\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+    )
+    own = {"ditkit", *(f"ditkit.{name}" for name in (
+        "errors", "formulas", "limits", "mechanisms", "partitions", "relations",
+        "textio", "unionfind", "validity",
+    ))}
+    assert set(child.stdout.split()) <= own
+
 
 class _ClosedPipe:
     def __init__(self, fd: int):
@@ -528,6 +597,9 @@ class TestClosedStdout:
 _FORMULAS = ["p | ~p", "p -> q", "T", "F", "~~p", "p & q & r", "p &", "(p q)", ")"]
 _INTS = st.integers(min_value=-2, max_value=6).map(str)
 _BITS = st.text(alphabet="01", min_size=1, max_size=6)
+# margins and step bounds whose runs the step cap refuses
+_MARGINS = st.one_of(_INTS, st.sampled_from(["1e-12", "5e-324"]))
+_STEPS = st.one_of(_INTS, st.just("100000000000"))
 
 
 def _texts(*fixed: str):
@@ -566,7 +638,7 @@ _SUBCOMMANDS = {
                 _BITS.map("peak@".__add__), st.just("missing.txt")
             ),
         },
-        {"--margin": _INTS, "--threshold": _INTS, "--max-steps": _INTS},
+        {"--margin": _MARGINS, "--threshold": _INTS, "--max-steps": _STEPS},
     ),
     ("sim", "generate"): (
         False,
@@ -594,11 +666,11 @@ _SUBCOMMANDS = {
     ("compare",): (
         False,
         {"--k": _INTS, "--target": st.one_of(_BITS, st.just("999"))},
-        {"--margin": _INTS, "--threshold": _INTS, "--max-steps": _INTS},
+        {"--margin": _MARGINS, "--threshold": _INTS, "--max-steps": _STEPS},
     ),
 }
 _LIMIT_FLAGS = ["--max-relation-n", "--max-lattice-n", "--max-truth-vars",
-                "--max-search-assignments", "--max-switch-bits"]
+                "--max-search-assignments", "--max-switch-bits", "--max-selection-steps"]
 
 
 @st.composite

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from ditkit import mechanisms
 from ditkit import (
     AlreadySetError,
     ElementOutOfRangeError,
     Fitness,
     InvalidFitnessError,
     InvalidThresholdError,
+    Limits,
     NonPositiveFitnessError,
     Partition,
     ResourceLimitError,
@@ -79,7 +81,7 @@ class TestVariantSpace:
         ],
         ids=["VariantSpace", "SwitchBank", "switch_partition", "Fitness", "twenty_questions"],
     )
-    @pytest.mark.parametrize("k", [True, False, 0])
+    @pytest.mark.parametrize("k", [True, False, 0, -1, 2.0])
     def test_k_must_be_a_positive_int_not_a_bool(self, build, k):
         with pytest.raises(ValueError, match=f"k must be a positive integer, got {k!r}"):
             build(k)
@@ -229,6 +231,46 @@ class TestSelectionist:
         assert selection_survivors(trace) == frozenset({target})
 
 
+class TestSelectionStepCap:
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("selectionist run started before the step cap check")
+
+    def test_run_refused_before_first_snapshot(self, monkeypatch):
+        monkeypatch.setattr(mechanisms, "_labels", self.refuse)
+        with pytest.raises(ResourceLimitError, match="^10001 selection steps exceeds the cap 10000$"):
+            run_selectionist(3, Fitness.uniform(3), 0.01, 10_001)
+        tight = Limits().replaced(max_selection_steps=5)
+        with pytest.raises(ResourceLimitError, match="^6 selection steps exceeds the cap 5$"):
+            run_selectionist(3, Fitness.uniform(3), 0.01, 6, tight)
+
+    @pytest.mark.parametrize(
+        "margin, max_steps, steps",
+        [
+            (1e-12, None, "2772588722244"),  # derived from the margin
+            (5e-324, None, "inf"),  # a subnormal margin overflows the derivation
+            (1.0, 10**12, "1000000000000"),
+        ],
+    )
+    def test_compare_refused_before_either_run(self, monkeypatch, margin, max_steps, steps):
+        for name in ("_labels", "run_generative"):
+            monkeypatch.setattr(mechanisms, name, self.refuse)
+        with pytest.raises(ResourceLimitError, match=f"^{steps} selection steps exceeds"):
+            compare_mechanisms(3, 2, margin, max_steps=max_steps)
+
+    def test_runs_up_to_the_cap(self):
+        tight = Limits().replaced(max_selection_steps=6)
+        assert len(run_selectionist(3, Fitness.uniform(3), 0.01, 6, tight).steps) == 1
+        # margin 1 at k = 3 derives ceil(log 16 / log 2) + 2 = 6 steps
+        assert compare_mechanisms(3, 2, 1.0, limits=tight).agreement
+        with pytest.raises(ResourceLimitError):
+            compare_mechanisms(3, 2, 1.0, limits=tight.replaced(max_selection_steps=5))
+
+    def test_zero_threshold_refused_before_steps_are_derived(self):
+        with pytest.raises(InvalidThresholdError):
+            compare_mechanisms(3, 2, 1.0, extinction_threshold=0.0)
+
+
 class TestGenerative:
     def test_worked_scenario(self):
         trace = run_generative(3, [(1, 0), (2, 1), (3, 0)])
@@ -332,6 +374,13 @@ class TestReplay:
         trace = run_selectionist(3, Fitness.peaked(3, 2, 1.0), 0.0625, 100)
         again = replay(trace)
         assert again.to_json() == trace.to_json()
+
+    def test_selectionist_replay_under_raised_step_cap(self):
+        raised = Limits().replaced(max_selection_steps=20_000)
+        trace = run_selectionist(2, Fitness.peaked(2, 0, 1.0), 0.1, 20_000, raised)
+        assert replay(trace, raised).to_json() == trace.to_json()
+        with pytest.raises(ResourceLimitError):
+            replay(trace)
 
     def test_generative_replay(self):
         trace = run_generative(3, [(1, 0), (2, 1), (3, 0)])

@@ -1,9 +1,11 @@
+import itertools
 import json
 import random
 
 import pytest
 
 import oracles
+from ditkit import validity
 from ditkit import (
     Limits,
     PartitionAssignment,
@@ -21,6 +23,8 @@ from ditkit import (
     subset_valid,
     truth_table_tautology,
 )
+from ditkit.formulas import _compile, _partition_algebra, _variables
+from ditkit.partitions import enumerate_partitions
 
 
 class TestTruthTable:
@@ -113,6 +117,15 @@ class TestPartitionTautology:
         with pytest.raises(ResourceLimitError):
             partition_tautology(parse("p & q"), 4, limits=tight)
 
+    def test_assignments_checked_counts_evaluations(self):
+        # only orbit representatives are evaluated: 4 + 10 + 33 + 91 pairs
+        # at n = 2..5 against 4 + 25 + 225 + 2704, and p(n) single values
+        # (2 + 3 + 5 + 7) against Bell(n); a formula with no variables is
+        # evaluated once per universe
+        assert partition_tautology(parse("p -> (q -> p)"), 5).assignments_checked == 138
+        assert partition_tautology(parse("p -> p"), 5).assignments_checked == 17
+        assert partition_tautology(parse("T"), 5).assignments_checked == 4
+
     def test_partition_valid_implies_truth_valid(self):
         # truth assignments embed as partitions on two points, so
         # partition validity is the stronger property
@@ -151,3 +164,69 @@ class TestAgainstOracles:
             assert subset_valid(f, 3).to_json() == want
             want = json.dumps(oracles.partition_verdict_json(f, 3), sort_keys=True)
             assert partition_tautology(f, 3).to_json() == want
+
+
+def _product_verdict(f, n_max: int):
+    """The unreduced partition scan: every assignment of the pool to the
+    variables, in itertools.product order."""
+    program = _compile(f)
+    names = _variables(program)
+    universes = (
+        (
+            n,
+            _partition_algebra(n),
+            itertools.product(
+                [p.assignment for p in enumerate_partitions(n)], repeat=len(names)
+            ),
+        )
+        for n in range(2, n_max + 1)
+    )
+    return validity._scan(program, names, universes, 2, n_max, Partition)
+
+
+# Classical tautologies: every instance holds at n = 2, where partitions
+# are truth values, and many fail on larger universes.
+_CLASSICAL = (
+    "{a} | ~{a}",
+    "~~{a} -> {a}",
+    "(~{a} -> {a}) -> {a}",
+    "(({a} -> {b}) -> {a}) -> {a}",
+    "({a} -> {b}) | ({b} -> {a})",
+    "({a} & {b}) | ~{a} | ~{b}",
+    "(~{a} -> {b}) -> (~{b} -> {a})",
+    "({a} <-> {b}) | ({a} <-> ~{b})",
+)
+
+
+class TestOrbitReduction:
+    """The partition scan evaluates one assignment per orbit of the
+    universe's relabellings at its first two variables; these check that
+    it finds the verdict and the minimal counterexample of the full scan."""
+
+    def test_matches_unreduced_scan_on_seeded_corpus(self):
+        rng = random.Random(20261019)
+        for _ in range(150):
+            names = ("p", "q", "r")[: rng.randint(1, 3)]
+            f = random_formula(rng, variables=names, max_depth=5)
+            want = json.dumps(oracles.partition_verdict_json(f, 4), sort_keys=True)
+            assert partition_tautology(f, 4).to_json() == want, str(f)
+            # Bell(5)**3 unreduced assignments would overrun the budget
+            if len(names) < 3:
+                assert partition_tautology(f, 5).to_json() == _product_verdict(f, 5).to_json(), str(f)
+
+    def test_matches_unreduced_scan_on_late_failures(self):
+        # A second variable over-reduced by its head's stabiliser can only
+        # show once heads have more than one block shape, from n = 3 on.
+        # Random formulas mostly fail at n = 2, so this corpus keeps the
+        # two-variable instances of classical tautologies that fail later.
+        rng = random.Random(20261020)
+        late = 0
+        for _ in range(360):
+            a, b = (random_formula(rng, variables=("p", "q"), max_depth=2) for _ in "ab")
+            f = parse(rng.choice(_CLASSICAL).format(a=f"({a})", b=f"({b})"))
+            want = _product_verdict(f, 4)
+            if want.valid or want.counterexample.n < 3 or len(want.counterexample.assignment) < 2:
+                continue
+            late += 1
+            assert partition_tautology(f, 4).to_json() == want.to_json(), str(f)
+        assert late >= 100
