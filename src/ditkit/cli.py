@@ -283,20 +283,28 @@ def cmd_taut(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_lattice(args: argparse.Namespace, limits: Limits) -> int:
-    nodes, edges = _lattice(args.kind, args.n, limits)
-    render = format_partition if args.kind == "partition" else format_subset
-    texts = [render(node) for node in nodes]
+    """Stream the lattice to stdout a node at a time. The bytes are
+    those of json.dumps(payload, sort_keys=True), whose first key is
+    "edges", or of the DOT listing with one line per node and edge."""
+    labels, covers = _lattice(args.kind, args.n, limits)
+    write = sys.stdout.write
     if args.dot:
-        lines = ["digraph lattice {", "  rankdir=BT;"]
-        for i, text in enumerate(texts):
-            lines.append(f'  n{i} [label="{text}"];')
-        for a, b in edges:
-            lines.append(f"  n{a} -> n{b};")
-        lines.append("}")
-        print("\n".join(lines))
+        write("digraph lattice {\n  rankdir=BT;\n")
+        for i, text in enumerate(labels):
+            write(f'  n{i} [label="{text}"];\n')
+        for x, ys in enumerate(covers):
+            if ys:
+                write(f"  n{x} -> n" + f";\n  n{x} -> n".join(map(str, ys)) + ";\n")
+        write("}\n")
     else:
-        payload = {"kind": args.kind, "n": args.n, "nodes": texts, "edges": edges}
-        print(json.dumps(payload, sort_keys=True))
+        write('{"edges": [')
+        separator = ""
+        for x, ys in enumerate(covers):
+            if ys:
+                write(f"{separator}[{x}, " + f"], [{x}, ".join(map(str, ys)) + "]")
+                separator = ", "
+        tail = {"kind": args.kind, "n": args.n, "nodes": labels}
+        write("], " + json.dumps(tail, sort_keys=True)[1:] + "\n")
     return 0
 
 

@@ -181,6 +181,17 @@ def _check_switch_bits(k: int, limits: Limits) -> None:
         )
 
 
+def _count_text(count: float) -> str:
+    """A count as a refusal prints it: in full up to 10**15, and in .3e
+    form above, so that a derived count of 300 digits stays readable."""
+    if count <= 10**15 or count == math.inf:
+        return str(count)
+    # Decimal formats ints beyond the float range too; it is loaded only here
+    from decimal import Decimal
+
+    return format(Decimal(count), ".3e")
+
+
 def _check_threshold(k: int, extinction_threshold: float) -> None:
     if not 0.0 < extinction_threshold < 1.0 / 2**k:
         raise InvalidThresholdError(
@@ -342,7 +353,8 @@ def run_selectionist(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if max_steps > limits.max_selection_steps:  # before the first snapshot
         raise ResourceLimitError(
-            f"{max_steps} selection steps exceeds the cap {limits.max_selection_steps}"
+            f"{_count_text(max_steps)} selection steps exceeds the cap "
+            f"{limits.max_selection_steps}"
         )
     labels = _labels(k)
     weights = [1.0 / size] * size

@@ -15,6 +15,16 @@ apply the subset operation to the distinction sets inside U x U, then
 take the interior. No pair set is built for that: a table says whether
 the result distinguishes a pair from whether the operands do, and the
 result's blocks are the components of the pairs it leaves undistinguished.
+
+The lattice is built in rank space, where a partition's rank is its
+position in lexicographic restricted-growth order. It grows one element
+at a time: the children of a partition of {0, ..., u-1} (u joins each
+block in turn, then a block of its own) are contiguous, so child c of
+the node at rank x has rank off[x] + c, off summing block count + 1 over
+the ranks before x. Every cover edge of the longer sequences is then
+arithmetic on the ranks of an edge one level down, plus the edges that
+merge u's own block into an earlier one; no partition is built, merged
+or looked up per edge, and the edges come out in order.
 """
 from __future__ import annotations
 
@@ -319,6 +329,21 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
+def _check_lattice_n(kind: str, n: int, limits: Limits) -> None:
+    """Refuse a lattice universe before anything of its size is built."""
+    _check_n(n)
+    if n > limits.max_lattice_n:
+        if kind == "subset":
+            what = f"2**{n} subsets"
+        elif n <= 21:
+            what = f"Bell({n}) = {bell_number(n)} partitions"
+        else:  # Bell(22) > 10**15, and Bell(n) takes O(n**2) big additions
+            what = f"Bell({n}) > 10**15 partitions"
+        raise ResourceLimitError(
+            f"enumerating {what} exceeds the cap n <= {limits.max_lattice_n}"
+        )
+
+
 def enumerate_partitions(
     n: int, limits: Limits = DEFAULT_LIMITS
 ) -> Iterator[Partition]:
@@ -327,12 +352,7 @@ def enumerate_partitions(
 
     Each call returns a fresh, independently restartable stream.
     """
-    _check_n(n)
-    if n > limits.max_lattice_n:
-        raise ResourceLimitError(
-            f"enumerating Bell({n}) = {bell_number(n)} partitions exceeds "
-            f"the cap n <= {limits.max_lattice_n}"
-        )
+    _check_lattice_n("partition", n, limits)
 
     def generate() -> Iterator[Partition]:
         prefix = [0] * n
@@ -352,11 +372,7 @@ def enumerate_partitions(
 
 def subset_lattice_nodes(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Subset]:
     """All subsets of {0, ..., n-1} in ascending bitmask order."""
-    _check_n(n)
-    if n > limits.max_lattice_n:
-        raise ResourceLimitError(
-            f"enumerating 2**{n} subsets exceeds the cap n <= {limits.max_lattice_n}"
-        )
+    _check_lattice_n("subset", n, limits)
     return [
         Subset(n, frozenset(u for u in range(n) if mask >> u & 1))
         for mask in range(2**n)
@@ -371,28 +387,86 @@ def hasse_cover_edges(kind: str, n: int, limits: Limits = DEFAULT_LIMITS) -> lis
     order with the one-block partition at the bottom. Edges come back
     sorted by enumeration position of their endpoints.
     """
-    nodes, edges = _lattice(kind, n, limits)
-    return [(nodes[ix], nodes[iy]) for ix, iy in edges]
-
-
-def _lattice(kind: str, n: int, limits: Limits) -> tuple[list, list[tuple[int, int]]]:
-    """The lattice's nodes in enumeration order and its cover edges as
-    sorted pairs of node positions."""
+    _, covers = _lattice(kind, n, limits)
     if kind == "partition":
-        nodes = list(enumerate_partitions(n, limits))
-        index = {p.assignment: i for i, p in enumerate(nodes)}
-        # y covers x exactly when x is y with blocks bi < bj merged: bj's
-        # elements join bi and the blocks after bj move down one label
-        edges = [
-            (index[tuple(bi if a == bj else a - (a > bj) for a in y.assignment)], iy)
-            for iy, y in enumerate(nodes)
-            for bi in range(y.block_count())
-            for bj in range(bi + 1, y.block_count())
-        ]
-    elif kind == "subset":
-        nodes = subset_lattice_nodes(n, limits)
-        edges = [(m, m | 1 << u) for m in range(2**n) for u in range(n) if not m >> u & 1]
+        nodes: list = list(enumerate_partitions(n, limits))
     else:
+        nodes = subset_lattice_nodes(n, limits)
+    return [(nodes[x], nodes[y]) for x, ys in enumerate(covers) for y in ys]
+
+
+def _lattice(kind: str, n: int, limits: Limits) -> tuple[list[str], Iterator[list[int]]]:
+    """The lattice's node labels in enumeration order, and an iterator
+    that gives each node in turn the ascending positions of the nodes
+    covering it.
+
+    Labels are the text that textio's format_partition and
+    format_subset write. The size checks run before anything is built;
+    the covers of the last level are computed as they are read.
+    """
+    if kind not in ("partition", "subset"):
         raise ValueError(f"kind must be 'subset' or 'partition', got {kind!r}")
-    edges.sort()
-    return nodes, edges
+    _check_lattice_n(kind, n, limits)
+    if kind == "partition":
+        return _partition_lattice(n)
+    labels = [
+        "{" + ",".join([str(u) for u in range(n) if m >> u & 1]) + "}" for m in range(2**n)
+    ]
+    return labels, ([m | 1 << u for u in range(n) if not m >> u & 1] for m in range(2**n))
+
+
+def _partition_lattice(n: int) -> tuple[list[str], Iterator[list[int]]]:
+    """The partition lattice grown from n = 1 one element at a time.
+
+    A level holds each partition's blocks as text and its upper covers
+    as (position, bi, bj): the cover merged into it by joining blocks
+    bi < bj. Only the last level's covers are left as a stream.
+    """
+    blocks: Iterable[tuple[str, ...]] = [("0",)]
+    covers: Iterable[list[tuple[int, int, int]]] = [[]]
+    for u in range(1, n):
+        blocks = list(blocks)
+        covers = _grown_covers([len(b) for b in blocks], list(covers))
+        blocks = _grown_blocks(blocks, u)
+    return ["|".join(b) for b in blocks], ([y for y, _, _ in row] for row in covers)
+
+
+def _grown_blocks(blocks: list[tuple[str, ...]], u: int) -> Iterator[tuple[str, ...]]:
+    """Each partition's children in order: u joins block 0, ..., block
+    k - 1, then a block of its own."""
+    new, tail = str(u), f",{u}"
+    for b in blocks:
+        for c in range(len(b)):
+            yield b[:c] + (b[c] + tail,) + b[c + 1 :]
+        yield b + (new,)
+
+
+def _grown_covers(
+    ks: list[int], covers: list[list[tuple[int, int, int]]]
+) -> Iterator[list[tuple[int, int, int]]]:
+    """Upper covers one level up, for each child in enumeration order,
+    from the block counts ks and the covers of the level below.
+
+    The children (x, c) of x sit at off[x] + c, where off sums k + 1
+    over the nodes before x. So a cover y of x that merges bi < bj gives
+    the cover (y, c) of (x, relabel(c)) for each c in 0..k(y), with
+    relabel(c) = bi if c == bj else c - (c > bj). Read by source, child
+    d of x gets (y, bi) and (y, bj) when d == bi and (y, d + (d >= bj))
+    otherwise. The new singleton block k(x) of (x, k(x)) also merges
+    into each earlier block d, covering (x, d). Both kinds come out in
+    ascending position: (x, k(x)) precedes every child of a y > x.
+    """
+    off = [0]
+    for k in ks:
+        off.append(off[-1] + k + 1)
+    for x, k in enumerate(ks):
+        base = off[x]
+        lifted = [(off[y], bi, bj) for y, bi, bj in covers[x]]
+        for d in range(k + 1):
+            row = [(base + k, d, k)] if d < k else []
+            for start, bi, bj in lifted:
+                if d == bi:
+                    row += ((start + bi, bi, bj), (start + bj, bi, bj))
+                else:
+                    row.append((start + d + (d >= bj), bi, bj))
+            yield row

@@ -3,8 +3,9 @@
 Everything here favors obviousness over speed and stays off the
 library's code paths: closure by fixpoint saturation, enumeration by
 recursive block insertion, covering pairs by scanning for strictly
-intermediate elements, a distinction-set evaluator that composes raw
-set operations with the fixpoint interior at every node, and recursive
+intermediate elements or by merging two blocks and looking the result
+up by value, a distinction-set evaluator that composes raw set
+operations with the fixpoint interior at every node, and recursive
 two-valued and frozenset evaluators with the truth-table, subset and
 partition scans built on them, and the block of switch settings by a
 per-switch scan of every variant.
@@ -90,6 +91,32 @@ def cover_edges_bruteforce(nodes: list, leq) -> list[tuple[int, int]]:
             if not between:
                 edges.append((ix, iy))
     return sorted(edges)
+
+
+def rgs_lex(n: int) -> list[tuple[int, ...]]:
+    """Restricted-growth sequences of length n in lexicographic order,
+    each prefix extended by every digit it allows."""
+    out = [(0,)]
+    for _ in range(1, n):
+        out = [a + (d,) for a in out for d in range(max(a) + 2)]
+    return out
+
+
+def lattice_by_merging(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """The partition lattice as restricted-growth nodes in lexicographic
+    order, and its cover edges as sorted pairs of node positions: y
+    covers x exactly when x is y with blocks bi < bj merged, so bj's
+    elements join bi and the blocks after bj move down one label; each
+    merged sequence is looked up by value."""
+    nodes = rgs_lex(n)
+    index = {a: i for i, a in enumerate(nodes)}
+    edges = [
+        (index[tuple(bi if a == bj else a - (a > bj) for a in y)], iy)
+        for iy, y in enumerate(nodes)
+        for bi in range(max(y) + 1)
+        for bj in range(bi + 1, max(y) + 1)
+    ]
+    return nodes, sorted(edges)
 
 
 def eval_ditwise(f, n: int, env_dits: dict[str, frozenset[Pair]]) -> frozenset[Pair]:

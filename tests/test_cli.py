@@ -145,7 +145,9 @@ class TestLattice:
         assert "n0 -> n1" in out
 
     # sha256 of stdout, recorded with `ditkit lattice` at commit dffb393,
-    # where the CLI enumerated the lattice twice and keyed edges by node
+    # where the CLI enumerated the lattice twice and keyed edges by node;
+    # partitions at n = 9 and 10 were recorded at commit 0b4455d, where
+    # the edges were merged tuples looked up in a dict
     GOLDEN = {
         ("partition", 1, "json"): "d6fefef981531ba4fa8a35302a2af448948cec1cf1925faf907a6c8af98e830d",
         ("partition", 1, "dot"): "9eb3ea5e7cd32db97fbf513adada1e762c25dd2f39cd22cec268feba0a55631a",
@@ -163,6 +165,10 @@ class TestLattice:
         ("partition", 7, "dot"): "0fe79530a665cb91371246ea40faf26ac3d936d9d6fce95dae177bc43c456cac",
         ("partition", 8, "json"): "348d95ad4122c0b53ef271f164d76642924ded3591fea6817f8aeb66b1645520",
         ("partition", 8, "dot"): "82edacbd8d81195940f4bec4dd4f65e577fa94c84a239e7eb3a03d664f75eb07",
+        ("partition", 9, "json"): "2f16f93f9c9a0559b2962b71305477f177521080b0e5795b6e2f6fbac3d39f81",
+        ("partition", 9, "dot"): "1ba8c778edb98776b3a68b1d06a4db2941e48ac33f1b538830dc97f0bf151786",
+        ("partition", 10, "json"): "984944157c89e3261480fcb0ca693f4c5d581d1cc739a196de5e5cbd53971bb3",
+        ("partition", 10, "dot"): "e00dfa986bf5d04761061762630964a0564b18452769469480e16b2e63f49e4a",
         ("subset", 1, "json"): "060f34845336db91c0ca9ab4c97a752d1bf012fc38bfa7cb1b8cbd2b5412a898",
         ("subset", 1, "dot"): "55662886386b7380f5c0c4b434df2f17461a1900d08e2079acd9e954af5467c2",
         ("subset", 2, "json"): "d57bfbf04068a82c11b29d76d68d8e55d6ff0dd383defe6b88bc82befabbb967",
@@ -192,9 +198,20 @@ class TestLattice:
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[kind, n, style]
 
     def test_over_limit(self, capsys):
-        code, _, err = run(capsys, "lattice", "--kind", "partition", "--n", "99", "--json")
-        assert code == 4
+        code, out, err = run(capsys, "lattice", "--kind", "partition", "--n", "99", "--json")
+        assert (code, out) == (4, "")  # refused before the first byte
         assert json.loads(err)["error"] == "ResourceLimitError"
+
+    @pytest.mark.parametrize(
+        "n, count", [(21, "= 474869816156751"), (22, "> 10**15"), (5000, "> 10**15")]
+    )
+    def test_over_limit_names_the_count(self, capsys, n, count):
+        # Bell(5000) has over 4300 digits: str() of it raised a ValueError (exit 2)
+        code, out, err = run(capsys, "lattice", "--kind", "partition", "--n", str(n))
+        assert (code, out) == (4, "")
+        assert json.loads(err)["message"] == (
+            f"enumerating Bell({n}) {count} partitions exceeds the cap n <= 10"
+        )
 
     def test_limit_can_be_raised(self, capsys):
         code, out, _ = run(
@@ -486,8 +503,13 @@ class TestCaps:
             (["compare", "--k", "3", "--target", "010", "--margin", "1e-12"], 2772588722244),
             (["compare", "--k", "3", "--target", "010", "--max-steps", "10001"], 10001),
             (["--max-selection-steps", "5", "compare", "--k", "3", "--target", "010"], 6),
+            # counts above 10**15 print in .3e form, not in all 301 or 401 digits
+            (["compare", "--k", "3", "--target", "010", "--margin", "1e-300"], "2.773e+300"),
+            (["sim", "select", "--k", "3", "--fitness", "peak@010",
+              "--max-steps", "1" + "0" * 400], "1.000e+400"),
         ],
-        ids=["select", "compare derived", "compare given", "compare flag"],
+        ids=["select", "compare derived", "compare given", "compare flag",
+             "compare derived huge", "select beyond float range"],
     )
     def test_selection_step_cap_before_run(self, capsys, monkeypatch, argv, steps):
         def refuse(*args, **kwargs):
@@ -549,11 +571,17 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
 
 
 class _ClosedPipe:
-    def __init__(self, fd: int):
+    """A stdout whose reader leaves after the first `accepted` writes."""
+
+    def __init__(self, fd: int, accepted: int = 0):
         self.fd = fd
+        self.accepted = accepted
 
     def write(self, text: str) -> int:
-        raise BrokenPipeError(32, "Broken pipe")
+        if self.accepted == 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.accepted -= 1
+        return len(text)
 
     def fileno(self) -> int:
         return self.fd
@@ -568,6 +596,24 @@ class TestClosedStdout:
         assert code == 3
         assert capsys.readouterr().err == ""
 
+    # The reader is gone before the first write, or leaves midway. At
+    # n = 8 the JSON is 4,141 writes: the head, one per node below the
+    # top, and the tail. The DOT is 8,281: the head, 4,140 node lines,
+    # one write of edges per node below the top, and the closing brace.
+    @pytest.mark.parametrize(
+        "style, accepted",
+        [("--json", 0), ("--json", 2000), ("--dot", 0), ("--dot", 2000), ("--dot", 6000)],
+    )
+    def test_broken_pipe_while_streaming_lattice(
+        self, capsys, monkeypatch, tmp_path, style, accepted
+    ):
+        with open(tmp_path / "stdout", "w") as target:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno(), accepted))
+            code = main(["lattice", "--kind", "partition", "--n", "8", style])
+            monkeypatch.undo()
+        assert code == 3
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -576,8 +622,11 @@ class TestClosedStdout:
             # output larger than a pipe holds, written while main runs
             ["--max-switch-bits", "12", "sim", "generate", "--k", "12",
              "--events", "1=0,2=1,3=0,4=1,5=0,6=1"],
+            # output streamed in many writes
+            ["lattice", "--kind", "partition", "--n", "8", "--json"],
+            ["lattice", "--kind", "partition", "--n", "8", "--dot"],
         ],
-        ids=["buffered", "large"],
+        ids=["buffered", "large", "lattice json", "lattice dot"],
     )
     def test_reader_gone_before_output(self, argv):
         src = pathlib.Path(ditkit.__file__).parent.parent

@@ -35,7 +35,10 @@ from ditkit import (
     rst_closure,
     subset_lattice_nodes,
 )
-from ditkit.partitions import CONNECTIVE_ARITY
+from ditkit import partitions as partitions_module
+from ditkit.limits import DEFAULT_LIMITS
+from ditkit.partitions import CONNECTIVE_ARITY, _lattice
+from ditkit.textio import format_partition
 from strategies import partitions
 
 
@@ -295,7 +298,7 @@ class TestEnumeration:
 
 
 class TestHasse:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_partition_covers_match_bruteforce(self, n):
         nodes = list(enumerate_partitions(n))
         index = {p: i for i, p in enumerate(nodes)}
@@ -327,6 +330,25 @@ class TestHasse:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             hasse_cover_edges("poset", 3)
+
+
+class TestLatticeGrowth:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_merge_and_dict_reference(self, n):
+        labels, covers = _lattice("partition", n, DEFAULT_LIMITS)
+        nodes, edges = oracles.lattice_by_merging(n)
+        partitions = list(enumerate_partitions(n))
+        assert [p.assignment for p in partitions] == nodes
+        assert labels == [format_partition(p) for p in partitions]
+        assert [(x, y) for x, ys in enumerate(covers) for y in ys] == edges
+
+    def test_cap_fires_before_growth(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lattice grown before the cap check")
+
+        monkeypatch.setattr(partitions_module, "_partition_lattice", refuse)
+        with pytest.raises(ResourceLimitError, match=r"Bell\(11\) = 678570 partitions"):
+            _lattice("partition", 11, DEFAULT_LIMITS)
 
 
 class TestClosureInterplay:
