@@ -229,11 +229,13 @@ def _parse_name_table(args: argparse.Namespace) -> tuple[str, ...] | None:
     return parse_names(names) if names else None
 
 
+def _check_relation_n(n: int, limits: Limits) -> None:
+    if n > limits.max_relation_n:
+        raise ResourceLimitError(f"n={n} exceeds the relation cap {limits.max_relation_n}")
+
+
 def cmd_eval(args: argparse.Namespace, limits: Limits) -> int:
-    if args.n > limits.max_relation_n:
-        raise ResourceLimitError(
-            f"n={args.n} exceeds the relation cap {limits.max_relation_n}"
-        )
+    _check_relation_n(args.n, limits)
     names = _parse_name_table(args)
     formula = parse(args.formula)
     bindings = dict(_split_assignment(item) for item in args.assign)
@@ -335,6 +337,7 @@ def cmd_sim_generate(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_sim_identify(args: argparse.Namespace, limits: Limits) -> int:
+    _check_relation_n(args.n, limits)
     names = _parse_name_table(args)
     partition = identify(args.n, parse_pair_list(args.pairs))
     print(format_partition(partition, names))

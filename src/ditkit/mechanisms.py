@@ -36,10 +36,9 @@ from .errors import (
     SwitchIndexError,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .partitions import Partition, _canonical_rgs
-from .relations import _check_element, _check_n, _is_int
+from .partitions import Partition
+from .relations import _check_element, _check_n, _components, _is_int
 from .textio import _variant_number, format_variant
-from .unionfind import UnionFind
 
 
 def _check_k(k) -> None:
@@ -443,12 +442,11 @@ def identify(n: int, pairs: Iterable[tuple[int, int]]) -> Partition:
     """Start from all singletons and glue the given pairs together:
     the partition whose blocks are the connected components."""
     _check_n(n)
-    uf = UnionFind(n)
+    pairs = list(pairs)
     for u, v in pairs:
         _check_element(u, n)
         _check_element(v, n)
-        uf.union(u, v)
-    return Partition(n, _canonical_rgs([uf.find(u) for u in range(n)]))
+    return Partition(n, tuple(_components(n, pairs)))
 
 
 def create(n: int, elements: Iterable[int]) -> Trace:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ElementOutOfRangeError, UniverseMismatchError
-from .unionfind import UnionFind
 
 
 def _is_int(x) -> bool:
@@ -190,22 +189,37 @@ class PairRelation:
         return self.complement().is_equivalence()
 
 
-def rst_closure(s: PairRelation) -> PairRelation:
-    """Smallest equivalence relation containing s.
+def _components(n: int, pairs: Iterable[Pair]) -> list[int]:
+    """The restricted-growth labels of the connected components of the
+    graph on {0, ..., n-1} whose edges are the pairs: components are
+    numbered in order of their least element."""
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    labels = [-1] * n
+    count = 0
+    for root in range(n):
+        if labels[root] < 0:
+            labels[root] = count
+            stack = [root]
+            while stack:
+                for w in neighbours[stack.pop()]:
+                    if labels[w] < 0:
+                        labels[w] = count
+                        stack.append(w)
+            count += 1
+    return labels
 
-    Computed with union-find: every pair merges its endpoints and the
-    result is the union of class x class over the resulting classes.
-    cl(empty) is the diagonal.
-    """
-    uf = UnionFind(s.n)
-    for u, v in s.pairs:
-        uf.union(u, v)
-    pairs = set()
-    for members in uf.groups().values():
-        for u in members:
-            for v in members:
-                pairs.add((u, v))
-    return PairRelation(s.n, frozenset(pairs))
+
+def rst_closure(s: PairRelation) -> PairRelation:
+    """Smallest equivalence relation containing s: the union of
+    block x block over the connected components of s's pairs. cl(empty)
+    is the diagonal."""
+    blocks: dict[int, list[int]] = {}
+    for u, label in enumerate(_components(s.n, s.pairs)):
+        blocks.setdefault(label, []).append(u)
+    return PairRelation(s.n, frozenset((u, v) for b in blocks.values() for u in b for v in b))
 
 
 def interior(s: PairRelation) -> PairRelation:

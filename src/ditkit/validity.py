@@ -1,53 +1,50 @@
 """Exhaustive validity checking under three semantics.
 
-Truth tables, subset semantics over a range of universe sizes, and
-partition semantics over a range of universe sizes. A verdict never
-claims more than it checked: partition validity is always "valid up to
-n_max" and the verdict records the scanned range.
+Truth tables, and subset and partition semantics over a range of
+universe sizes. A verdict never claims more than it checked: partition
+validity is always "valid up to n_max", with the range in the verdict.
 
 Counterexamples are minimal and deterministic: smallest universe size
 first, then the lexicographically least assignment in enumeration
 order (subsets by ascending bitmask, partitions in restricted-growth
-order, variables sorted by name). All three are one sequential scan
-of the formula's postfix program that stops at the first failure, which
-is therefore the minimal counterexample.
+order, variables sorted by name).
 
-Truth and subset scans evaluate every assignment. A partition scan
-evaluates only orbit representatives. Partition semantics commutes with
-relabelling the universe, so every relabelling of the least failing
-tuple t fails too, and none comes before t in scan order. Hence t's
-first value is the least of its orbit under all relabellings, which
-makes it 0^a 1^b 2^c ... with a >= b >= c >= ... (one value per integer
-partition of n instead of one per set partition), and t's second value
-is the least of its orbit under the relabellings that fix the first.
-The scan runs through the tuples that pass both tests, in the order of
-the full scan, so it meets t first and reports the same verdict and
-counterexample (orderly generation: McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998). Orbits are found by closure under
-generators read from the first value's blocks; the n! relabellings are
-never listed.
+Truth and subset validity read one truth table, evaluated as bit
+strings with one bit per row in itertools.product order; the lowest
+zero bit is the first failing row (Knuth, TAOCP Vol. 4A, 7.1.1 and
+7.1.3). Subset semantics is pointwise, so a formula is subset-valid at
+every n exactly when it is a tautology, and its least counterexample is
+the first failing row at n = 1, with the subsets {} and {0} for 0 and 1.
 
-Subset and partition scans refuse before they start when a universe has
-more assignments than the budget, counting every assignment, not only
-the ones evaluated; a formula with no variables counts as one variable
-there, because each universe's pool of values is built.
+Partition validity is one sequential scan that stops at the first
+failure, and it evaluates only orbit representatives. Partition
+semantics commutes with relabelling the universe, so every relabelling
+of the least failing tuple t fails too, and none comes before t in scan
+order. Hence t's first value is the least of its orbit under all
+relabellings, which makes it 0^a 1^b 2^c ... with a >= b >= c >= ...
+(one value per integer partition of n, not per set partition), and t's
+second value is the least of its orbit under the relabellings that fix
+the first. The scan runs through the tuples that pass both tests, in
+the order of the full scan, so it meets t first and reports the same
+verdict and counterexample (orderly generation: McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998). Orbits are found by
+closure under generators read from the first value's blocks; the n!
+relabellings are never listed.
+
+Subset and partition validity refuse before they start when a universe
+has more assignments than the budget, counting all of them, not only
+those evaluated; a formula with no variables counts as one variable.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import ResourceLimitError, TooManyVariablesError, UniverseTooSmallError
 from .formulas import (
-    Formula,
-    _bitmask_algebra,
-    _compile,
-    _evaluate,
-    _members,
-    _partition_algebra,
-    _variables,
+    Formula, _bitmask_algebra, _compile, _evaluate, _partition_algebra, _variables
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import Partition, _canonical_rgs, bell_number, enumerate_partitions
@@ -64,10 +61,9 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class Verdict:
-    """The outcome of a scan. assignments_checked counts the assignments
-    evaluated. A partition scan evaluates only orbit representatives (see
-    the module docstring), fewer than the Bell(n)**v per universe that
-    the budget counts."""
+    """The outcome of a check. assignments_checked counts truth-table
+    rows up to the first failing one, or all assignments when valid; a
+    partition scan counts only the orbit representatives it evaluates."""
 
     valid: bool
     counterexample: Counterexample | None
@@ -75,21 +71,12 @@ class Verdict:
     assignments_checked: int
 
     def to_json_dict(self) -> dict:
-        cx = None
-        if self.counterexample is not None:
-            cx = {
-                "n": self.counterexample.n,
-                "assignment": {
-                    name: _render_value(value)
-                    for name, value in self.counterexample.assignment.items()
-                },
-                "value": _render_value(self.counterexample.value),
-            }
-        return {
-            "valid": self.valid,
-            "n_checked": list(self.universes_checked),
-            "counterexample": cx,
-        }
+        cx, example = None, self.counterexample
+        if example is not None:
+            assignment = {name: _render_value(v) for name, v in example.assignment.items()}
+            cx = {"n": example.n, "assignment": assignment, "value": _render_value(example.value)}
+        n_checked = list(self.universes_checked)
+        return {"valid": self.valid, "n_checked": n_checked, "counterexample": cx}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -105,11 +92,10 @@ def _render_value(value) -> object:
     raise TypeError(f"cannot render {value!r}")
 
 
-def _scan(program, names, universes, low: int, n_max: int, convert: Callable) -> Verdict:
-    """Try the universes in order and, in each, the value tuples it
-    yields for names, in order; stop at the first value that is not the
-    algebra's top. convert(n, value) gives the counterexample's values
-    their public types."""
+def _scan(program, names, universes, n_max: int) -> Verdict:
+    """Try the universes from n = 2 and, in each, the tuples of
+    restricted-growth values it yields for names, in order; stop at the
+    first value that is not the algebra's top."""
     checked = 0
     for n, algebra, combos in universes:
         for combo in combos:
@@ -117,16 +103,15 @@ def _scan(program, names, universes, low: int, n_max: int, convert: Callable) ->
             env = dict(zip(names, combo))
             value = _evaluate(program, algebra, env)
             if value != algebra.top:
-                assignment = {name: convert(n, v) for name, v in env.items()}
-                cx = Counterexample(n, assignment, convert(n, value))
-                return Verdict(False, cx, (low, n), checked)
-    return Verdict(True, None, (low, n_max), checked)
+                assignment = {name: Partition(n, v) for name, v in env.items()}
+                cx = Counterexample(n, assignment, Partition(n, value))
+                return Verdict(False, cx, (2, n), checked)
+    return Verdict(True, None, (2, n_max), checked)
 
 
 def _check_budget(logic: str, sizes: dict[int, int], arity: int, limits: Limits) -> None:
-    """Refuse a scan before it starts if a universe has more assignments
-    than the budget. A formula with no variables counts as one variable,
-    because each universe's pool of values is built all the same."""
+    """Refuse a check before it starts if a universe has more assignments
+    than the budget. A formula with no variables counts as one variable."""
     for n, size in sizes.items():
         count = size ** max(arity, 1)
         if count > limits.max_search_assignments:
@@ -136,21 +121,46 @@ def _check_budget(logic: str, sizes: dict[int, int], arity: int, limits: Limits)
             )
 
 
+_BLOCK_ROWS = 1 << 16  # truth-table rows per evaluation, which bounds the masks
+
+
+def _first_failing_row(program, names) -> tuple[int, dict[str, bool] | None]:
+    """Evaluate the truth table, 2**16 rows at a time. Give the rows
+    checked up to the first failing one and its values, or all and None."""
+    # variable i is true in row r of itertools.product order when r & halves[i]
+    halves = [1 << (len(names) - 1 - i) for i in range(len(names))]
+    rows = 1 << len(names)
+    width = min(rows, _BLOCK_ROWS)
+    full = (1 << width) - 1
+    algebra = _bitmask_algebra(width)
+    # h zeros then h ones, repeated: full // (2**2h - 1) has a 1 every 2h bits
+    low = {h: full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h) for h in halves if h < width}
+    for base in range(0, rows, width):
+        env = {name: low.get(h, full if base & h else 0) for name, h in zip(names, halves)}
+        failing = full ^ _evaluate(program, algebra, env)
+        if failing:
+            row = base + (failing & -failing).bit_length() - 1
+            return row + 1, {name: bool(row & h) for name, h in zip(names, halves)}
+    return rows, None
+
+
 def truth_table_tautology(f: Formula, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Check all two-valued rows: the bitmask algebra on one point."""
+    """Check all two-valued rows."""
     program = _compile(f)
     names = _variables(program)
     if len(names) > limits.max_truth_vars:
         raise TooManyVariablesError(
             f"{len(names)} variables exceeds the truth-table cap {limits.max_truth_vars}"
         )
-    universes = [(1, _bitmask_algebra(1), itertools.product((0, 1), repeat=len(names)))]
-    return _scan(program, names, universes, 1, 1, lambda n, bit: bool(bit))
+    checked, row = _first_failing_row(program, names)
+    cx = None if row is None else Counterexample(1, row, False)
+    return Verdict(row is None, cx, (1, 1), checked)
 
 
 def subset_valid(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Check whether f evaluates to the whole universe under every
-    subset assignment on every universe of size 1..n_max."""
+    subset assignment on every universe of size 1..n_max: whether it is
+    a tautology, with a failing row read as subsets of one point."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     program = _compile(f)
@@ -161,22 +171,16 @@ def subset_valid(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Ver
         )
     sizes = {n: 2**n for n in range(1, n_max + 1)}
     _check_budget("subset", sizes, len(names), limits)
-    universes = (
-        (n, _bitmask_algebra(n), itertools.product(range(size), repeat=len(names)))
-        for n, size in sizes.items()
-    )
-    return _scan(
-        program, names, universes, 1, n_max, lambda n, mask: Subset(n, _members(n, mask))
-    )
+    checked, row = _first_failing_row(program, names)
+    if row is None:
+        return Verdict(True, None, (1, n_max), sum(size ** len(names) for size in sizes.values()))
+    assignment = {name: Subset.of(1, [0] if bit else []) for name, bit in row.items()}
+    return Verdict(False, Counterexample(1, assignment, Subset.empty(1)), (1, 1), checked)
 
 
 def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Check whether f evaluates to the all-singletons partition under
-    every partition assignment on every universe of size 2..n_max.
-
-    Validity here always means "valid up to n_max"; the scanned range
-    is part of the verdict.
-    """
+    every partition assignment on every universe of size 2..n_max."""
     if n_max < 2:
         raise UniverseTooSmallError(f"partition validity needs n_max >= 2, got {n_max}")
     program = _compile(f)
@@ -188,7 +192,7 @@ def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS)
         (n, _partition_algebra(n), _orbit_representatives(pool, len(names)))
         for n, pool in pools
     )
-    return _scan(program, names, universes, 2, n_max, Partition)
+    return _scan(program, names, universes, n_max)
 
 
 def _orbit_representatives(pool: list[tuple], arity: int) -> Iterator[tuple]:

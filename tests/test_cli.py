@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ditkit
-from ditkit import mechanisms, validity
+from ditkit import cli, mechanisms, validity
 from ditkit.cli import main
 
 
@@ -445,9 +445,9 @@ class TestDepth:
 class TestCaps:
     def test_variable_free_subset_scan_over_budget(self, capsys, monkeypatch):
         def refuse(*args):
-            raise AssertionError("scan started before the budget check")
+            raise AssertionError("truth table evaluated before the budget check")
 
-        monkeypatch.setattr(validity, "_scan", refuse)
+        monkeypatch.setattr(validity, "_first_failing_row", refuse)
         code, out, err = run(
             capsys, "--max-search-assignments", "10",
             "taut", "T", "--logic", "subset", "--max-n", "14",
@@ -457,6 +457,50 @@ class TestCaps:
             "error": "ResourceLimitError",
             "message": "subset search at n=4 needs 16 assignments, budget is 10",
         }
+
+    @pytest.mark.parametrize(
+        "logic, cap", [("truth", "the truth-table cap"), ("subset", "the cap")]
+    )
+    def test_truth_vars_cap_before_truth_table(self, capsys, monkeypatch, logic, cap):
+        def refuse(*args):
+            raise AssertionError("truth table evaluated before the variable cap check")
+
+        monkeypatch.setattr(validity, "_first_failing_row", refuse)
+        argv = ["--max-truth-vars", "2", "taut", "p | q | ~r", "--logic", logic]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "TooManyVariablesError",
+            "message": f"3 variables exceeds {cap} 2",
+        }
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sim", "identify", "--n", "13", "--pairs", "0-1"],
+             "n=13 exceeds the relation cap 12"),
+            (["--max-relation-n", "5", "sim", "identify", "--n", "200000", "--pairs", "0-1"],
+             "n=200000 exceeds the relation cap 5"),
+            (["eval", "p", "--logic", "subset", "--n", "13", "--assign", "p={0}"],
+             "n=13 exceeds the relation cap 12"),
+            (["eval", "p", "--logic", "partition", "--n", "13", "--assign", "p=0|1"],
+             "n=13 exceeds the relation cap 12"),
+        ],
+        ids=["identify", "identify flag", "eval subset", "eval partition"],
+    )
+    def test_relation_cap_before_universe(self, capsys, monkeypatch, argv, message):
+        def refuse(*args):
+            raise AssertionError("universe built before the relation cap check")
+
+        for name in ("identify", "parse_subset", "parse_partition"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {"error": "ResourceLimitError", "message": message}
+
+    def test_relation_cap_admits_its_bound(self, capsys):
+        argv = ["--max-relation-n", "3", "sim", "identify", "--n", "3", "--pairs", "0-2"]
+        assert run(capsys, *argv) == (0, "0,2|1\n", "")
 
     def test_variable_free_partition_scan_over_budget(self, capsys, monkeypatch):
         def refuse(*args):
@@ -565,7 +609,7 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
     )
     own = {"ditkit", *(f"ditkit.{name}" for name in (
         "errors", "formulas", "limits", "mechanisms", "partitions", "relations",
-        "textio", "unionfind", "validity",
+        "textio", "validity",
     ))}
     assert set(child.stdout.split()) <= own
 

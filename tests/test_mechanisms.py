@@ -32,8 +32,6 @@ from ditkit import (
     identify,
     join,
     opposite,
-    partition_from_equivalence,
-    rst_closure,
     replay,
     run_generative,
     run_selectionist,
@@ -300,13 +298,12 @@ class TestIdentify:
 
     @given(st.integers(min_value=1, max_value=6), st.data())
     def test_matches_closure_route(self, n, data):
+        # the fixpoint closure shares no code with identify's component labels
         pool = [(u, v) for u in range(n) for v in range(n)]
         pairs = data.draw(st.lists(st.sampled_from(pool), max_size=10))
-        direct = identify(n, pairs)
-        via_closure = partition_from_equivalence(
-            rst_closure(PairRelation.of(n, pairs))
-        )
-        assert direct == via_closure
+        labels = identify(n, pairs).assignment
+        glued = frozenset((u, v) for u, v in pool if labels[u] == labels[v])
+        assert glued == oracles.closure_fixpoint(n, frozenset(pairs))
 
 
 class TestCreate:

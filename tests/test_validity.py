@@ -23,7 +23,7 @@ from ditkit import (
     subset_valid,
     truth_table_tautology,
 )
-from ditkit.formulas import _compile, _partition_algebra, _variables
+from ditkit.formulas import And, _compile, _partition_algebra, _variables
 from ditkit.partitions import enumerate_partitions
 
 
@@ -79,6 +79,52 @@ class TestSubsetValidity:
         for _ in range(150):
             f = random_formula(rng, max_depth=6)
             assert subset_valid(f, 3).valid == truth_table_tautology(f).valid
+
+
+def _false_only_at(names, row: int):
+    """The negated conjunction of literals that holds only at the given
+    row of itertools.product order over the sorted names."""
+    v = len(names)
+    literals = [name if row >> (v - 1 - i) & 1 else f"~{name}" for i, name in enumerate(names)]
+    return parse("~(" + " & ".join(literals) + ")")
+
+
+class TestRowOrder:
+    """The truth table is evaluated as bit strings; its first failing row
+    must be the one a row-by-row scan in itertools.product order meets."""
+
+    def test_each_row_is_found_in_product_order(self):
+        # false at the row and at the last row, which a scan meets later
+        for v in range(1, 5):
+            names = "abcd"[:v]
+            last = _false_only_at(names, 2**v - 1)
+            for row, values in enumerate(itertools.product((False, True), repeat=v)):
+                f = And(_false_only_at(names, row), last)
+                truth = truth_table_tautology(f)
+                assert truth.counterexample.assignment == dict(zip(names, values))
+                assert truth.assignments_checked == row + 1
+                subset = subset_valid(f, 3)
+                points = [Subset.of(1, [0] if bit else []) for bit in values]
+                assert subset.counterexample.assignment == dict(zip(names, points))
+                assert subset.universes_checked == (1, 1)
+                assert subset.assignments_checked == row + 1
+
+    def test_sixteen_variables_fail_at_the_last_row(self):
+        names = [f"v{i:02d}" for i in range(16)]
+        f = _false_only_at(names, 2**16 - 1)
+        truth = truth_table_tautology(f)
+        assert truth.assignments_checked == 65536
+        assert truth.counterexample.assignment == dict.fromkeys(names, True)
+        wide = Limits().replaced(max_search_assignments=2**16)
+        subset = subset_valid(f, 1, limits=wide)
+        assert subset.assignments_checked == 65536
+        assert subset.counterexample.assignment == dict.fromkeys(names, Subset.full(1))
+
+    def test_valid_counts_every_assignment(self):
+        f = parse("(p & r) | ~q | q")
+        assert truth_table_tautology(f).assignments_checked == 8
+        assert subset_valid(f, 3).assignments_checked == 8 + 64 + 512
+        assert subset_valid(parse("T"), 3).assignments_checked == 3
 
 
 class TestPartitionTautology:
@@ -181,7 +227,7 @@ def _product_verdict(f, n_max: int):
         )
         for n in range(2, n_max + 1)
     )
-    return validity._scan(program, names, universes, 2, n_max, Partition)
+    return validity._scan(program, names, universes, n_max)
 
 
 # Classical tautologies: every instance holds at n = 2, where partitions
