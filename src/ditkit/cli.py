@@ -52,7 +52,7 @@ from .textio import (
     parse_subset,
     parse_variant,
 )
-from .validity import partition_tautology, subset_valid, truth_table_tautology
+from .validity import _render_value, partition_tautology, subset_valid, truth_table_tautology
 
 _USAGE_ERRORS = (FormulaSyntaxError, TextFormatError, ValueError)
 _RESOURCE_ERRORS = (ResourceLimitError, TooManyVariablesError)
@@ -257,9 +257,7 @@ def cmd_eval(args: argparse.Namespace, limits: Limits) -> int:
 def _render_taut_value(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
-    if hasattr(value, "members"):
-        return format_subset(value)
-    return format_partition(value)
+    return _render_value(value)
 
 
 def cmd_taut(args: argparse.Namespace, limits: Limits) -> int:

@@ -10,6 +10,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
 
+from .relations import _is_int
+
 
 @dataclass(frozen=True)
 class Limits:
@@ -29,7 +31,7 @@ class Limits:
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{field.name} must be a positive integer, got {value!r}")
 
     def replaced(self, **overrides: int) -> "Limits":

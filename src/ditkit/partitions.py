@@ -4,7 +4,7 @@ A partition is stored as a restricted-growth sequence: position u holds
 the block index of element u, with blocks numbered in order of first
 appearance. The encoding is canonical, so structural equality is
 partition equality, and sorting sequences lexicographically gives a
-stable enumeration order.
+stable enumeration order, which one iterative generator walks.
 
 The refinement order used throughout puts the all-singletons partition
 (discrete) at the top and the one-block partition (indiscrete) at the
@@ -49,6 +49,7 @@ from .relations import (
     _check_element,
     _check_n,
     _check_same_universe,
+    _components,
     _is_int,
     interior,
 )
@@ -168,15 +169,13 @@ def indit(p: Partition) -> PairRelation:
 
 
 def partition_from_equivalence(r: PairRelation) -> Partition:
-    """Partition whose blocks are the classes of the equivalence r."""
+    """Partition whose blocks are the classes of the equivalence r,
+    which are its components, labelled by least element."""
     violation = r.equivalence_violation()
     if violation is not None:
         axiom, witness = violation
         raise NotEquivalenceError(axiom, witness)
-    labels = []
-    for u in range(r.n):
-        labels.append(min(v for v in range(r.n) if (u, v) in r.pairs))
-    return Partition(r.n, _canonical_rgs(labels))
+    return Partition(r.n, tuple(_components(r.n, r.pairs)))
 
 
 def refines(p: Partition, q: Partition) -> bool:
@@ -344,6 +343,24 @@ def _check_lattice_n(kind: str, n: int, limits: Limits) -> None:
         )
 
 
+def _rgs(n: int) -> Iterator[tuple[int, ...]]:
+    """Restricted-growth sequences of length n >= 1 in lexicographic order
+    (Knuth's Algorithm H, TAOCP Vol. 4A, 7.2.1.5): each step raises the
+    last a[i] below b[i] = 1 + max(a[:i]) and zeroes the positions after."""
+    a, b = [0] * n, [1] * n
+    while True:
+        yield tuple(a)
+        j = n - 1
+        while j > 0 and a[j] == b[j]:
+            j -= 1
+        if j == 0:
+            return
+        a[j] += 1
+        top = b[j] + (a[j] == b[j])
+        for i in range(j + 1, n):
+            a[i], b[i] = 0, top
+
+
 def enumerate_partitions(
     n: int, limits: Limits = DEFAULT_LIMITS
 ) -> Iterator[Partition]:
@@ -353,21 +370,7 @@ def enumerate_partitions(
     Each call returns a fresh, independently restartable stream.
     """
     _check_lattice_n("partition", n, limits)
-
-    def generate() -> Iterator[Partition]:
-        prefix = [0] * n
-
-        def rec(i: int, peak: int) -> Iterator[Partition]:
-            if i == n:
-                yield Partition(n, tuple(prefix))
-                return
-            for digit in range(peak + 2):
-                prefix[i] = digit
-                yield from rec(i + 1, max(peak, digit))
-
-        yield from rec(1, 0)
-
-    return generate()
+    return (Partition(n, a) for a in _rgs(n))
 
 
 def subset_lattice_nodes(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Subset]:
@@ -389,7 +392,7 @@ def hasse_cover_edges(kind: str, n: int, limits: Limits = DEFAULT_LIMITS) -> lis
     """
     _, covers = _lattice(kind, n, limits)
     if kind == "partition":
-        nodes: list = list(enumerate_partitions(n, limits))
+        nodes: list = [Partition(n, a) for a in _rgs(n)]
     else:
         nodes = subset_lattice_nodes(n, limits)
     return [(nodes[x], nodes[y]) for x, ys in enumerate(covers) for y in ys]

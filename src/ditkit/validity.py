@@ -34,6 +34,8 @@ relabellings are never listed.
 Subset and partition validity refuse before they start when a universe
 has more assignments than the budget, counting all of them, not only
 those evaluated; a formula with no variables counts as one variable.
+Partition validity then refuses an n_max over the lattice cap, before
+any scan. Its values are restricted-growth tuples until a counterexample.
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ from .formulas import (
     Formula, _bitmask_algebra, _compile, _evaluate, _partition_algebra, _variables
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .partitions import Partition, _canonical_rgs, bell_number, enumerate_partitions
+from .partitions import Partition, _canonical_rgs, _check_lattice_n, _rgs, bell_number
 from .relations import Subset
 from .textio import format_partition, format_subset
 
@@ -90,23 +92,6 @@ def _render_value(value) -> object:
     if isinstance(value, Partition):
         return format_partition(value)
     raise TypeError(f"cannot render {value!r}")
-
-
-def _scan(program, names, universes, n_max: int) -> Verdict:
-    """Try the universes from n = 2 and, in each, the tuples of
-    restricted-growth values it yields for names, in order; stop at the
-    first value that is not the algebra's top."""
-    checked = 0
-    for n, algebra, combos in universes:
-        for combo in combos:
-            checked += 1
-            env = dict(zip(names, combo))
-            value = _evaluate(program, algebra, env)
-            if value != algebra.top:
-                assignment = {name: Partition(n, v) for name, v in env.items()}
-                cx = Counterexample(n, assignment, Partition(n, value))
-                return Verdict(False, cx, (2, n), checked)
-    return Verdict(True, None, (2, n_max), checked)
 
 
 def _check_budget(logic: str, sizes: dict[int, int], arity: int, limits: Limits) -> None:
@@ -187,12 +172,19 @@ def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS)
     names = _variables(program)
     sizes = {n: bell_number(n) for n in range(2, n_max + 1)}
     _check_budget("partition", sizes, len(names), limits)
-    pools = ((n, [p.assignment for p in enumerate_partitions(n, limits)]) for n in sizes)
-    universes = (
-        (n, _partition_algebra(n), _orbit_representatives(pool, len(names)))
-        for n, pool in pools
-    )
-    return _scan(program, names, universes, n_max)
+    _check_lattice_n("partition", n_max, limits)
+    checked = 0
+    for n in sizes:
+        algebra = _partition_algebra(n)
+        for combo in _orbit_representatives(list(_rgs(n)), len(names)):
+            checked += 1
+            env = dict(zip(names, combo))
+            value = _evaluate(program, algebra, env)
+            if value != algebra.top:
+                assignment = {name: Partition(n, v) for name, v in env.items()}
+                cx = Counterexample(n, assignment, Partition(n, value))
+                return Verdict(False, cx, (2, n), checked)
+    return Verdict(True, None, (2, n_max), checked)
 
 
 def _orbit_representatives(pool: list[tuple], arity: int) -> Iterator[tuple]:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ditkit
-from ditkit import cli, mechanisms, validity
+from ditkit import Limits, cli, mechanisms, validity
 from ditkit.cli import main
 
 
@@ -413,6 +414,24 @@ class TestArgHandling:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Limits)])
+    def test_limits_refuse_bool(self, field):
+        with pytest.raises(ValueError) as exc:
+            Limits(**{field: True})
+        assert str(exc.value) == f"{field} must be a positive integer, got True"
+
+    def test_config_rejects_bool_limit(self, capsys, tmp_path):
+        cfg = tmp_path / "limits.json"
+        cfg.write_text(json.dumps({"max_lattice_n": True}))
+        code, out, err = run(
+            capsys, "--config", str(cfg), "lattice", "--kind", "subset", "--n", "2",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "max_lattice_n must be a positive integer, got True",
+        }
+
 
 _DEEP = {
     # deep input -> a shallow formula with the same value everywhere
@@ -506,13 +525,34 @@ class TestCaps:
         def refuse(*args):
             raise AssertionError("partitions enumerated before the budget check")
 
-        monkeypatch.setattr(validity, "enumerate_partitions", refuse)
+        monkeypatch.setattr(validity, "_rgs", refuse)
         code, out, err = run(capsys, "taut", "T", "--logic", "partition", "--max-n", "9")
         assert (code, out) == (4, "")
         assert json.loads(err) == {
             "error": "ResourceLimitError",
             "message": "partition search at n=9 needs 21147 assignments, budget is 10000",
         }
+
+    @pytest.mark.parametrize("formula", ["p -> p", "p | ~p"])
+    def test_lattice_cap_before_partition_scan(self, capsys, monkeypatch, formula):
+        # "p | ~p" fails at n = 3, so a cap checked during the scan never fires
+        def refuse(*args):
+            raise AssertionError("partitions enumerated before the lattice cap check")
+
+        monkeypatch.setattr(validity, "_rgs", refuse)
+        argv = ["--max-search-assignments", "1000000",
+                "taut", formula, "--logic", "partition", "--max-n", "11"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "ResourceLimitError",
+            "message": "enumerating Bell(11) = 678570 partitions exceeds the cap n <= 10",
+        }
+
+    def test_lattice_cap_admits_its_bound(self, capsys):
+        argv = ["--max-lattice-n", "3", "taut", "p | ~p", "--logic", "partition", "--max-n", "3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out.partition("\n")[0], err) == (1, "invalid (n=3)", "")
 
     @pytest.mark.parametrize(
         "argv",

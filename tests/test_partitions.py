@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -36,8 +37,8 @@ from ditkit import (
     subset_lattice_nodes,
 )
 from ditkit import partitions as partitions_module
-from ditkit.limits import DEFAULT_LIMITS
-from ditkit.partitions import CONNECTIVE_ARITY, _lattice
+from ditkit.limits import DEFAULT_LIMITS, Limits
+from ditkit.partitions import CONNECTIVE_ARITY, _lattice, _rgs
 from ditkit.textio import format_partition
 from strategies import partitions
 
@@ -284,6 +285,22 @@ class TestEnumeration:
         }
         assert len(ours) == bell_number(n)
         assert ours == theirs
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_generator_matches_lex_oracle(self, n):
+        assert list(_rgs(n)) == oracles.rgs_lex(n)
+
+    def test_enumeration_is_lazy(self):
+        # Bell(12) is 4,213,597: an eager enumeration would take far more
+        tracemalloc.start()
+        try:
+            head = list(itertools.islice(enumerate_partitions(12, Limits(max_lattice_n=12)), 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tails = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+        assert [p.assignment[-3:] for p in head] == tails
+        assert peak < 1 << 20
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError) as exc:
