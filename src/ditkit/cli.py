@@ -31,6 +31,7 @@ from .limits import DEFAULT_LIMITS, Limits
 from .mechanisms import (
     Fitness,
     _check_switch_bits,
+    _json_chunks,
     compare_mechanisms,
     create,
     identify,
@@ -308,6 +309,15 @@ def cmd_lattice(args: argparse.Namespace, limits: Limits) -> int:
     return 0
 
 
+def _write_json(document: dict) -> None:
+    """Stream a trace or comparison to stdout a chunk at a time, with the
+    bytes of print(json.dumps(document, sort_keys=True))."""
+    write = sys.stdout.write
+    for chunk in _json_chunks(document):
+        write(chunk)
+    write("\n")
+
+
 def cmd_sim_select(args: argparse.Namespace, limits: Limits) -> int:
     _check_switch_bits(args.k, limits)
     source = args.fitness.strip()
@@ -322,7 +332,7 @@ def cmd_sim_select(args: argparse.Namespace, limits: Limits) -> int:
             raise TextFormatError(f"cannot read fitness file: {exc}") from None
     threshold = args.threshold if args.threshold is not None else 0.5 / 2**args.k
     trace = run_selectionist(args.k, fitness, threshold, args.max_steps, limits)
-    print(trace.to_json())
+    _write_json(trace.to_json_dict())
     return 0
 
 
@@ -330,7 +340,7 @@ def cmd_sim_generate(args: argparse.Namespace, limits: Limits) -> int:
     _check_switch_bits(args.k, limits)
     events = parse_events(args.events)
     trace = run_generative(args.k, events, overwrite=args.overwrite)
-    print(trace.to_json())
+    _write_json(trace.to_json_dict())
     return 0
 
 
@@ -344,7 +354,7 @@ def cmd_sim_identify(args: argparse.Namespace, limits: Limits) -> int:
 
 def cmd_sim_create(args: argparse.Namespace, limits: Limits) -> int:
     trace = create(args.n, parse_int_list(args.elements))
-    print(trace.to_json())
+    _write_json(trace.to_json_dict())
     return 0
 
 
@@ -367,7 +377,7 @@ def cmd_compare(args: argparse.Namespace, limits: Limits) -> int:
         max_steps=args.max_steps,
         limits=limits,
     )
-    print(result.to_json())
+    _write_json(result.to_json_dict())
     return 0
 
 

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AlreadySetError,
@@ -320,7 +320,82 @@ class Trace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """Exactly json.dumps(self.to_json_dict(), sort_keys=True), joined
+        from the chunks that the CLI streams."""
+        return "".join(_json_chunks(self.to_json_dict()))
+
+
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True)
+_KEY = json.encoder.encode_basestring_ascii  # a str key as json.dumps writes it
+
+
+def _json_chunks(obj, memo: list | None = None) -> Iterator[str]:
+    """Yield the text of json.dumps(obj, sort_keys=True) in pieces.
+
+    A dict whose first value is a float may be a weight map, which
+    _float_map renders. A dict with str keys that holds a dict or list
+    is walked, and so is a list whose first item is a dict or list.
+    Anything else goes to json.dumps whole. memo holds the key order and
+    prefixes of the last weight map, which the snapshots of a run share."""
+    memo = [] if memo is None else memo
+    if type(obj) is dict and obj:
+        if type(next(iter(obj.values()))) is float:
+            text = _float_map(obj, memo)
+            if text is not None:
+                yield text
+                return
+        elif {dict, list} & set(map(type, obj.values())) and set(map(type, obj)) == {str}:
+            separator = "{"
+            for key in sorted(obj):
+                yield f"{separator}{_KEY(key)}: "
+                yield from _json_chunks(obj[key], memo)
+                separator = ", "
+            yield "}"
+            return
+    elif type(obj) is list and obj and type(obj[0]) in (dict, list):
+        separator = "["
+        for item in obj:
+            yield separator
+            yield from _json_chunks(item, memo)
+            separator = ", "
+        yield "]"
+        return
+    yield _ENCODE(obj)
+
+
+def _float_map(obj: dict, memo: list) -> str | None:
+    """The JSON text of a dict of floats with str keys, each distinct
+    value rendered once; None unless at most half the values are
+    distinct, every value is a float and the zeros share one sign.
+
+    Variants of equal fitness keep bit-identical weights, so a snapshot
+    holds few distinct values and json.dumps would render each of its
+    2**k floats anew."""
+    values = obj.values()
+    if set(map(type, values)) != {float}:
+        return None
+    distinct = set(values)  # merges 0.0 with -0.0
+    if 2 * len(distinct) > len(obj):
+        return None
+    if math.isfinite(sum(distinct)):
+        texts = dict(zip(distinct, map(repr, distinct)))
+    else:  # nan and inf are NaN and Infinity
+        texts = {v: _ENCODE(v) for v in distinct}
+    if 0.0 in texts and -1.0 in map(math.copysign, [1.0] * len(obj), values):
+        return None
+    keys = list(obj)
+    if not memo or keys != memo[0]:
+        if set(map(type, keys)) != {str}:
+            return None
+        ordered = sorted(keys)
+        prefixes = [f", {key}: " for key in map(_KEY, ordered)]
+        prefixes[0] = "{" + prefixes[0][2:]
+        memo[:] = keys, None if ordered == keys else ordered, prefixes
+    _, ordered, prefixes = memo
+    parts = prefixes * 2
+    parts[::2] = prefixes
+    parts[1::2] = map(texts.__getitem__, values if ordered is None else map(obj.get, ordered))
+    return "".join(parts) + "}"
 
 
 def run_selectionist(
@@ -509,7 +584,9 @@ class MechanismComparison:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """Exactly json.dumps(self.to_json_dict(), sort_keys=True), joined
+        from the chunks that the CLI streams."""
+        return "".join(_json_chunks(self.to_json_dict()))
 
 
 def compare_mechanisms(

@@ -34,6 +34,7 @@ relabellings are never listed.
 Subset and partition validity refuse before they start when a universe
 has more assignments than the budget, counting all of them, not only
 those evaluated; a formula with no variables counts as one variable.
+Universe sizes are computed in order and stop at the first over budget.
 Partition validity then refuses an n_max over the lattice cap, before
 any scan. Its values are restricted-growth tuples until a counterexample.
 """
@@ -94,10 +95,14 @@ def _render_value(value) -> object:
     raise TypeError(f"cannot render {value!r}")
 
 
-def _check_budget(logic: str, sizes: dict[int, int], arity: int, limits: Limits) -> None:
+def _check_budget(
+    logic: str, sizes: Iterator[tuple[int, int]], arity: int, limits: Limits
+) -> None:
     """Refuse a check before it starts if a universe has more assignments
-    than the budget. A formula with no variables counts as one variable."""
-    for n, size in sizes.items():
+    than the budget. A formula with no variables counts as one variable.
+    sizes yields (n, size) lazily, so no size past the first n over
+    budget is computed."""
+    for n, size in sizes:
         count = size ** max(arity, 1)
         if count > limits.max_search_assignments:
             raise ResourceLimitError(
@@ -154,11 +159,11 @@ def subset_valid(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Ver
         raise TooManyVariablesError(
             f"{len(names)} variables exceeds the cap {limits.max_truth_vars}"
         )
-    sizes = {n: 2**n for n in range(1, n_max + 1)}
-    _check_budget("subset", sizes, len(names), limits)
+    universes = range(1, n_max + 1)
+    _check_budget("subset", ((n, 2**n) for n in universes), len(names), limits)
     checked, row = _first_failing_row(program, names)
     if row is None:
-        return Verdict(True, None, (1, n_max), sum(size ** len(names) for size in sizes.values()))
+        return Verdict(True, None, (1, n_max), sum((2**n) ** len(names) for n in universes))
     assignment = {name: Subset.of(1, [0] if bit else []) for name, bit in row.items()}
     return Verdict(False, Counterexample(1, assignment, Subset.empty(1)), (1, 1), checked)
 
@@ -170,11 +175,11 @@ def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS)
         raise UniverseTooSmallError(f"partition validity needs n_max >= 2, got {n_max}")
     program = _compile(f)
     names = _variables(program)
-    sizes = {n: bell_number(n) for n in range(2, n_max + 1)}
-    _check_budget("partition", sizes, len(names), limits)
+    universes = range(2, n_max + 1)
+    _check_budget("partition", ((n, bell_number(n)) for n in universes), len(names), limits)
     _check_lattice_n("partition", n_max, limits)
     checked = 0
-    for n in sizes:
+    for n in universes:
         algebra = _partition_algebra(n)
         for combo in _orbit_representatives(list(_rgs(n)), len(names)):
             checked += 1

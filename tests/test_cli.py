@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -533,6 +534,40 @@ class TestCaps:
             "message": "partition search at n=9 needs 21147 assignments, budget is 10000",
         }
 
+    def test_partition_budget_stops_at_first_universe_over_it(self, capsys, monkeypatch):
+        calls = []
+        bell_number = validity.bell_number
+
+        def counted(n):
+            calls.append(n)
+            if n > 9:
+                raise AssertionError(f"Bell({n}) computed past the first n over budget")
+            return bell_number(n)
+
+        monkeypatch.setattr(validity, "bell_number", counted)
+        code, out, err = run(capsys, "taut", "p", "--logic", "partition", "--max-n", "1000000")
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "ResourceLimitError",
+            "message": "partition search at n=9 needs 21147 assignments, budget is 10000",
+        }
+        assert calls == list(range(2, 10))
+
+    def test_subset_budget_stops_at_first_universe_over_it(self, capsys):
+        # 2**n for every n up to 20,000 took 43 MB before the check
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "taut", "p", "--logic", "subset", "--max-n", "20000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "ResourceLimitError",
+            "message": "subset search at n=14 needs 16384 assignments, budget is 10000",
+        }
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("formula", ["p -> p", "p | ~p"])
     def test_lattice_cap_before_partition_scan(self, capsys, monkeypatch, formula):
         # "p | ~p" fails at n = 3, so a cap checked during the scan never fires
@@ -698,6 +733,28 @@ class TestClosedStdout:
         assert code == 3
         assert capsys.readouterr().err == ""
 
+    # Traces are streamed a chunk at a time: `compare --k 12` is 360
+    # writes (2.5 MB) and `sim select --k 4` is 86.
+    @pytest.mark.parametrize(
+        "argv, accepted",
+        [
+            (["--max-switch-bits", "12", "compare", "--k", "12", "--target", "010011010101"], 0),
+            (["--max-switch-bits", "12", "compare", "--k", "12", "--target", "010011010101"], 150),
+            (["sim", "select", "--k", "4", "--fitness", "peak@0101"], 0),
+            (["sim", "select", "--k", "4", "--fitness", "peak@0101"], 40),
+        ],
+        ids=["compare first", "compare midway", "select first", "select midway"],
+    )
+    def test_broken_pipe_while_streaming_trace(
+        self, capsys, monkeypatch, tmp_path, argv, accepted
+    ):
+        with open(tmp_path / "stdout", "w") as target:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno(), accepted))
+            code = main(argv)
+            monkeypatch.undo()
+        assert code == 3
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -706,11 +763,13 @@ class TestClosedStdout:
             # output larger than a pipe holds, written while main runs
             ["--max-switch-bits", "12", "sim", "generate", "--k", "12",
              "--events", "1=0,2=1,3=0,4=1,5=0,6=1"],
+            # a streamed trace of 2.5 MB
+            ["--max-switch-bits", "12", "compare", "--k", "12", "--target", "010011010101"],
             # output streamed in many writes
             ["lattice", "--kind", "partition", "--n", "8", "--json"],
             ["lattice", "--kind", "partition", "--n", "8", "--dot"],
         ],
-        ids=["buffered", "large", "lattice json", "lattice dot"],
+        ids=["buffered", "large", "compare", "lattice json", "lattice dot"],
     )
     def test_reader_gone_before_output(self, argv):
         src = pathlib.Path(ditkit.__file__).parent.parent

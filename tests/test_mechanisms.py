@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+import strategies
 from ditkit import mechanisms
 from ditkit import (
     AlreadySetError,
@@ -41,6 +43,7 @@ from ditkit import (
     switch_partition,
     twenty_questions,
 )
+from ditkit.mechanisms import Trace, TraceStep
 from ditkit.relations import PairRelation
 
 
@@ -364,6 +367,85 @@ class TestCompare:
         assert got["selectionist"]["mechanism"] == "selectionist"
         assert got["selectionist"]["final"]["weights"]["11"] == 1.0
         assert got["generative"]["final"]["block"] == ["11"]
+
+
+def _dumped(document) -> str:
+    return json.dumps(document.to_json_dict(), sort_keys=True)
+
+
+def _weights_trace(*maps: dict) -> Trace:
+    steps = [TraceStep(i, None, {"weights": w, "extinct": []}) for i, w in enumerate(maps)]
+    return Trace("selectionist", 3, tuple(steps))
+
+
+_LABELS = [format(v, "03b") for v in range(8)]
+
+
+class TestJsonBytes:
+    """to_json() is exactly json.dumps(to_json_dict(), sort_keys=True)."""
+
+    @given(strategies.traces())
+    def test_hand_built_traces(self, trace):
+        assert trace.to_json() == _dumped(trace)
+
+    @given(strategies.comparisons())
+    def test_hand_built_comparisons(self, comparison):
+        assert comparison.to_json() == _dumped(comparison)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, -0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5],
+            [-0.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+            [-0.0] * 8,
+            [math.nan, math.nan, float("nan"), float("-nan"), math.inf, -math.inf, math.inf, 0.25],
+            [1.0, 1, True, 1.0, 0.0, 0, False, 0.0],
+            [1, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [True, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [0.125] * 8,
+            [0.1 * v for v in range(8)],
+        ],
+        ids=["zeros", "negative zero first", "negative zeros", "nan and inf",
+             "ints and bools", "int first", "bool first", "one value", "all distinct"],
+    )
+    @pytest.mark.parametrize("order", ["sorted", "reversed"])
+    def test_weight_map_corners(self, values, order):
+        labels = _LABELS if order == "sorted" else _LABELS[::-1]
+        trace = _weights_trace(dict(zip(labels, values)), dict(zip(labels, values)), {})
+        assert trace.to_json() == _dumped(trace)
+
+    def test_empty_state(self):
+        empty = Trace("creationist", 1, (TraceStep(0, None, {}),))
+        assert empty.to_json() == _dumped(empty)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_compare(self, k):
+        limits = Limits().replaced(max_switch_bits=12)
+        result = compare_mechanisms(k, (0b101101101101 >> (12 - k)), 1.0, limits=limits)
+        assert result.to_json() == _dumped(result)
+
+    @pytest.mark.parametrize("scores", ["scattered", "all distinct"])
+    def test_selectionist(self, scores):
+        rng = random.Random(10)
+        if scores == "scattered":
+            table = [rng.choice([0.5, 1.0, 1.5, 3.0]) for _ in range(2**8)]
+        else:
+            table = [rng.uniform(0.5, 2.0) for _ in range(2**8)]
+        trace = run_selectionist(8, Fitness(8, tuple(table)), 0.5 / 2**8, 30)
+        assert trace.to_json() == _dumped(trace)
+
+    def test_snapshots_render_each_value_once(self):
+        # every weight map of a peaked run takes the few-values path,
+        # sharing one table of key prefixes; none falls back to json.dumps
+        limits = Limits().replaced(max_switch_bits=12)
+        trace = compare_mechanisms(12, 1234, 1.0, limits=limits).selectionist
+        memo = []
+        for step in trace.steps:
+            assert mechanisms._float_map(step.state["weights"], memo) is not None
+        prefixes = memo[2]
+        for step in reversed(trace.steps):
+            mechanisms._float_map(step.state["weights"], memo)
+            assert memo[2] is prefixes
 
 
 class TestReplay:
