@@ -6,17 +6,18 @@ the left. Tokens are ~ & | -> <-> T F ( ) plus variable names matching
 [A-Za-z][A-Za-z0-9_]* (T and F themselves are the constants).
 
 A tree compiles to a postfix program, its nodes with every child before
-its parent, and one stack evaluator runs that program over an algebra:
-bitmasks over n points for subset semantics (n = 1 is the truth table),
-or restricted-growth tuples for partitions, every connective lifted
-through distinction sets.
+its parent, and one stack evaluator runs that program over an algebra.
+Both semantics are the Boolean operations of partitions._BOOLEAN on
+bitmasks: over n points for subsets (n = 1 is the truth table), and over
+the n(n-1)/2 unordered pairs for partitions, where each connective takes
+the interior of its result (partition logic is subset logic on
+distinction sets, plus the interior).
 Parsing, compiling, evaluating and printing all use explicit stacks, so
 no formula is too deep for them.
 """
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
@@ -28,7 +29,7 @@ from .errors import (
     UniverseMismatchError,
     UniverseTooSmallError,
 )
-from .partitions import Connective, Partition, _lift
+from .partitions import _BOOLEAN, Connective, Partition, _blocks_of, _dit_mask
 from .relations import Subset, _check_n
 
 
@@ -270,27 +271,28 @@ def _evaluate(program: tuple[Formula, ...], algebra: _Algebra, env: Mapping[str,
 def _bitmask_algebra(n: int) -> _Algebra:
     """Subsets of n points as n-bit masks; at n = 1 this is the truth table."""
     full = (1 << n) - 1
-    return _Algebra(
-        full,
-        0,
-        {
-            Not: lambda a: full ^ a,
-            And: operator.and_,
-            Or: operator.or_,
-            Implies: lambda a, b: (full ^ a) | b,
-            Iff: lambda a, b: full ^ a ^ b,
-        },
-    )
+    ops = {shape: functools.partial(_BOOLEAN[conn], full) for shape, conn in _CONNECTIVE.items()}
+    return _Algebra(_BOOLEAN[Connective.TOP](full), _BOOLEAN[Connective.BOTTOM](full), ops)
 
 
 def _partition_algebra(n: int) -> _Algebra:
-    """Partitions of n points as restricted-growth tuples, every
-    connective lifted through distinction sets."""
-    return _Algebra(
-        tuple(range(n)),
-        (0,) * n,
-        {shape: functools.partial(_lift, conn) for shape, conn in _CONNECTIVE.items()},
-    )
+    """Partitions of n points as distinction masks (partitions._dit_mask):
+    the bitmask algebra on the n(n-1)/2 pairs, each connective followed by
+    the interior. The interior is memoised for this algebra alone; a scan
+    meets the same raw mask many times."""
+    boolean = _bitmask_algebra(n * (n - 1) // 2)
+    interiors: dict[int, int] = {}
+
+    def lift(op: Callable) -> Callable:
+        def lifted(*masks: int) -> int:
+            d = op(*masks)
+            if d not in interiors:
+                interiors[d] = _dit_mask(_blocks_of(n, d))
+            return interiors[d]
+
+        return lifted
+
+    return boolean._replace(ops={shape: lift(op) for shape, op in boolean.ops.items()})
 
 
 def _wrap(child: tuple[str, int], bar: int) -> str:
@@ -414,8 +416,9 @@ def eval_partition(f: Formula, assignment: PartitionAssignment) -> Partition:
         raise UniverseTooSmallError(
             f"partition semantics needs n >= 2, got n={assignment.n}"
         )
-    env = {name: p.assignment for name, p in assignment.values.items()}
-    return Partition(assignment.n, _evaluate(_compile(f), _partition_algebra(assignment.n), env))
+    n = assignment.n
+    env = {name: _dit_mask(p.assignment) for name, p in assignment.values.items()}
+    return Partition(n, _blocks_of(n, _evaluate(_compile(f), _partition_algebra(n), env)))
 
 
 def random_formula(

@@ -23,7 +23,8 @@ class Limits:
     max_truth_vars: int = 16
     # Per-universe assignment budget for subset/partition validity search.
     max_search_assignments: int = 10_000
-    # switch_partition builds a partition on 2**k elements; cap on k.
+    # Cap on k for spaces of 2**k variants: switch_partition, and in the CLI
+    # sim select, sim generate, sim twentyq and compare.
     max_switch_bits: int = 10
     # Step bound of a selectionist run, which keeps a snapshot per step.
     max_selection_steps: int = 10_000

@@ -486,19 +486,25 @@ def run_generative(
     """
     bank = SwitchBank.neutral(k)
     labels = _labels(k)
+    block = list(range(2**k))
 
     def snapshot() -> dict:
         return {
             "switches": [state.value for state in bank.states],
-            "block": [labels[v] for v in _bank_block(bank)],
+            "block": [labels[v] for v in block],
         }
 
     steps = [TraceStep(0, None, snapshot())]
     events = []
     for index, (i, value) in enumerate(experience, start=1):
         option = _as_option(value)
-        bank = set_switch(bank, i, option, overwrite=overwrite)
-        events.append((i, int(option.value)))
+        previous, bank = bank, set_switch(bank, i, option, overwrite=overwrite)
+        digit = int(option.value)
+        if previous.states[i - 1] is SwitchState.NEUTRAL:  # a fresh switch filters the block
+            block = [v for v in block if v >> (i - 1) & 1 == digit]
+        else:  # an overwrite can widen it
+            block = _bank_block(bank)
+        events.append((i, digit))
         steps.append(TraceStep(index, {"switch": i, "value": option.value}, snapshot()))
     return Trace(
         "generative",

@@ -12,9 +12,9 @@ bottom: p is below q exactly when q distinguishes every pair p does.
 Distinctions play the role for partitions that elements play for
 subsets, which is what makes the truth-functional connectives liftable:
 apply the subset operation to the distinction sets inside U x U, then
-take the interior. No pair set is built for that: a table says whether
-the result distinguishes a pair from whether the operands do, and the
-result's blocks are the components of the pairs it leaves undistinguished.
+take the interior. Both steps run on masks with one bit per pair u < v:
+_BOOLEAN on the operands' masks, then as blocks the components of the
+pairs the result leaves undistinguished.
 
 The lattice is built in rank space, where a partition's rank is its
 position in lexicographic restricted-growth order. It grows one element
@@ -159,13 +159,7 @@ def dit(p: Partition) -> PairRelation:
 def indit(p: Partition) -> PairRelation:
     """Ordered pairs whose endpoints share a block: the equivalence
     relation of the partition, the complement of dit(p)."""
-    a = p.assignment
-    return PairRelation(
-        p.n,
-        frozenset(
-            (u, v) for u in range(p.n) for v in range(p.n) if a[u] == a[v]
-        ),
-    )
+    return dit(p).complement()
 
 
 def partition_from_equivalence(r: PairRelation) -> Partition:
@@ -212,10 +206,9 @@ def join_via_ditsets(p: Partition, q: Partition) -> Partition:
 
 
 def meet(p: Partition, q: Partition) -> Partition:
-    """Greatest lower bound: connected components of the union of the
-    two block equivalences, which is the lifted AND."""
-    _check_same_universe(p, q)
-    return Partition(p.n, _lift(Connective.AND, p.assignment, q.assignment))
+    """Greatest lower bound, the lifted AND: the interior of the
+    intersection of the two distinction sets."""
+    return lift_connective(Connective.AND, (p, q))
 
 
 def meet_via_interior(p: Partition, q: Partition) -> Partition:
@@ -247,15 +240,45 @@ CONNECTIVE_ARITY = {
 }
 
 
+# Each connective's subset operation on masks, given the all-ones mask:
+# on points the connective itself, on distinctions the lift's first step.
+_BOOLEAN = {
+    Connective.NOT: lambda full, a: full ^ a,
+    Connective.AND: lambda full, a, b: a & b,
+    Connective.OR: lambda full, a, b: a | b,
+    Connective.IMPLIES: lambda full, a, b: (full ^ a) | b,
+    Connective.IFF: lambda full, a, b: full ^ a ^ b,
+    Connective.TOP: lambda full: full,
+    Connective.BOTTOM: lambda full: 0,
+}
+
+
+def _dit_mask(rgs: Sequence[int]) -> int:
+    """The distinction mask of a restricted-growth sequence: the pair
+    u < v is bit v*(v-1)//2 + u, set when u and v lie in different blocks."""
+    members = [0] * len(rgs)  # block label -> the elements before v in it
+    mask = 0
+    for v, b in enumerate(rgs):
+        mask |= ((1 << v) - 1 ^ members[b]) << v * (v - 1) // 2
+        members[b] |= 1 << v
+    return mask
+
+
+def _blocks_of(n: int, mask: int) -> list[int]:
+    """Restricted-growth labels of the interior of a pair mask: the
+    components of the pairs it leaves undistinguished."""
+    return _components(n, [(u, v) for v in range(1, n) for u in range(v)
+                           if not mask >> v * (v - 1) // 2 + u & 1])
+
+
 def lift_connective(
     conn: Connective, operands: Iterable[Partition], *, n: int | None = None
 ) -> Partition:
     """Interpret a truth-functional connective on partitions.
 
     By definition the result distinguishes the interior of the Boolean
-    operation on the operands' distinction sets inside U x U; its blocks
-    are the components of the pairs the distinction table leaves
-    undistinguished. The universe size n is only needed for 0-ary ones.
+    operation (_BOOLEAN) on the operands' distinction sets inside U x U.
+    The universe size n is only needed for 0-ary ones.
     """
     if not isinstance(conn, Connective):
         raise UnknownConnectiveError(f"unknown connective {conn!r}")
@@ -276,43 +299,9 @@ def lift_connective(
     elif n is None:
         raise ValueError("universe size n is required for 0-ary connectives")
     _check_n(n)
-    a = ops[0].assignment if ops else (0,) * n  # a 0-ary row is constant
-    b = ops[1].assignment if arity == 2 else None
-    return Partition(n, _lift(conn, a, b))
-
-
-# _DISTINGUISHES[conn][x][y]: does the Boolean result distinguish a pair
-# that the left operand distinguishes iff x and the right one iff y?
-_DISTINGUISHES = {
-    Connective.NOT: ((True, True), (False, False)),
-    Connective.AND: ((False, False), (False, True)),
-    Connective.OR: ((False, True), (True, True)),
-    Connective.IMPLIES: ((True, True), (False, True)),
-    Connective.IFF: ((True, False), (False, True)),
-    Connective.TOP: ((True, True), (True, True)),
-    Connective.BOTTOM: ((False, False), (False, False)),
-}
-
-
-def _lift(conn: Connective, a: tuple, b: tuple | None = None) -> tuple:
-    """The lifted connective on restricted-growth tuples, blocks labelled
-    by least element; a unary connective reads its operand twice."""
-    row = _DISTINGUISHES[conn]
-    b = a if b is None else b
-    n = len(a)
-    out = [-1] * n
-    blocks = 0
-    for first in range(n):
-        if out[first] < 0:
-            out[first], stack = blocks, [first]
-            while stack:
-                u = stack.pop()
-                for v in range(first + 1, n):
-                    if out[v] < 0 and not row[a[u] != a[v]][b[u] != b[v]]:
-                        out[v] = blocks
-                        stack.append(v)
-            blocks += 1
-    return tuple(out)
+    full = (1 << n * (n - 1) // 2) - 1
+    masks = [_dit_mask(p.assignment) for p in ops]
+    return Partition(n, _blocks_of(n, _BOOLEAN[conn](full, *masks)))
 
 
 def bell_number(n: int) -> int:

@@ -36,7 +36,7 @@ has more assignments than the budget, counting all of them, not only
 those evaluated; a formula with no variables counts as one variable.
 Universe sizes are computed in order and stop at the first over budget.
 Partition validity then refuses an n_max over the lattice cap, before
-any scan. Its values are restricted-growth tuples until a counterexample.
+any scan. Its values are distinction masks until a counterexample.
 """
 from __future__ import annotations
 
@@ -50,7 +50,9 @@ from .formulas import (
     Formula, _bitmask_algebra, _compile, _evaluate, _partition_algebra, _variables
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .partitions import Partition, _canonical_rgs, _check_lattice_n, _rgs, bell_number
+from .partitions import (
+    Partition, _blocks_of, _canonical_rgs, _check_lattice_n, _dit_mask, _rgs, bell_number
+)
 from .relations import Subset
 from .textio import format_partition, format_subset
 
@@ -181,13 +183,13 @@ def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS)
     checked = 0
     for n in universes:
         algebra = _partition_algebra(n)
-        for combo in _orbit_representatives(list(_rgs(n)), len(names)):
+        masks = {x: _dit_mask(x) for x in _rgs(n)}  # its keys are the pool, in order
+        for combo in _orbit_representatives(list(masks), len(names)):
             checked += 1
-            env = dict(zip(names, combo))
-            value = _evaluate(program, algebra, env)
+            value = _evaluate(program, algebra, {name: masks[x] for name, x in zip(names, combo)})
             if value != algebra.top:
-                assignment = {name: Partition(n, v) for name, v in env.items()}
-                cx = Counterexample(n, assignment, Partition(n, value))
+                assignment = {name: Partition(n, x) for name, x in zip(names, combo)}
+                cx = Counterexample(n, assignment, Partition(n, _blocks_of(n, value)))
                 return Verdict(False, cx, (2, n), checked)
     return Verdict(True, None, (2, n_max), checked)
 

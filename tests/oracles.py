@@ -119,19 +119,22 @@ def lattice_by_merging(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, i
     return nodes, sorted(edges)
 
 
-def eval_ditwise(f, n: int, env_dits: dict[str, frozenset[Pair]]) -> frozenset[Pair]:
+def eval_ditwise(
+    f, n: int, env_dits: dict[str, frozenset[Pair]], interior=interior_fixpoint
+) -> frozenset[Pair]:
     """Evaluate a formula straight on distinction sets: the Boolean set
-    operation at each node, followed by the fixpoint interior."""
+    operation at each node, followed by the interior, by default the
+    fixpoint one; interior(n, pairs) may be swapped for a faster route."""
     full = all_pairs(n)
     if isinstance(f, Var):
         return env_dits[f.name]
     if isinstance(f, Const):
         raw = (full - {(u, u) for u in range(n)}) if f.value else frozenset()
-        return interior_fixpoint(n, raw)
+        return interior(n, raw)
     if isinstance(f, Not):
-        return interior_fixpoint(n, full - eval_ditwise(f.child, n, env_dits))
-    left = eval_ditwise(f.left, n, env_dits)
-    right = eval_ditwise(f.right, n, env_dits)
+        return interior(n, full - eval_ditwise(f.child, n, env_dits, interior))
+    left = eval_ditwise(f.left, n, env_dits, interior)
+    right = eval_ditwise(f.right, n, env_dits, interior)
     if isinstance(f, And):
         raw = left & right
     elif isinstance(f, Or):
@@ -142,7 +145,7 @@ def eval_ditwise(f, n: int, env_dits: dict[str, frozenset[Pair]]) -> frozenset[P
         raw = (left & right) | ((full - left) & (full - right))
     else:
         raise TypeError(f"unknown node {f!r}")
-    return interior_fixpoint(n, raw)
+    return interior(n, raw)
 
 
 def eval_bool(f, env: dict[str, bool]) -> bool:

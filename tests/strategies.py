@@ -21,6 +21,15 @@ def partitions(draw, min_n: int = 1, max_n: int = 6) -> Partition:
     return Partition(n, tuple(digits))
 
 
+def random_partition(rng, n: int) -> Partition:
+    """A seeded draw for universes too large to enumerate: n labels from
+    a random number of blocks, relabelled into restricted-growth form."""
+    width = rng.randint(1, n)
+    remap: dict[int, int] = {}
+    labels = [rng.randrange(width) for _ in range(n)]
+    return Partition(n, tuple(remap.setdefault(label, len(remap)) for label in labels))
+
+
 @st.composite
 def pair_relations(draw, min_n: int = 1, max_n: int = 6) -> PairRelation:
     n = draw(st.integers(min_value=min_n, max_value=max_n))

@@ -41,6 +41,16 @@ class TestEval:
         assert code == 0
         assert out.strip() == "0|1|2"
 
+    def test_partition_logic_at_the_relation_cap(self, capsys):
+        # n = 12 has 66 pairs, so each distinction mask is wider than 64 bits;
+        # q's block 10,11 lies inside a block of p, so p -> q splits it
+        code, out, _ = run(
+            capsys, "eval", "p -> q", "--logic", "partition", "--n", "12",
+            "--assign", "p=0,1,2|3,4,5,6|7,8|9,10,11", "--assign", "q=0,3,7|1,4|2,5,8,9|6|10,11",
+        )
+        assert code == 0
+        assert out.strip() == "0,3,7|1,4|2,5,8,9|6|10|11"
+
     def test_subset_logic(self, capsys):
         code, out, _ = run(
             capsys, "eval", "p | ~p", "--logic", "subset", "--n", "3",

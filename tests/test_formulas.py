@@ -14,6 +14,7 @@ from ditkit import (
     Implies,
     Not,
     Or,
+    PairRelation,
     PartitionAssignment,
     Partition,
     Subset,
@@ -28,10 +29,11 @@ from ditkit import (
     format_formula,
     formula_to_json,
     free_variables,
+    interior,
     parse,
     random_formula,
 )
-from strategies import formulas
+from strategies import formulas, random_partition
 
 
 class TestParse:
@@ -228,6 +230,23 @@ class TestPartitionEvaluation:
             env = PartitionAssignment(n, {"p": p, "q": q})
             want = oracles.eval_ditwise(f, n, {"p": dit(p).pairs, "q": dit(q).pairs})
             assert dit(eval_partition(f, env)).pairs == want
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_wide_masks_agree_with_pair_relation_route(self, n):
+        # 36 and 66 pair bits; the reference takes relations.interior of
+        # raw pair sets at every node instead of the fixpoint
+        rng = random.Random(n)
+
+        def pairwise_interior(n, pairs):
+            return interior(PairRelation(n, pairs)).pairs
+
+        for _ in range(30):
+            f = random_formula(rng, variables=("p", "q"), max_depth=4)
+            p, q = random_partition(rng, n), random_partition(rng, n)
+            env = {"p": dit(p).pairs, "q": dit(q).pairs}
+            want = oracles.eval_ditwise(f, n, env, pairwise_interior)
+            got = eval_partition(f, PartitionAssignment(n, {"p": p, "q": q}))
+            assert dit(got).pairs == want, f
 
 
 class TestRandomFormula:

@@ -290,6 +290,22 @@ class TestGenerative:
         trace = run_generative(2, [(2, 1)])
         assert trace.events() == [{"switch": 2, "value": "1"}]
 
+    @given(st.data())
+    def test_every_snapshot_matches_per_switch_oracle(self, data):
+        # fresh switches filter the last block; overwrites rescan it
+        k = data.draw(st.integers(min_value=1, max_value=6))
+        overwrite = data.draw(st.booleans())
+        switch = st.integers(min_value=1, max_value=k)
+        switches = data.draw(st.lists(switch, max_size=2 * k, unique=not overwrite))
+        experience = [(i, data.draw(st.integers(0, 1))) for i in switches]
+        trace = run_generative(k, experience, overwrite=overwrite)
+        settings: dict[int, int] = {}
+        for step, event in zip(trace.steps, [None, *experience]):
+            if event is not None:
+                settings[event[0]] = event[1]
+            block = [int(s, 2) for s in step.state["block"]]
+            assert block == sorted(oracles.switch_block(k, settings)), (experience, step.index)
+
 
 class TestIdentify:
     def test_example(self):

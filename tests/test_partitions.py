@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -38,9 +39,9 @@ from ditkit import (
 )
 from ditkit import partitions as partitions_module
 from ditkit.limits import DEFAULT_LIMITS, Limits
-from ditkit.partitions import CONNECTIVE_ARITY, _lattice, _rgs
+from ditkit.partitions import CONNECTIVE_ARITY, _blocks_of, _dit_mask, _lattice, _rgs
 from ditkit.textio import format_partition
-from strategies import partitions
+from strategies import partitions, random_partition
 
 
 class TestConstruction:
@@ -250,6 +251,31 @@ class TestLiftedConnectives:
                 want = interior(PairRelation(n, raw)).pairs
             got = lift_connective(conn, [p for p, _ in combo], n=n)
             assert dit(got).pairs == want, (conn, combo)
+
+    @pytest.mark.parametrize("n", [9, 12])
+    @pytest.mark.parametrize("conn", list(Connective))
+    def test_wide_masks_match_pair_relation_route(self, conn, n):
+        # 36 and 66 pair bits, past one machine word at n = 12; seeded
+        # draws, since enumerate_partitions refuses n > 10
+        rng = random.Random(f"{conn.value}/{n}")
+        full = oracles.all_pairs(n)
+        for _ in range(25):
+            ops = [random_partition(rng, n) for _ in range(CONNECTIVE_ARITY[conn])]
+            raw = _BOOLEAN[conn](full, *(dit(p).pairs for p in ops))
+            got = lift_connective(conn, ops, n=n)
+            assert dit(got) == interior(PairRelation(n, raw)), (conn, ops)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_dit_mask_layout_and_round_trip(self, n):
+        # pair u < v is bit v*(v-1)//2 + u, set when u and v are split
+        rng = random.Random(n)
+        for _ in range(20):
+            a = random_partition(rng, n).assignment
+            mask = _dit_mask(a)
+            bits = [(u, v) for v in range(n) for u in range(v) if mask >> v * (v - 1) // 2 + u & 1]
+            assert bits == [(u, v) for v in range(n) for u in range(v) if a[u] != a[v]]
+            assert mask < 1 << n * (n - 1) // 2
+            assert tuple(_blocks_of(n, mask)) == a
 
 
 # The Boolean operation each connective applies to distinction sets,
