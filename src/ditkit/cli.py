@@ -5,6 +5,10 @@ counterexample printed, 2 usage or parse problem, 3 evaluation or
 domain problem, or stdout closed by its reader, 4 size or budget cap
 exceeded. Errors go to stderr as one JSON line
 {"error": ..., "message": ...}.
+
+Each handler imports the modules its subcommand needs, so a call loads
+no other: taut never loads mechanisms, compare and sim never load
+formulas or validity, and lattice loads partitions alone.
 """
 from __future__ import annotations
 
@@ -20,40 +24,7 @@ from .errors import (
     TextFormatError,
     TooManyVariablesError,
 )
-from .formulas import (
-    PartitionAssignment,
-    SubsetAssignment,
-    eval_partition,
-    eval_subset,
-    parse,
-)
 from .limits import DEFAULT_LIMITS, Limits
-from .mechanisms import (
-    Fitness,
-    _check_switch_bits,
-    _json_chunks,
-    compare_mechanisms,
-    create,
-    identify,
-    run_generative,
-    run_selectionist,
-    twenty_questions,
-)
-from .partitions import _lattice
-from .textio import (
-    format_partition,
-    format_subset,
-    format_variant,
-    parse_answers,
-    parse_events,
-    parse_int_list,
-    parse_names,
-    parse_pair_list,
-    parse_partition,
-    parse_subset,
-    parse_variant,
-)
-from .validity import _render_value, partition_tautology, subset_valid, truth_table_tautology
 
 _USAGE_ERRORS = (FormulaSyntaxError, TextFormatError, ValueError)
 _RESOURCE_ERRORS = (ResourceLimitError, TooManyVariablesError)
@@ -226,6 +197,8 @@ def _split_assignment(item: str) -> tuple[str, str]:
 
 
 def _parse_name_table(args: argparse.Namespace) -> tuple[str, ...] | None:
+    from .textio import parse_names
+
     names = getattr(args, "names", None)
     return parse_names(names) if names else None
 
@@ -236,6 +209,15 @@ def _check_relation_n(n: int, limits: Limits) -> None:
 
 
 def cmd_eval(args: argparse.Namespace, limits: Limits) -> int:
+    from .formulas import (
+        PartitionAssignment,
+        SubsetAssignment,
+        eval_partition,
+        eval_subset,
+        parse,
+    )
+    from .textio import format_partition, format_subset, parse_partition, parse_subset
+
     _check_relation_n(args.n, limits)
     names = _parse_name_table(args)
     formula = parse(args.formula)
@@ -256,12 +238,17 @@ def cmd_eval(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def _render_taut_value(value) -> str:
+    from .validity import _render_value
+
     if isinstance(value, bool):
         return "1" if value else "0"
     return _render_value(value)
 
 
 def cmd_taut(args: argparse.Namespace, limits: Limits) -> int:
+    from .formulas import parse
+    from .validity import partition_tautology, subset_valid, truth_table_tautology
+
     formula = parse(args.formula)
     if args.logic == "truth":
         verdict = truth_table_tautology(formula, limits)
@@ -287,6 +274,8 @@ def cmd_lattice(args: argparse.Namespace, limits: Limits) -> int:
     """Stream the lattice to stdout a node at a time. The bytes are
     those of json.dumps(payload, sort_keys=True), whose first key is
     "edges", or of the DOT listing with one line per node and edge."""
+    from .partitions import _lattice
+
     labels, covers = _lattice(args.kind, args.n, limits)
     write = sys.stdout.write
     if args.dot:
@@ -312,6 +301,8 @@ def cmd_lattice(args: argparse.Namespace, limits: Limits) -> int:
 def _write_json(document: dict) -> None:
     """Stream a trace or comparison to stdout a chunk at a time, with the
     bytes of print(json.dumps(document, sort_keys=True))."""
+    from .mechanisms import _json_chunks
+
     write = sys.stdout.write
     for chunk in _json_chunks(document):
         write(chunk)
@@ -319,6 +310,9 @@ def _write_json(document: dict) -> None:
 
 
 def cmd_sim_select(args: argparse.Namespace, limits: Limits) -> int:
+    from .mechanisms import Fitness, _check_switch_bits, run_selectionist
+    from .textio import parse_variant
+
     _check_switch_bits(args.k, limits)
     source = args.fitness.strip()
     if source.startswith("peak@"):
@@ -337,6 +331,9 @@ def cmd_sim_select(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_sim_generate(args: argparse.Namespace, limits: Limits) -> int:
+    from .mechanisms import _check_switch_bits, run_generative
+    from .textio import parse_events
+
     _check_switch_bits(args.k, limits)
     events = parse_events(args.events)
     trace = run_generative(args.k, events, overwrite=args.overwrite)
@@ -345,6 +342,9 @@ def cmd_sim_generate(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_sim_identify(args: argparse.Namespace, limits: Limits) -> int:
+    from .mechanisms import identify
+    from .textio import format_partition, parse_pair_list
+
     _check_relation_n(args.n, limits)
     names = _parse_name_table(args)
     partition = identify(args.n, parse_pair_list(args.pairs))
@@ -353,12 +353,18 @@ def cmd_sim_identify(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_sim_create(args: argparse.Namespace, limits: Limits) -> int:
+    from .mechanisms import create
+    from .textio import parse_int_list
+
     trace = create(args.n, parse_int_list(args.elements))
     _write_json(trace.to_json_dict())
     return 0
 
 
 def cmd_sim_twentyq(args: argparse.Namespace, limits: Limits) -> int:
+    from .mechanisms import _check_switch_bits, twenty_questions
+    from .textio import format_variant, parse_answers
+
     _check_switch_bits(args.k, limits)
     block = twenty_questions(args.k, parse_answers(args.answers))
     rendered = sorted(format_variant(v, args.k) for v in block)
@@ -367,6 +373,9 @@ def cmd_sim_twentyq(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, limits: Limits) -> int:
+    from .mechanisms import _check_switch_bits, compare_mechanisms
+    from .textio import parse_variant
+
     _check_switch_bits(args.k, limits)
     target = parse_variant(args.target, args.k)
     result = compare_mechanisms(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import (
@@ -30,10 +29,10 @@ from .errors import (
     UniverseTooSmallError,
 )
 from .partitions import _BOOLEAN, Connective, Partition, _blocks_of, _dit_mask
-from .relations import Subset, _check_n
+from .relations import Subset, _check_n, _Record
 
 
-class Formula:
+class Formula(_Record):
     """Base class for formula nodes; instances are immutable. Equality,
     hashing and repr read the postfix program, so they work at any depth."""
 
@@ -42,14 +41,6 @@ class Formula:
             (type(node), getattr(node, "name", None), getattr(node, "value", None))
             for node in _compile(self)
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         program = _compile(self)
@@ -60,40 +51,33 @@ class Formula:
         return format_formula(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Const(Formula):
     value: bool  # True is the top constant T, False the bottom constant F
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula
@@ -322,7 +306,7 @@ _TEXT = _Algebra(
 )
 
 
-# The dataclass repr of a tree, e.g. Not(child=Var(name='p')).
+# The record repr of a tree, e.g. Not(child=Var(name='p')).
 _REPR = _Algebra(
     "Const(value=True)",
     "Const(value=False)",
@@ -362,8 +346,7 @@ def free_variables(f: Formula) -> tuple[str, ...]:
     return _variables(_compile(f))
 
 
-@dataclass(frozen=True)
-class SubsetAssignment:
+class SubsetAssignment(_Record):
     """Maps variable names to subsets of a shared universe."""
 
     n: int
@@ -380,8 +363,7 @@ class SubsetAssignment:
                 )
 
 
-@dataclass(frozen=True)
-class PartitionAssignment:
+class PartitionAssignment(_Record):
     """Maps variable names to partitions of a shared universe."""
 
     n: int

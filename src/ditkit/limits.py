@@ -6,15 +6,12 @@ enforced at the enumeration and search entry points and by the CLI.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Mapping
 
-from .relations import _is_int
+from .relations import _is_int, _Record
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(_Record):
     # Largest universe the CLI accepts for relation-level work.
     max_relation_n: int = 12
     # Largest universe for full-lattice enumeration; Bell numbers grow fast.
@@ -30,18 +27,18 @@ class Limits:
     max_selection_steps: int = 10_000
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+        for name in self._fields:
+            value = getattr(self, name)
             if not _is_int(value) or value < 1:
-                raise ValueError(f"{field.name} must be a positive integer, got {value!r}")
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
     def replaced(self, **overrides: int) -> "Limits":
-        return dataclasses.replace(self, **overrides)
+        current = {name: getattr(self, name) for name in self._fields}
+        return type(self)(**{**current, **overrides})
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, int]) -> "Limits":
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(mapping) - known)
+        unknown = sorted(set(mapping) - set(cls._fields))
         if unknown:
             raise ValueError(f"unknown limit keys: {unknown}")
         return cls(**dict(mapping))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import Partition
-from .relations import _check_element, _check_n, _components, _is_int
+from .relations import _check_element, _check_n, _components, _Field, _is_int, _Record
 from .textio import _variant_number, format_variant
 
 
@@ -62,8 +61,7 @@ def _agreeing(k: int, mask: int, want: int) -> list[int]:
     return [v for v in range(2**k) if v & mask == want]
 
 
-@dataclass(frozen=True)
-class VariantSpace:
+class VariantSpace(_Record):
     """All 2**k bitstrings b_k..b_1; switch i controls digit b_i, with
     i = 1 the rightmost (least significant) digit."""
 
@@ -109,8 +107,7 @@ def _as_option(value) -> SwitchState:
     raise ValueError(f"switch value must be 0, 1, or a SwitchState, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SwitchBank:
+class SwitchBank(_Record):
     """k three-state switches; immutable, so setting returns a new bank."""
 
     k: int
@@ -198,8 +195,7 @@ def _check_threshold(k: int, extinction_threshold: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Fitness:
+class Fitness(_Record):
     """Strictly positive score for every variant of a k-switch space."""
 
     k: int
@@ -282,15 +278,13 @@ class Fitness:
         return frozenset(v for v, s in enumerate(self.scores) if s == best)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(_Record):
     index: int
     event: dict | None
     state: dict
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Record):
     """Ordered record of mechanism states from the initial state to the
     final one. k is the size parameter: the switch count for variant
     mechanisms, the universe size for element mechanisms. params holds
@@ -299,7 +293,7 @@ class Trace:
     mechanism: str
     k: int
     steps: tuple[TraceStep, ...]
-    params: dict = field(default_factory=dict, compare=False)
+    params: dict = _Field(default_factory=dict, compare=False)
 
     @property
     def final(self) -> dict:
@@ -418,8 +412,14 @@ def run_selectionist(
     weight can never be culled. max_steps may not exceed the
     limits' max_selection_steps.
     """
+    _check_selection(k, fitness, extinction_threshold, max_steps, limits)
+    return _selection_trace(k, fitness, extinction_threshold, max_steps, _labels(k))
+
+
+def _check_selection(
+    k: int, fitness: Fitness, extinction_threshold: float, max_steps: int, limits: Limits
+) -> None:
     _check_k(k)
-    size = 2**k
     if fitness.k != k:
         raise InvalidFitnessError(f"fitness is for k={fitness.k}, expected {k}")
     _check_threshold(k, extinction_threshold)
@@ -430,7 +430,14 @@ def run_selectionist(
             f"{_count_text(max_steps)} selection steps exceeds the cap "
             f"{limits.max_selection_steps}"
         )
-    labels = _labels(k)
+
+
+def _selection_trace(
+    k: int, fitness: Fitness, extinction_threshold: float, max_steps: int, labels: list[str]
+) -> Trace:
+    """The selectionist run of checked arguments; labels[v] is the text
+    of variant v."""
+    size = 2**k
     weights = [1.0 / size] * size
     extinct: set[int] = set()
     argmax = fitness.argmax_set()
@@ -484,8 +491,16 @@ def run_generative(
     variants consistent with the settings so far, which halves while
     fresh switches are set.
     """
+    _check_k(k)
+    return _generative_trace(k, experience, overwrite, _labels(k))
+
+
+def _generative_trace(
+    k: int, experience: Iterable[tuple[int, int]], overwrite: bool, labels: list[str]
+) -> Trace:
+    """The generative run for a checked k; labels[v] is the text of
+    variant v."""
     bank = SwitchBank.neutral(k)
-    labels = _labels(k)
     block = list(range(2**k))
 
     def snapshot() -> dict:
@@ -570,8 +585,7 @@ def twenty_questions(k: int, answers: Sequence[int]) -> frozenset[int]:
     return frozenset(_agreeing(k, 2 ** len(answers) - 1, want))
 
 
-@dataclass(frozen=True)
-class MechanismComparison:
+class MechanismComparison(_Record):
     """Selectionist and generative runs aimed at the same target."""
 
     k: int
@@ -622,9 +636,11 @@ def compare_mechanisms(
         steps = math.log(1.0 / extinction_threshold) / math.log1p(fitness_margin)
         # a subnormal margin or threshold overflows steps to inf, which the cap refuses
         max_steps = math.ceil(steps) + 2 if math.isfinite(steps) else steps
-    selection = run_selectionist(k, fitness, extinction_threshold, max_steps, limits)
+    _check_selection(k, fitness, extinction_threshold, max_steps, limits)
+    labels = _labels(k)  # one table of variant text for both runs
+    selection = _selection_trace(k, fitness, extinction_threshold, max_steps, labels)
     experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
-    generation = run_generative(k, experience)
+    generation = _generative_trace(k, experience, False, labels)
     agreement = (
         selection_survivors(selection)
         == generative_block(generation)
@@ -694,8 +710,7 @@ def opposite(scheme: Scheme) -> Scheme:
     return _OPPOSITE[scheme]
 
 
-@dataclass(frozen=True)
-class SchemeRelation:
+class SchemeRelation(_Record):
     scheme: Scheme
     signature: str
     dual: Scheme

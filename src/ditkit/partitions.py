@@ -28,7 +28,6 @@ or looked up per edge, and the edges come out in order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -51,12 +50,12 @@ from .relations import (
     _check_same_universe,
     _components,
     _is_int,
+    _Record,
     interior,
 )
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """A set partition of {0, ..., n-1} in restricted-growth form."""
 
     n: int

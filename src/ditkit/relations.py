@@ -13,10 +13,108 @@ sets, symmetric or not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ElementOutOfRangeError, UniverseMismatchError
+
+
+class _Field:
+    """A record field default made anew for each record by
+    default_factory(); compare=False leaves the field out of == and hash."""
+
+    def __init__(self, *, default_factory, compare: bool = True):
+        self.default_factory = default_factory
+        self.compare = compare
+
+
+class _Record:
+    """Base of the toolkit's immutable records: plain classes, which
+    cost next to nothing to define.
+
+    A subclass annotates its fields in order, after any inherited ones.
+    A class attribute of the same name is that field's default, or a
+    _Field. A record is built by position or keyword, then checked by
+    __post_init__, and matched by position in a case pattern. Its repr
+    is Name(field=value, ...). It equals only records of its own class
+    whose compared fields are equal, and hashes as the tuple of those
+    fields. Assignment and deletion raise AttributeError; pickle and
+    copy store and restore the fields as they are, without running
+    __init__.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = {name: cls.__dict__[name] for name in own if name in cls.__dict__}
+        cls._fields += own
+        cls._compared += tuple(
+            name for name in own
+            if not (isinstance(defaults.get(name), _Field) and not defaults[name].compare)
+        )
+        cls._defaults = {**cls._defaults, **defaults}
+        cls.__match_args__ = cls._fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            # not through self.__dict__, which would make every later
+            # attribute read slower than on a plain instance
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values, in order, of a call by keyword, with defaults
+        left out or with surplus arguments."""
+        fields, call = cls._fields, f"{cls.__qualname__}()"
+        if len(args) > len(fields):
+            raise TypeError(f"{call} takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{call} got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{call} got multiple values for argument {key!r}")
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                if key not in cls._defaults:
+                    raise TypeError(f"{call} missing required argument {key!r}")
+                default = cls._defaults[key]
+                if isinstance(default, _Field):
+                    default = default.default_factory()
+                values[key] = default
+        return tuple(values[key] for key in fields)
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _key(self) -> tuple:
+        """What == and hash read."""
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _is_int(x) -> bool:
@@ -38,8 +136,7 @@ def _check_same_universe(a, b) -> None:
         raise UniverseMismatchError(f"universe sizes differ: {a.n} != {b.n}")
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(_Record):
     """Immutable subset of {0, ..., n-1}."""
 
     n: int
@@ -94,8 +191,7 @@ class Subset:
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PairRelation:
+class PairRelation(_Record):
     """Immutable set of ordered pairs over {0, ..., n-1} x {0, ..., n-1}."""
 
     n: int

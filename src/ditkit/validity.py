@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import ResourceLimitError, TooManyVariablesError, UniverseTooSmallError
@@ -53,19 +52,17 @@ from .limits import DEFAULT_LIMITS, Limits
 from .partitions import (
     Partition, _blocks_of, _canonical_rgs, _check_lattice_n, _dit_mask, _rgs, bell_number
 )
-from .relations import Subset
+from .relations import Subset, _Record
 from .textio import format_partition, format_subset
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     n: int
     assignment: Mapping[str, object]
     value: object
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """The outcome of a check. assignments_checked counts truth-table
     rows up to the first failing one, or all assignments when valid; a
     partition scan counts only the orbit representatives it evaluates."""

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ditkit
-from ditkit import Limits, cli, mechanisms, validity
+from ditkit import Limits, cli, mechanisms, textio, validity
 from ditkit.cli import main
 
 
@@ -425,7 +424,12 @@ class TestArgHandling:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Limits)])
+    def test_limit_fields_are_the_flags(self):
+        # the parametrisation below reads this list, so it covers every flag
+        assert Limits._fields == cli._LIMIT_FLAGS
+        assert len(set(Limits._fields)) == 6
+
+    @pytest.mark.parametrize("field", Limits._fields)
     def test_limits_refuse_bool(self, field):
         with pytest.raises(ValueError) as exc:
             Limits(**{field: True})
@@ -522,8 +526,10 @@ class TestCaps:
         def refuse(*args):
             raise AssertionError("universe built before the relation cap check")
 
-        for name in ("identify", "parse_subset", "parse_partition"):
-            monkeypatch.setattr(cli, name, refuse)
+        # the handlers import these when they run, so patch them at their source
+        monkeypatch.setattr(mechanisms, "identify", refuse)
+        for name in ("parse_subset", "parse_partition"):
+            monkeypatch.setattr(textio, name, refuse)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (4, "")
         assert json.loads(err) == {"error": "ResourceLimitError", "message": message}
@@ -677,26 +683,63 @@ class TestCaps:
         assert run(capsys, "--max-search-assignments", "2704", *argv) == (0, "valid (n=2..5)\n", "")
 
 
-def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
-    # Import time is part of every CLI call. Once the standard modules that
-    # ditkit imports are loaded, importing it may load only its own modules.
+def _child(code: str) -> str:
     src = pathlib.Path(ditkit.__file__).parent.parent
-    code = (
-        "import sys, __future__, dataclasses, enum, functools, itertools, json, math,"
-        " operator, random, typing\n"
-        "before = set(sys.modules)\n"
-        "import ditkit\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
-    )
     child = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src)), check=True,
     )
-    own = {"ditkit", *(f"ditkit.{name}" for name in (
-        "errors", "formulas", "limits", "mechanisms", "partitions", "relations",
+    return child.stdout
+
+
+def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
+    # Import time is part of every CLI call. Once the standard modules that
+    # ditkit imports are loaded, importing any of its modules may load only
+    # its own modules: not dataclasses or inspect, which are not preloaded.
+    code = (
+        "import sys, __future__, argparse, enum, functools, itertools, json, math,"
+        " operator, random, re, typing\n"
+        "before = set(sys.modules)\n"
+        "import ditkit\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "import ditkit.cli, ditkit.mechanisms, ditkit.validity\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    package, everything = _child(code).splitlines()
+    assert package == "ditkit"
+    assert set(everything.split()) == {"ditkit", *(f"ditkit.{name}" for name in (
+        "cli", "errors", "formulas", "limits", "mechanisms", "partitions", "relations",
         "textio", "validity",
     ))}
-    assert set(child.stdout.split()) <= own
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["taut", "p -> (q -> p)", "--logic", "partition"], {"ditkit.mechanisms"}),
+        (["taut", "p | ~p", "--logic", "partition", "--json"], {"ditkit.mechanisms"}),
+        (["compare", "--k", "3", "--target", "010"], {"ditkit.formulas", "ditkit.validity"}),
+        (["sim", "generate", "--k", "3", "--events", "1=0"],
+         {"ditkit.formulas", "ditkit.validity"}),
+        (["lattice", "--kind", "partition", "--n", "4"],
+         {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio"}),
+    ],
+    ids=["taut", "taut invalid", "compare", "sim generate", "lattice"],
+)
+def test_subcommand_loads_only_its_modules(argv, absent):
+    # what a CLI call adds to sys.modules, not what the interpreter preloads
+    code = (
+        "import io, sys, contextlib\n"
+        "before = set(sys.modules)\n"
+        "from ditkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(code, ' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    code, *loaded = _child(code).split()
+    assert code in ("0", "1")
+    assert not set(loaded) & (absent | {"dataclasses", "inspect"})
+    assert "ditkit.cli" in loaded
 
 
 class _ClosedPipe:

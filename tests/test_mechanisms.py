@@ -384,6 +384,30 @@ class TestCompare:
         assert got["selectionist"]["final"]["weights"]["11"] == 1.0
         assert got["generative"]["final"]["block"] == ["11"]
 
+    def test_label_table_built_once(self, monkeypatch):
+        calls = []
+        labels = mechanisms._labels
+
+        def counted(k):
+            calls.append(k)
+            return labels(k)
+
+        monkeypatch.setattr(mechanisms, "_labels", counted)
+        result = compare_mechanisms(5, 0b10110, 1.0)
+        assert calls == [5]
+        # each run alone builds its own table and gives the same trace
+        assert replay(result.selectionist).to_json() == result.selectionist.to_json()
+        assert replay(result.generative).to_json() == result.generative.to_json()
+        assert calls == [5, 5, 5]
+
+    def test_step_cap_refused_before_labels(self, monkeypatch):
+        def refuse(k):
+            raise AssertionError("labels built before the step cap check")
+
+        monkeypatch.setattr(mechanisms, "_labels", refuse)
+        with pytest.raises(ResourceLimitError):
+            compare_mechanisms(3, 2, 1e-12)
+
 
 def _dumped(document) -> str:
     return json.dumps(document.to_json_dict(), sort_keys=True)

@@ -1,0 +1,82 @@
+"""The package's public surface: every name the package exported when
+it imported all of its modules eagerly, now loaded on first use."""
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import ditkit
+
+# sorted(ditkit.__all__) before names were loaded lazily: 91 names from
+# the modules plus the 8 modules themselves
+_PUBLIC = [
+    "AlreadySetError", "And", "Connective", "Const", "Counterexample", "DEFAULT_LIMITS",
+    "DitkitError", "ElementOutOfRangeError", "EmptyBlockError", "Fitness", "Formula",
+    "FormulaSyntaxError", "Iff", "Implies", "InvalidFitnessError", "InvalidThresholdError",
+    "Limits", "MechanismComparison", "MissingElementError", "NonPositiveFitnessError", "Not",
+    "NotEquivalenceError", "Or", "OverlappingBlocksError", "PairRelation", "Partition",
+    "PartitionAssignment", "ResourceLimitError", "Scheme", "SchemeRelation", "Subset",
+    "SubsetAssignment", "SwitchBank", "SwitchIndexError", "SwitchState", "TextFormatError",
+    "TooManyVariablesError", "Trace", "TraceStep", "UnbalancedParensError",
+    "UnboundVariableError", "UniverseMismatchError", "UniverseTooSmallError",
+    "UnknownConnectiveError", "Var", "VariantSpace", "Verdict", "bell_number",
+    "compare_mechanisms", "consistent_block", "create", "discrete", "dit", "dual",
+    "enumerate_partitions", "errors", "eval_partition", "eval_subset", "format_formula",
+    "formula_to_json", "formulas", "free_variables", "generative_block", "hasse_cover_edges",
+    "identify", "indiscrete", "indit", "interior", "join", "join_via_ditsets",
+    "lift_connective", "limits", "mechanisms", "meet", "meet_via_interior", "opposite",
+    "parse", "partition_from_blocks", "partition_from_equivalence", "partition_tautology",
+    "partitions", "random_formula", "refines", "refines_via_ditsets", "relations", "replay",
+    "rst_closure", "run_generative", "run_selectionist", "scheme_relations",
+    "selection_survivors", "set_switch", "subset_lattice_nodes", "subset_valid",
+    "switch_partition", "textio", "truth_table_tautology", "twenty_questions", "validity",
+]
+_MODULES = {"errors", "formulas", "limits", "mechanisms", "partitions", "relations", "textio",
+            "validity"}
+
+
+def test_all_is_unchanged():
+    assert len(_PUBLIC) == 99 and sorted(ditkit.__all__) == _PUBLIC == ditkit.__all__
+
+
+@pytest.mark.parametrize("name", _PUBLIC)
+def test_name_resolves_both_ways(name):
+    namespace: dict = {}
+    exec(f"from ditkit import {name}", namespace)
+    value = getattr(ditkit, name)
+    assert namespace[name] is value and name in dir(ditkit)
+    if name in _MODULES:
+        assert value is importlib.import_module(f"ditkit.{name}")
+    else:
+        assert value is getattr(importlib.import_module(value.__module__), name)
+        assert value.__module__.startswith("ditkit.")
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="module 'ditkit' has no attribute 'no_such_name'"):
+        ditkit.no_such_name
+    with pytest.raises(ImportError):
+        exec("from ditkit import no_such_name", {})
+
+
+def test_fresh_import_is_lazy_and_complete():
+    # in a fresh interpreter: dir() lists every name before any is loaded,
+    # each resolves on first use, and `from ditkit import cli` still finds
+    # the submodule, which is not a lazy name
+    src = pathlib.Path(ditkit.__file__).parent.parent
+    code = (
+        "import sys, ditkit\n"
+        "listed = set(ditkit.__all__) <= set(dir(ditkit))\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('ditkit.'))\n"
+        "values = [getattr(ditkit, name) for name in ditkit.__all__]\n"
+        "from ditkit import cli\n"
+        "print(listed, loaded, len(values), cli.__name__)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+    )
+    assert child.stdout == "True [] 99 ditkit.cli\n"
