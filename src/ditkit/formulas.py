@@ -18,8 +18,7 @@ no formula is too deep for them.
 from __future__ import annotations
 
 import functools
-import random
-from typing import Callable, Mapping, NamedTuple
+from collections.abc import Callable, Mapping
 
 from .errors import (
     FormulaSyntaxError,
@@ -223,12 +222,13 @@ def _variables(program: tuple[Formula, ...]) -> tuple[str, ...]:
     return tuple(sorted({node.name for node in program if type(node) is Var}))
 
 
-class _Algebra(NamedTuple):
+class _Algebra:
     """Values for the two constants and an operation per connective node."""
 
-    top: object
-    bottom: object
-    ops: Mapping[type, Callable]
+    __slots__ = ("top", "bottom", "ops")
+
+    def __init__(self, top: object, bottom: object, ops: Mapping[type, Callable]) -> None:
+        self.top, self.bottom, self.ops = top, bottom, ops
 
 
 def _evaluate(program: tuple[Formula, ...], algebra: _Algebra, env: Mapping[str, object]):
@@ -276,7 +276,8 @@ def _partition_algebra(n: int) -> _Algebra:
 
         return lifted
 
-    return boolean._replace(ops={shape: lift(op) for shape, op in boolean.ops.items()})
+    ops = {shape: lift(op) for shape, op in boolean.ops.items()}
+    return _Algebra(boolean.top, boolean.bottom, ops)
 
 
 def _wrap(child: tuple[str, int], bar: int) -> str:

@@ -6,7 +6,7 @@ enforced at the enumeration and search entry points and by the CLI.
 """
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .relations import _is_int, _Record
 

@@ -20,10 +20,13 @@ the final one, replayable deterministically.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import is_, itemgetter
 
 from .errors import (
     AlreadySetError,
@@ -52,7 +55,7 @@ def _check_switch(i: int, k: int) -> None:
 
 def _labels(k: int) -> list[str]:
     """The text of every variant, indexed by variant number."""
-    return [format_variant(v, k) for v in range(2**k)]
+    return list(map("".join, itertools.product("01", repeat=k)))
 
 
 def _agreeing(k: int, mask: int, want: int) -> list[int]:
@@ -202,18 +205,18 @@ class Fitness(_Record):
     scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        scores = tuple(float(s) for s in self.scores)
+        scores = tuple(map(float, self.scores))
         object.__setattr__(self, "scores", scores)
         _check_k(self.k)
         if len(scores) != 2**self.k:
             raise InvalidFitnessError(
                 f"expected {2**self.k} scores for k={self.k}, got {len(scores)}"
             )
-        for v, s in enumerate(scores):
-            if not math.isfinite(s) or s <= 0.0:
-                raise NonPositiveFitnessError(
-                    f"fitness of {format_variant(v, self.k)} must be positive, got {s}"
-                )
+        if not (all(map(math.isfinite, scores)) and min(scores) > 0.0):
+            v, s = next((v, s) for v, s in enumerate(scores) if not math.isfinite(s) or s <= 0.0)
+            raise NonPositiveFitnessError(
+                f"fitness of {format_variant(v, self.k)} must be positive, got {s}"
+            )
 
     @classmethod
     def from_table(cls, k: int, table: Mapping[str, float]) -> "Fitness":
@@ -323,73 +326,85 @@ _ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=T
 _KEY = json.encoder.encode_basestring_ascii  # a str key as json.dumps writes it
 
 
-def _json_chunks(obj, memo: list | None = None) -> Iterator[str]:
+def _json_chunks(obj) -> Iterator[str]:
     """Yield the text of json.dumps(obj, sort_keys=True) in pieces.
 
-    A dict whose first value is a float may be a weight map, which
-    _float_map renders. A dict with str keys that holds a dict or list
-    is walked, and so is a list whose first item is a dict or list.
-    Anything else goes to json.dumps whole. memo holds the key order and
-    prefixes of the last weight map, which the snapshots of a run share."""
-    memo = [] if memo is None else memo
-    if type(obj) is dict and obj:
-        if type(next(iter(obj.values()))) is float:
-            text = _float_map(obj, memo)
-            if text is not None:
-                yield text
-                return
-        elif {dict, list} & set(map(type, obj.values())) and set(map(type, obj)) == {str}:
-            separator = "{"
-            for key in sorted(obj):
-                yield f"{separator}{_KEY(key)}: "
-                yield from _json_chunks(obj[key], memo)
-                separator = ", "
-            yield "}"
-            return
+    A selectionist run's weight map renders from its run's layout. A
+    dict with str keys that holds a dict or list is walked, and so is a
+    list whose first item is a dict or list. Anything else goes to
+    json.dumps whole."""
+    if type(obj) is _WeightMap:
+        text = obj._text()
+        yield _ENCODE(obj) if text is None else text
+    elif (
+        type(obj) is dict
+        and {dict, list} & set(map(type, obj.values()))
+        and set(map(type, obj)) == {str}
+    ):
+        separator = "{"
+        for key in sorted(obj):
+            yield f"{separator}{_KEY(key)}: "
+            yield from _json_chunks(obj[key])
+            separator = ", "
+        yield "}"
     elif type(obj) is list and obj and type(obj[0]) in (dict, list):
         separator = "["
         for item in obj:
             yield separator
-            yield from _json_chunks(item, memo)
+            yield from _json_chunks(item)
             separator = ", "
         yield "]"
-        return
-    yield _ENCODE(obj)
+    else:
+        yield _ENCODE(obj)
 
 
-def _float_map(obj: dict, memo: list) -> str | None:
-    """The JSON text of a dict of floats with str keys, each distinct
-    value rendered once; None unless at most half the values are
-    distinct, every value is a float and the zeros share one sign.
+class _Layout:
+    """How a selectionist run lays out its weight maps: variant v, under
+    the key labels[v], holds the weight of its fitness class of[v], and
+    per_variant maps the list of class weights to the tuple of the 2**k
+    variant weights. The labels ascend, as json.dumps sorts keys."""
 
-    Variants of equal fitness keep bit-identical weights, so a snapshot
-    holds few distinct values and json.dumps would render each of its
-    2**k floats anew."""
-    values = obj.values()
-    if set(map(type, values)) != {float}:
-        return None
-    distinct = set(values)  # merges 0.0 with -0.0
-    if 2 * len(distinct) > len(obj):
-        return None
-    if math.isfinite(sum(distinct)):
-        texts = dict(zip(distinct, map(repr, distinct)))
-    else:  # nan and inf are NaN and Infinity
-        texts = {v: _ENCODE(v) for v in distinct}
-    if 0.0 in texts and -1.0 in map(math.copysign, [1.0] * len(obj), values):
-        return None
-    keys = list(obj)
-    if not memo or keys != memo[0]:
-        if set(map(type, keys)) != {str}:
+    __slots__ = ("labels", "per_variant", "_prefixes")
+
+    def __init__(self, labels: list[str], of: list[int]) -> None:
+        self.labels, self._prefixes = labels, None
+        self.per_variant = itemgetter(*of)  # 2**k >= 2 items, so always a tuple
+
+    def prefixes(self) -> list[str]:
+        """'{"label": ' for the first key and ', "label": ' for each
+        other, built at the run's first rendering; a label is a bitstring,
+        which JSON writes as it is."""
+        if self._prefixes is None:
+            self._prefixes = [f', "{label}": ' for label in self.labels]
+            self._prefixes[0] = "{" + self._prefixes[0][2:]
+        return self._prefixes
+
+
+class _WeightMap(dict):
+    """A selectionist snapshot's weights by variant label: a dict, which
+    remembers its run's layout and the class weights it was filled from.
+    A copy or pickle of it is a plain dict."""
+
+    __slots__ = ("_layout", "_weights")
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+    def _text(self) -> str | None:
+        """json.dumps(self, sort_keys=True) with each class weight
+        rendered once; None once the map no longer holds its class weight
+        objects in its layout's key order."""
+        layout, weights = self._layout, self._weights
+        if list(self) != layout.labels or not all(
+            map(is_, self.values(), layout.per_variant(weights))
+        ):
             return None
-        ordered = sorted(keys)
-        prefixes = [f", {key}: " for key in map(_KEY, ordered)]
-        prefixes[0] = "{" + prefixes[0][2:]
-        memo[:] = keys, None if ordered == keys else ordered, prefixes
-    _, ordered, prefixes = memo
-    parts = prefixes * 2
-    parts[::2] = prefixes
-    parts[1::2] = map(texts.__getitem__, values if ordered is None else map(obj.get, ordered))
-    return "".join(parts) + "}"
+        texts = list(map(float.__repr__, weights))  # a run's weights are finite
+        prefixes = layout.prefixes()
+        parts = prefixes * 2
+        parts[::2] = prefixes
+        parts[1::2] = layout.per_variant(texts)
+        return "".join(parts) + "}"
 
 
 def run_selectionist(
@@ -436,32 +451,52 @@ def _selection_trace(
     k: int, fitness: Fitness, extinction_threshold: float, max_steps: int, labels: list[str]
 ) -> Trace:
     """The selectionist run of checked arguments; labels[v] is the text
-    of variant v."""
+    of variant v.
+
+    Amplification sees only fitness, so variants of equal fitness keep
+    equal weights: the run keeps one weight per fitness class. Each
+    total adds the class weights of all the variants in variant order,
+    the same floats in the same order as a sum of one weight per
+    variant, so every weight is that of such a run, bit for bit."""
     size = 2**k
-    weights = [1.0 / size] * size
+    scores = fitness.scores
+    distinct = list(dict.fromkeys(scores))  # class c holds the variants scoring distinct[c]
+    of = list(map({s: c for c, s in enumerate(distinct)}.__getitem__, scores))
+    layout = _Layout(labels, of)
+    counts = Counter(of)
+    top = distinct.index(max(distinct))
+    # a snapshot fills every label with the weight of the largest class,
+    # then the other labels with their own; fromkeys over a dict presizes
+    # the map and reuses the labels' hashes
+    keys = dict.fromkeys(labels)
+    major = counts.most_common(1)[0][0]
+    minor_labels = list(itertools.compress(labels, map(major.__ne__, of)))
+    minor_of = list(filter(major.__ne__, of))
+    weights = [1.0 / size] * len(distinct)
     extinct: set[int] = set()
-    argmax = fitness.argmax_set()
+    extinct_labels: list[str] = []
 
     def snapshot() -> dict:
-        return {
-            "weights": dict(zip(labels, weights)),
-            "extinct": [labels[v] for v in sorted(extinct)],
-        }
+        weight_map = _WeightMap(dict.fromkeys(keys, weights[major]))
+        weight_map.update(zip(minor_labels, map(weights.__getitem__, minor_of)))
+        weight_map._layout, weight_map._weights = layout, weights
+        return {"weights": weight_map, "extinct": extinct_labels.copy()}
 
     steps = [TraceStep(0, None, snapshot())]
     t = 0
-    while len(extinct) + len(argmax) < size and t < max_steps:
+    while len(extinct_labels) + counts[top] < size and t < max_steps:
         t += 1
-        weights = [w * s for w, s in zip(weights, fitness.scores)]
-        total = sum(weights)
+        weights = [w * s for w, s in zip(weights, distinct)]
+        total = sum(layout.per_variant(weights))
         weights = [w / total for w in weights]
         # extinct weights stay 0.0, so below holds them and any new ones
-        below = {v for v, w in enumerate(weights) if w < extinction_threshold}
+        below = {c for c, w in enumerate(weights) if w < extinction_threshold}
         if below != extinct:
             extinct = below
-            weights = [0.0 if v in extinct else w for v, w in enumerate(weights)]
-            total = sum(weights)
+            weights = [0.0 if c in extinct else w for c, w in enumerate(weights)]
+            total = sum(layout.per_variant(weights))
             weights = [w / total for w in weights]
+            extinct_labels = list(itertools.compress(labels, map(extinct.__contains__, of)))
         steps.append(TraceStep(t, {"kind": "amplify"}, snapshot()))
     return Trace(
         "selectionist",

@@ -28,8 +28,8 @@ or looked up per edge, and the edges come out in order.
 """
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from enum import Enum
-from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
     ElementOutOfRangeError,

@@ -13,7 +13,7 @@ sets, symmetric or not.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import ElementOutOfRangeError, UniverseMismatchError
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from .errors import ResourceLimitError, TooManyVariablesError, UniverseTooSmallError
 from .formulas import (

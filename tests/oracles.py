@@ -7,14 +7,16 @@ intermediate elements or by merging two blocks and looking the result
 up by value, a distinction-set evaluator that composes raw set
 operations with the fixpoint interior at every node, and recursive
 two-valued and frozenset evaluators with the truth-table, subset and
-partition scans built on them, and the block of switch settings by a
-per-switch scan of every variant.
+partition scans built on them, the block of switch settings by a
+per-switch scan of every variant, and the selectionist run with one
+weight per variant.
 """
 from __future__ import annotations
 
 import itertools
 
 from ditkit.formulas import And, Const, Iff, Implies, Not, Or, Var
+from ditkit.mechanisms import Trace, TraceStep
 
 Pair = tuple[int, int]
 
@@ -290,3 +292,36 @@ def switch_block(k: int, settings: dict[int, int]) -> frozenset[int]:
         else:
             block.append(v)
     return frozenset(block)
+
+
+def selection_trace(k: int, fitness, extinction_threshold: float, max_steps: int) -> Trace:
+    """The selectionist run with a weight for every variant, updated,
+    culled and snapshotted one variant at a time."""
+    size = 2**k
+    labels = [format(v, f"0{k}b") for v in range(size)]
+    weights = [1.0 / size] * size
+    extinct: set[int] = set()
+    argmax = fitness.argmax_set()
+
+    def snapshot() -> dict:
+        return {
+            "weights": dict(zip(labels, weights)),
+            "extinct": [labels[v] for v in sorted(extinct)],
+        }
+
+    steps = [TraceStep(0, None, snapshot())]
+    t = 0
+    while len(extinct) + len(argmax) < size and t < max_steps:
+        t += 1
+        weights = [w * s for w, s in zip(weights, fitness.scores)]
+        total = sum(weights)
+        weights = [w / total for w in weights]
+        # extinct weights stay 0.0, so below holds them and any new ones
+        below = {v for v, w in enumerate(weights) if w < extinction_threshold}
+        if below != extinct:
+            extinct = below
+            weights = [0.0 if v in extinct else w for v, w in enumerate(weights)]
+            total = sum(weights)
+            weights = [w / total for w in weights]
+        steps.append(TraceStep(t, {"kind": "amplify"}, snapshot()))
+    return Trace("selectionist", k, tuple(steps))

@@ -683,10 +683,10 @@ class TestCaps:
         assert run(capsys, "--max-search-assignments", "2704", *argv) == (0, "valid (n=2..5)\n", "")
 
 
-def _child(code: str) -> str:
+def _child(code: str, *flags: str) -> str:
     src = pathlib.Path(ditkit.__file__).parent.parent
     child = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src)), check=True,
     )
     return child.stdout
@@ -695,10 +695,11 @@ def _child(code: str) -> str:
 def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
     # Import time is part of every CLI call. Once the standard modules that
     # ditkit imports are loaded, importing any of its modules may load only
-    # its own modules: not dataclasses or inspect, which are not preloaded.
+    # its own modules: not dataclasses, inspect, typing or random, which are
+    # not preloaded.
     code = (
-        "import sys, __future__, argparse, enum, functools, itertools, json, math,"
-        " operator, random, re, typing\n"
+        "import sys, __future__, argparse, collections.abc, enum, functools, itertools,"
+        " json, math, operator, re\n"
         "before = set(sys.modules)\n"
         "import ditkit\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
@@ -740,6 +741,21 @@ def test_subcommand_loads_only_its_modules(argv, absent):
     assert code in ("0", "1")
     assert not set(loaded) & (absent | {"dataclasses", "inspect"})
     assert "ditkit.cli" in loaded
+
+
+def test_cli_calls_load_neither_typing_nor_random():
+    # site-packages may import both at start-up, so the child runs without
+    # site; ditkit's annotations need neither
+    code = (
+        "import io, sys, contextlib\n"
+        "from ditkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['taut', 'p -> (q -> p)', '--logic', 'partition']),"
+        " main(['taut', 'p | ~p', '--logic', 'partition']),"
+        " main(['compare', '--k', '3', '--target', '010'])]\n"
+        "print(codes, {'typing', 'random'} & set(sys.modules))\n"
+    )
+    assert _child(code, "-S") == "[0, 1, 0] set()\n"
 
 
 class _ClosedPipe:

@@ -1,7 +1,10 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -173,6 +176,24 @@ class TestFitness:
         with pytest.raises(NonPositiveFitnessError):
             Fitness(1, (math.inf, 1.0))
 
+    @pytest.mark.parametrize(
+        "scores, named",
+        [
+            ((1.0, -1.0, 0.0, math.nan), "fitness of 01 must be positive, got -1.0"),
+            ((1.0, 2.0, math.nan, 0.0), "fitness of 10 must be positive, got nan"),
+            ((1.0, 2.0, 3.0, -0.0), "fitness of 11 must be positive, got -0.0"),
+            ((-math.inf, 1.0, 1.0, 1.0), "fitness of 00 must be positive, got -inf"),
+            ((5e-324, 1.0, 1e308, math.inf), "fitness of 11 must be positive, got inf"),
+        ],
+    )
+    def test_names_the_first_offender(self, scores, named):
+        with pytest.raises(NonPositiveFitnessError, match=f"^{re.escape(named)}$"):
+            Fitness(2, scores)
+
+    def test_scores_become_floats(self):
+        f = Fitness(1, (1, True))
+        assert f.scores == (1.0, 1.0) and set(map(type, f.scores)) == {float}
+
     def test_peaked_needs_positive_margin(self):
         with pytest.raises(InvalidFitnessError):
             Fitness.peaked(2, 0, 0.0)
@@ -180,7 +201,60 @@ class TestFitness:
             Fitness.peaked(2, 9, 1.0)
 
 
+@st.composite
+def selection_cases(draw):
+    """A selectionist run's arguments at k <= 6: a fitness table of 1 to
+    2**k distinct scores spread over the variants with ties, or a peak
+    with a margin down to 1e-12; a threshold anywhere in (0, 1/2**k)."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    size = 2**k
+    if draw(st.booleans()):
+        margin = draw(st.one_of(
+            st.floats(min_value=1e-12, max_value=1e-6),
+            st.floats(min_value=1e-6, max_value=10.0),
+        ))
+        fitness = Fitness.peaked(k, draw(st.integers(min_value=0, max_value=size - 1)), margin)
+    else:
+        distinct = draw(st.lists(
+            st.floats(min_value=5e-324, max_value=1.7e308), min_size=1, max_size=size, unique=True,
+        ))
+        slots = draw(st.lists(
+            st.integers(min_value=0, max_value=len(distinct) - 1), min_size=size, max_size=size,
+        ))
+        fitness = Fitness(k, tuple(distinct[i] for i in slots))
+    threshold = draw(st.floats(
+        min_value=0.0, max_value=1.0 / size, exclude_min=True, exclude_max=True,
+    ))
+    return k, fitness, threshold, draw(st.integers(min_value=1, max_value=60))
+
+
+def _outcome(run, *args):
+    try:
+        trace = run(*args)
+    except ArithmeticError as exc:  # a total that overflows culls everything
+        return type(exc).__name__
+    return trace, trace.to_json()
+
+
 class TestSelectionist:
+    @given(selection_cases())
+    def test_class_run_matches_per_variant_run(self, case):
+        # one weight per fitness class gives the weights, snapshots and
+        # bytes of one weight per variant
+        assert _outcome(run_selectionist, *case) == _outcome(oracles.selection_trace, *case)
+
+    def test_snapshots_share_no_list_or_map(self):
+        # editing one snapshot leaves the others as they were
+        trace = run_selectionist(2, Fitness(2, (4.0, 2.0, 1.0, 1.0)), 0.2, 20)
+        assert [step.state["extinct"] for step in trace.steps[1:3]] == [["10", "11"]] * 2
+        for key in ("weights", "extinct"):
+            held = [step.state[key] for step in trace.steps]
+            assert len(set(map(id, held))) == len(held)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_labels(self, k):
+        assert mechanisms._labels(k) == [format(v, f"0{k}b") for v in range(2**k)]
+
     def test_peak_survives_alone(self):
         trace = run_selectionist(3, Fitness.peaked(3, 0b010, 1.0), 0.0625, 100)
         assert selection_survivors(trace) == frozenset({0b010})
@@ -474,18 +548,88 @@ class TestJsonBytes:
         trace = run_selectionist(8, Fitness(8, tuple(table)), 0.5 / 2**8, 30)
         assert trace.to_json() == _dumped(trace)
 
-    def test_snapshots_render_each_value_once(self):
-        # every weight map of a peaked run takes the few-values path,
-        # sharing one table of key prefixes; none falls back to json.dumps
+    def test_snapshots_render_from_the_layout(self, monkeypatch):
+        # every weight map of a peaked run renders from its run's layout,
+        # none falls back to json.dumps, and the key table is built once
         limits = Limits().replaced(max_switch_bits=12)
         trace = compare_mechanisms(12, 1234, 1.0, limits=limits).selectionist
-        memo = []
-        for step in trace.steps:
-            assert mechanisms._float_map(step.state["weights"], memo) is not None
-        prefixes = memo[2]
-        for step in reversed(trace.steps):
-            mechanisms._float_map(step.state["weights"], memo)
-            assert memo[2] is prefixes
+        maps = [step.state["weights"] for step in trace.steps]
+        layout = maps[0]._layout
+        assert all(m._layout is layout for m in maps) and layout._prefixes is None
+        encoded = []
+        encode = mechanisms._ENCODE
+        monkeypatch.setattr(mechanisms, "_ENCODE", lambda obj: encoded.append(obj) or encode(obj))
+        for m in maps:
+            assert m._text() == json.dumps(m, sort_keys=True)
+        table = layout._prefixes
+        assert trace.to_json() == _dumped(trace)
+        assert layout._prefixes is table
+        assert not [obj for obj in encoded if type(obj) is mechanisms._WeightMap]
+
+    @staticmethod
+    def _run() -> Trace:
+        # k = 3, peak at 101: at step 2 every other variant is culled to
+        # 0.0 and 101 holds 1.0
+        return run_selectionist(3, Fitness.peaked(3, 0b101, 1.0), 0.1, 100)
+
+    @pytest.mark.parametrize(
+        "label, value",
+        [
+            ("000", -0.0),  # in place of 0.0
+            ("000", 0),
+            ("000", False),
+            ("101", 1),  # in place of 1.0
+            ("101", True),
+            ("101", float("1.0")),  # equal, but another object
+            ("101", math.nan),
+            ("101", math.inf),
+            ("101", 0.25),
+        ],
+        ids=["-0.0", "0", "False", "1", "True", "equal float", "nan", "inf", "other float"],
+    )
+    def test_edited_value(self, label, value):
+        trace = self._run()
+        weights = trace.final["weights"]
+        assert weights[label] == float(label == "101")
+        weights[label] = value
+        assert weights._text() is None
+        assert trace.to_json() == _dumped(trace)
+
+    @pytest.mark.parametrize("edit", ["delete", "reinsert", "add", "clear"])
+    def test_edited_keys(self, edit):
+        trace = self._run()
+        weights = trace.steps[1].state["weights"]
+        if edit == "delete":
+            del weights["011"]
+        elif edit == "reinsert":
+            weights["011"] = weights.pop("011")  # same objects, another key order
+        elif edit == "add":
+            weights["1000"] = weights["000"]
+        else:
+            weights.clear()
+        assert weights._text() is None
+        assert trace.to_json() == _dumped(trace)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickled_trace(self, protocol):
+        trace = self._run()
+        loaded = pickle.loads(pickle.dumps(trace, protocol))
+        assert loaded == trace and repr(loaded) == repr(trace)
+        assert {type(step.state["weights"]) for step in loaded.steps} == {dict}
+        assert loaded.to_json() == _dumped(loaded) == trace.to_json()
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy])
+    def test_copied_trace(self, duplicate):
+        trace = self._run()
+        copied = duplicate(trace)
+        assert copied == trace and repr(copied) == repr(trace)
+        assert copied.to_json() == _dumped(copied) == trace.to_json()
+
+    def test_deep_copy_renders_its_own_edits(self):
+        trace = self._run()
+        copied = copy.deepcopy(trace)
+        copied.final["weights"]["101"] = 1
+        assert copied.to_json() == _dumped(copied) != trace.to_json() == _dumped(trace)
 
 
 class TestReplay:
