@@ -29,14 +29,7 @@ from .limits import DEFAULT_LIMITS, Limits
 _USAGE_ERRORS = (FormulaSyntaxError, TextFormatError, ValueError)
 _RESOURCE_ERRORS = (ResourceLimitError, TooManyVariablesError)
 
-_LIMIT_FLAGS = (
-    "max_relation_n",
-    "max_lattice_n",
-    "max_truth_vars",
-    "max_search_assignments",
-    "max_switch_bits",
-    "max_selection_steps",
-)
+_LIMIT_FLAGS = Limits._fields
 
 
 def main(argv: list[str] | None = None) -> int:

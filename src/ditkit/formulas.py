@@ -2,8 +2,10 @@
 
 Connectives from loosest to tightest binding: <-> , -> , | , & , ~ .
 Implication associates to the right, the other binary connectives to
-the left. Tokens are ~ & | -> <-> T F ( ) plus variable names matching
-[A-Za-z][A-Za-z0-9_]* (T and F themselves are the constants).
+the left. Tokens are ~ & | -> <-> T F ( ) plus variable names: a letter
+(str.isalpha), then letters, digits or '_' (str.isalnum), so 'é', 'p²'
+and 'ǅ' are names and '½p' is not; T and F themselves are the constants.
+Whitespace is what str.isspace accepts, the no-break space included.
 
 A tree compiles to a postfix program, its nodes with every child before
 its parent, and one stack evaluator runs that program over an algebra.
@@ -18,6 +20,7 @@ no formula is too deep for them.
 from __future__ import annotations
 
 import functools
+import re
 from collections.abc import Callable, Mapping
 
 from .errors import (
@@ -62,24 +65,25 @@ class Not(Formula):
     child: Formula
 
 
-class And(Formula):
+class _Binary(Formula):
     left: Formula
     right: Formula
 
 
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    """left & right"""
 
 
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    """left | right"""
 
 
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    """left -> right"""
+
+
+class Iff(_Binary):
+    """left <-> right"""
 
 
 _CONNECTIVE = {
@@ -91,51 +95,29 @@ _CONNECTIVE = {
 }
 
 
+# An operator, a word, or any other visible character; whitespace
+# between tokens is skipped.
+_TOKEN = re.compile(r"(<->|->|[~&|()])|(\w+)|(\S)")
+_OPERATOR_TOKEN = {
+    "<->": "IFF", "->": "IMPLIES", "~": "NOT", "&": "AND", "|": "OR", "(": "LPAREN", ")": "RPAREN",
+}
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, lexeme, position) for each token, then ("END", "", len(text)).
+    The whole text is read before parsing starts, so a bad character is
+    reported ahead of any grammar error."""
     tokens = []
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(("IFF", "<->", i))
-            i += 3
-        elif text.startswith("->", i):
-            tokens.append(("IMPLIES", "->", i))
-            i += 2
-        elif ch == "~":
-            tokens.append(("NOT", "~", i))
-            i += 1
-        elif ch == "&":
-            tokens.append(("AND", "&", i))
-            i += 1
-        elif ch == "|":
-            tokens.append(("OR", "|", i))
-            i += 1
-        elif ch == "(":
-            tokens.append(("LPAREN", "(", i))
-            i += 1
-        elif ch == ")":
-            tokens.append(("RPAREN", ")", i))
-            i += 1
-        elif ch.isalpha():
-            j = i + 1
-            while j < length and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            if name == "T":
-                tokens.append(("CONST", "T", i))
-            elif name == "F":
-                tokens.append(("CONST", "F", i))
-            else:
-                tokens.append(("VAR", name, i))
-            i = j
+    for match in _TOKEN.finditer(text):
+        lexeme, position = match.group(), match.start()
+        if match.lastindex == 1:
+            kind = _OPERATOR_TOKEN[lexeme]
+        elif match.lastindex == 2 and lexeme[0].isalpha():
+            kind = "CONST" if lexeme in ("T", "F") else "VAR"
         else:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", "", length))
+            raise FormulaSyntaxError(f"unexpected character {lexeme[0]!r}", position)
+        tokens.append((kind, lexeme, position))
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
@@ -212,7 +194,7 @@ def _compile(f: Formula) -> tuple[Formula, ...]:
         preorder.append(node)
         if isinstance(node, Not):
             stack.append(node.child)
-        elif isinstance(node, (And, Or, Implies, Iff)):
+        elif isinstance(node, _Binary):
             stack += (node.left, node.right)
     # node, right subtree, left subtree, reversed: left, right, node
     return tuple(reversed(preorder))
@@ -347,38 +329,27 @@ def free_variables(f: Formula) -> tuple[str, ...]:
     return _variables(_compile(f))
 
 
-class SubsetAssignment(_Record):
+class _Assignment(_Record):
+    n: int
+    values: Mapping[str, Subset | Partition]
+
+    def __post_init__(self) -> None:
+        _check_n(self.n)
+        values = dict(self.values)
+        object.__setattr__(self, "values", values)
+        for name, value in values.items():
+            if value.n != self.n:
+                raise UniverseMismatchError(
+                    f"value for {name!r} lives on n={value.n}, expected {self.n}"
+                )
+
+
+class SubsetAssignment(_Assignment):
     """Maps variable names to subsets of a shared universe."""
 
-    n: int
-    values: Mapping[str, Subset]
 
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        values = dict(self.values)
-        object.__setattr__(self, "values", values)
-        for name, subset in values.items():
-            if subset.n != self.n:
-                raise UniverseMismatchError(
-                    f"value for {name!r} lives on n={subset.n}, expected {self.n}"
-                )
-
-
-class PartitionAssignment(_Record):
+class PartitionAssignment(_Assignment):
     """Maps variable names to partitions of a shared universe."""
-
-    n: int
-    values: Mapping[str, Partition]
-
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        values = dict(self.values)
-        object.__setattr__(self, "values", values)
-        for name, partition in values.items():
-            if partition.n != self.n:
-                raise UniverseMismatchError(
-                    f"value for {name!r} lives on n={partition.n}, expected {self.n}"
-                )
 
 
 def _members(n: int, mask: int) -> frozenset[int]:

@@ -11,6 +11,7 @@ always works on 0..n-1.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from .errors import TextFormatError
 from .partitions import Partition, partition_from_blocks
@@ -123,21 +124,27 @@ def parse_pairs(text: str, n: int) -> PairRelation:
     return PairRelation.of(n, pairs)
 
 
-def parse_pair_list(text: str) -> list[tuple[int, int]]:
-    """Parse "0-1,1-2" into [(0, 1), (1, 2)]."""
+def _int_pairs(text: str, noun: str, sep: str, shape: str) -> Iterator[tuple[int, int]]:
+    """The items of a comma list of integer pairs a<sep>b, in order.
+    Lazily, so a caller's check on one item runs before the next is read:
+    the first bad item decides the error."""
     body = text.strip()
     if not body:
-        return []
-    out = []
+        return
     for item in body.split(","):
-        halves = item.split("-")
+        halves = item.split(sep)
         if len(halves) != 2:
-            raise TextFormatError(f"bad pair {item!r}, expected 'u-v'")
+            raise TextFormatError(f"bad {noun} {item!r}, expected {shape!r}")
         try:
-            out.append((int(halves[0]), int(halves[1])))
+            pair = int(halves[0]), int(halves[1])
         except ValueError:
-            raise TextFormatError(f"bad pair {item!r}, expected integers") from None
-    return out
+            raise TextFormatError(f"bad {noun} {item!r}, expected integers") from None
+        yield pair
+
+
+def parse_pair_list(text: str) -> list[tuple[int, int]]:
+    """Parse "0-1,1-2" into [(0, 1), (1, 2)]."""
+    return list(_int_pairs(text, "pair", "-", "u-v"))
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -161,18 +168,8 @@ def parse_answers(text: str) -> list[int]:
 
 def parse_events(text: str) -> list[tuple[int, int]]:
     """Parse "1=0,2=1" into switch-setting events [(1, 0), (2, 1)]."""
-    body = text.strip()
-    if not body:
-        return []
     events = []
-    for item in body.split(","):
-        halves = item.split("=")
-        if len(halves) != 2:
-            raise TextFormatError(f"bad event {item!r}, expected 'switch=value'")
-        try:
-            switch, value = int(halves[0]), int(halves[1])
-        except ValueError:
-            raise TextFormatError(f"bad event {item!r}, expected integers") from None
+    for switch, value in _int_pairs(text, "event", "=", "switch=value"):
         if value not in (0, 1):
             raise TextFormatError(f"switch value must be 0 or 1, got {value}")
         events.append((switch, value))

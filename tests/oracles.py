@@ -8,13 +8,14 @@ up by value, a distinction-set evaluator that composes raw set
 operations with the fixpoint interior at every node, and recursive
 two-valued and frozenset evaluators with the truth-table, subset and
 partition scans built on them, the block of switch settings by a
-per-switch scan of every variant, and the selectionist run with one
-weight per variant.
+per-switch scan of every variant, the selectionist run with one
+weight per variant, and the formula lexer as a character loop.
 """
 from __future__ import annotations
 
 import itertools
 
+from ditkit.errors import FormulaSyntaxError
 from ditkit.formulas import And, Const, Iff, Implies, Not, Or, Var
 from ditkit.mechanisms import Trace, TraceStep
 
@@ -325,3 +326,54 @@ def selection_trace(k: int, fitness, extinction_threshold: float, max_steps: int
             weights = [w / total for w in weights]
         steps.append(TraceStep(t, {"kind": "amplify"}, snapshot()))
     return Trace("selectionist", k, tuple(steps))
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The lexer as a character loop: (kind, lexeme, position) tokens,
+    then ("END", "", len(text)), or FormulaSyntaxError at the first
+    character that starts no token."""
+    tokens = []
+    i = 0
+    length = len(text)
+    while i < length:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("<->", i):
+            tokens.append(("IFF", "<->", i))
+            i += 3
+        elif text.startswith("->", i):
+            tokens.append(("IMPLIES", "->", i))
+            i += 2
+        elif ch == "~":
+            tokens.append(("NOT", "~", i))
+            i += 1
+        elif ch == "&":
+            tokens.append(("AND", "&", i))
+            i += 1
+        elif ch == "|":
+            tokens.append(("OR", "|", i))
+            i += 1
+        elif ch == "(":
+            tokens.append(("LPAREN", "(", i))
+            i += 1
+        elif ch == ")":
+            tokens.append(("RPAREN", ")", i))
+            i += 1
+        elif ch.isalpha():
+            j = i + 1
+            while j < length and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            name = text[i:j]
+            if name == "T":
+                tokens.append(("CONST", "T", i))
+            elif name == "F":
+                tokens.append(("CONST", "F", i))
+            else:
+                tokens.append(("VAR", name, i))
+            i = j
+        else:
+            raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("END", "", length))
+    return tokens

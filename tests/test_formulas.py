@@ -3,7 +3,8 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ditkit import (
@@ -21,6 +22,7 @@ from ditkit import (
     SubsetAssignment,
     UnbalancedParensError,
     UnboundVariableError,
+    UniverseMismatchError,
     UniverseTooSmallError,
     Var,
     dit,
@@ -33,6 +35,7 @@ from ditkit import (
     parse,
     random_formula,
 )
+from ditkit.formulas import _tokenize
 from strategies import formulas, random_partition
 
 
@@ -86,6 +89,22 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError):
             parse("p q")
 
+    def test_unicode_names(self):
+        # a letter (str.isalpha), then letters, digits or '_' (str.isalnum)
+        assert parse("é -> é") == Implies(Var("é"), Var("é"))
+        assert parse("p² | q") == Or(Var("p²"), Var("q"))
+        assert parse("ǅ") == Var("ǅ")
+        assert parse("p٣ & x½") == And(Var("p٣"), Var("x½"))
+        # str.isspace: the no-break space separates tokens
+        assert parse("x\xa0& y") == And(Var("x"), Var("y"))
+
+    @pytest.mark.parametrize("text, char", [("½p", "½"), ("²", "²"), ("٣p", "٣"), ("_p", "_"), ("0", "0")])
+    def test_name_must_start_with_a_letter(self, text, char):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == f"unexpected character {char!r} (position 0)"
+        assert exc.value.position == 0
+
 
 _PARSE_ERRORS = json.loads(
     (pathlib.Path(__file__).with_name("parse_errors.json")).read_text(encoding="utf-8")
@@ -100,6 +119,32 @@ def test_parse_error_matches_golden(row):
     assert type(exc.value).__name__ == row["error"]
     assert str(exc.value) == row["message"]
     assert exc.value.position == row["position"]
+
+
+def _lexed(tokenize, text):
+    try:
+        return tokenize(text)
+    except FormulaSyntaxError as exc:
+        return type(exc), str(exc), exc.position
+
+
+class TestLexer:
+    """The regular-expression lexer against the character loop it replaced."""
+
+    @settings(max_examples=1000)
+    @given(st.text(alphabet="pqrTF_09 \t\n~&|()<->@é²½٣ǅ\xa0"))
+    def test_matches_character_loop(self, text):
+        assert _lexed(_tokenize, text) == _lexed(oracles.tokenize, text)
+
+    def test_matches_character_loop_on_error_inputs(self):
+        for row in _PARSE_ERRORS:
+            assert _lexed(_tokenize, row["input"]) == _lexed(oracles.tokenize, row["input"])
+
+    def test_bad_character_wins_over_grammar_errors(self):
+        # the whole text is lexed before parsing starts
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse("p q ) @")
+        assert str(exc.value) == "unexpected character '@' (position 6)"
 
 
 class TestDepth:
@@ -172,6 +217,19 @@ class TestFormat:
     def test_free_variables_sorted_unique(self):
         assert free_variables(parse("q & p | q")) == ("p", "q")
         assert free_variables(Const(True)) == ()
+
+
+@pytest.mark.parametrize(
+    "record, fits, misfit",
+    [
+        (SubsetAssignment, Subset.of(2, [1]), Subset.of(3, [0])),
+        (PartitionAssignment, Partition(2, (0, 1)), Partition(3, (0, 0, 1))),
+    ],
+)
+def test_assignment_values_share_its_universe(record, fits, misfit):
+    with pytest.raises(UniverseMismatchError) as exc:
+        record(2, {"q": fits, "p": misfit})
+    assert str(exc.value) == "value for 'p' lives on n=3, expected 2"
 
 
 class TestSubsetEvaluation:

@@ -116,6 +116,26 @@ class TestSmallParsers:
         with pytest.raises(TextFormatError):
             parse_events("x=1")
 
+    @pytest.mark.parametrize(
+        "parser, text, message",
+        [
+            (parse_pair_list, "0-1-2", "bad pair '0-1-2', expected 'u-v'"),
+            (parse_pair_list, "0-1,x-1", "bad pair 'x-1', expected integers"),
+            (parse_events, "1", "bad event '1', expected 'switch=value'"),
+            (parse_events, "1=0,2=x", "bad event '2=x', expected integers"),
+            # the first bad item decides the error
+            (parse_events, "1=2,x", "switch value must be 0 or 1, got 2"),
+            (parse_events, "x,1=2", "bad event 'x', expected 'switch=value'"),
+        ],
+    )
+    def test_pair_list_errors(self, parser, text, message):
+        with pytest.raises(TextFormatError) as exc:
+            parser(text)
+        assert str(exc.value) == message
+
+    def test_blank_pair_lists_are_empty(self):
+        assert parse_pair_list(" ") == parse_events("") == []
+
     def test_variants(self):
         assert parse_variant("010", 3) == 2
         assert format_variant(2, 3) == "010"
