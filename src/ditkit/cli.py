@@ -13,9 +13,12 @@ formulas or validity, and lattice loads partitions alone.
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from .errors import (
     DitkitError,
@@ -30,6 +33,8 @@ _USAGE_ERRORS = (FormulaSyntaxError, TextFormatError, ValueError)
 _RESOURCE_ERRORS = (ResourceLimitError, TooManyVariablesError)
 
 _LIMIT_FLAGS = Limits._fields
+
+_BLOCK = io.DEFAULT_BUFFER_SIZE  # buffered stdout writes blocks of this size too
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -270,36 +275,67 @@ def cmd_lattice(args: argparse.Namespace, limits: Limits) -> int:
     from .partitions import _lattice
 
     labels, covers = _lattice(args.kind, args.n, limits)
-    write = sys.stdout.write
     if args.dot:
-        write("digraph lattice {\n  rankdir=BT;\n")
-        for i, text in enumerate(labels):
-            write(f'  n{i} [label="{text}"];\n')
-        for x, ys in enumerate(covers):
-            if ys:
-                write(f"  n{x} -> n" + f";\n  n{x} -> n".join(map(str, ys)) + ";\n")
-        write("}\n")
+        _emit(_dot_chunks(labels, covers))
     else:
-        write('{"edges": [')
-        separator = ""
-        for x, ys in enumerate(covers):
-            if ys:
-                write(f"{separator}[{x}, " + f"], [{x}, ".join(map(str, ys)) + "]")
-                separator = ", "
-        tail = {"kind": args.kind, "n": args.n, "nodes": labels}
-        write("], " + json.dumps(tail, sort_keys=True)[1:] + "\n")
+        _emit(_lattice_json_chunks(args.kind, args.n, labels, covers))
     return 0
 
 
+def _dot_chunks(labels: list[str], covers: Iterator[list[int]]) -> Iterator[str]:
+    yield "digraph lattice {\n  rankdir=BT;\n"
+    for i, text in enumerate(labels):
+        yield f'  n{i} [label="{text}"];\n'
+    for x, ys in enumerate(covers):
+        if ys:
+            yield f"  n{x} -> n" + f";\n  n{x} -> n".join(map(str, ys)) + ";\n"
+    yield "}\n"
+
+
+def _lattice_json_chunks(
+    kind: str, n: int, labels: list[str], covers: Iterator[list[int]]
+) -> Iterator[str]:
+    yield '{"edges": ['
+    separator = ""
+    for x, ys in enumerate(covers):
+        if ys:
+            yield f"{separator}[{x}, " + f"], [{x}, ".join(map(str, ys)) + "]"
+            separator = ", "
+    tail = {"kind": kind, "n": n, "nodes": labels}
+    yield "], " + json.dumps(tail, sort_keys=True)[1:] + "\n"
+
+
+def _emit(chunks: Iterable[str]) -> None:
+    """Write chunks to stdout in blocks of at least _BLOCK characters, so
+    that a write-through stdout (python -u, PYTHONUNBUFFERED) makes one
+    system call per block, not one per chunk. A chunk of a block or more
+    is written as it is, after the batch pending before it, so it is
+    never copied; the batch stays under two blocks."""
+    write = sys.stdout.write
+    pending: list[str] = []
+    size = 0
+    for chunk in chunks:
+        if len(chunk) >= _BLOCK:
+            if pending:
+                write("".join(pending))
+                pending, size = [], 0
+            write(chunk)
+        else:
+            pending.append(chunk)
+            size += len(chunk)
+            if size >= _BLOCK:
+                write("".join(pending))
+                pending, size = [], 0
+    if pending:
+        write("".join(pending))
+
+
 def _write_json(document: dict) -> None:
-    """Stream a trace or comparison to stdout a chunk at a time, with the
-    bytes of print(json.dumps(document, sort_keys=True))."""
+    """Stream a trace or comparison to stdout, with the bytes of
+    print(json.dumps(document, sort_keys=True))."""
     from .mechanisms import _json_chunks
 
-    write = sys.stdout.write
-    for chunk in _json_chunks(document):
-        write(chunk)
-    write("\n")
+    _emit(itertools.chain(_json_chunks(document), ("\n",)))
 
 
 def cmd_sim_select(args: argparse.Namespace, limits: Limits) -> int:

@@ -759,16 +759,19 @@ def test_cli_calls_load_neither_typing_nor_random():
 
 
 class _ClosedPipe:
-    """A stdout whose reader leaves after the first `accepted` writes."""
+    """A stdout whose reader leaves after `accepted` characters: the write
+    that would go past them fails, and so does every write after it."""
 
     def __init__(self, fd: int, accepted: int = 0):
         self.fd = fd
         self.accepted = accepted
+        self.writes = 0
 
     def write(self, text: str) -> int:
-        if self.accepted == 0:
+        if len(text) > self.accepted:
             raise BrokenPipeError(32, "Broken pipe")
-        self.accepted -= 1
+        self.accepted -= len(text)
+        self.writes += 1
         return len(text)
 
     def fileno(self) -> int:
@@ -785,32 +788,40 @@ class TestClosedStdout:
         assert capsys.readouterr().err == ""
 
     # The reader is gone before the first write, or leaves midway. At
-    # n = 8 the JSON is 4,141 writes: the head, one per node below the
-    # top, and the tail. The DOT is 8,281: the head, 4,140 node lines,
-    # one write of edges per node below the top, and the closing brace.
+    # n = 8 the JSON is 457,751 characters; the DOT is 636,211, of which
+    # the head and the node lines are the first 143,822. A midway break
+    # comes after at least one block went through.
     @pytest.mark.parametrize(
         "style, accepted",
-        [("--json", 0), ("--json", 2000), ("--dot", 0), ("--dot", 2000), ("--dot", 6000)],
+        [
+            ("--json", 0), ("--json", 229_000),
+            ("--dot", 0), ("--dot", 70_000), ("--dot", 320_000),
+        ],
     )
     def test_broken_pipe_while_streaming_lattice(
         self, capsys, monkeypatch, tmp_path, style, accepted
     ):
         with open(tmp_path / "stdout", "w") as target:
-            monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno(), accepted))
+            pipe = _ClosedPipe(target.fileno(), accepted)
+            monkeypatch.setattr(sys, "stdout", pipe)
             code = main(["lattice", "--kind", "partition", "--n", "8", style])
             monkeypatch.undo()
         assert code == 3
         assert capsys.readouterr().err == ""
+        assert (pipe.writes > 0) == (accepted > 0)
 
-    # Traces are streamed a chunk at a time: `compare --k 12` is 360
-    # writes (2.5 MB) and `sim select --k 4` is 86.
+    # Traces are streamed a chunk at a time: `compare --k 12` is 2,522,823
+    # characters, `sim select --k 12` 2,385,050 and `sim select --k 4`
+    # 3,348, less than one block.
     @pytest.mark.parametrize(
         "argv, accepted",
         [
             (["--max-switch-bits", "12", "compare", "--k", "12", "--target", "010011010101"], 0),
-            (["--max-switch-bits", "12", "compare", "--k", "12", "--target", "010011010101"], 150),
+            (["--max-switch-bits", "12", "compare", "--k", "12", "--target", "010011010101"],
+             1_260_000),
             (["sim", "select", "--k", "4", "--fitness", "peak@0101"], 0),
-            (["sim", "select", "--k", "4", "--fitness", "peak@0101"], 40),
+            (["--max-switch-bits", "12", "sim", "select", "--k", "12",
+              "--fitness", "peak@010011010101"], 1_190_000),
         ],
         ids=["compare first", "compare midway", "select first", "select midway"],
     )
@@ -818,11 +829,13 @@ class TestClosedStdout:
         self, capsys, monkeypatch, tmp_path, argv, accepted
     ):
         with open(tmp_path / "stdout", "w") as target:
-            monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno(), accepted))
+            pipe = _ClosedPipe(target.fileno(), accepted)
+            monkeypatch.setattr(sys, "stdout", pipe)
             code = main(argv)
             monkeypatch.undo()
         assert code == 3
         assert capsys.readouterr().err == ""
+        assert (pipe.writes > 0) == (accepted > 0)
 
     @pytest.mark.parametrize(
         "argv",
@@ -853,6 +866,76 @@ class TestClosedStdout:
         child.stderr.close()
         assert child.wait(timeout=60) == 3
         assert err == b""
+
+
+# streamed outputs of many blocks: argv and the sha256 of stdout
+_STREAMED = {
+    "lattice json": (
+        ["lattice", "--kind", "partition", "--n", "8", "--json"],
+        TestLattice.GOLDEN["partition", 8, "json"],
+    ),
+    "lattice dot": (
+        ["lattice", "--kind", "partition", "--n", "8", "--dot"],
+        TestLattice.GOLDEN["partition", 8, "dot"],
+    ),
+    "compare k=12": (
+        _MECHANISM_CASES["compare k=12"], TestMechanismGolden.GOLDEN["compare k=12"]
+    ),
+}
+
+
+class _RecordingStdout:
+    """A stdout that keeps the text of each write."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestBlockWrites:
+    # A write-through stdout (python -u, PYTHONUNBUFFERED) makes one system
+    # call per write, so streamed output is written in blocks: small chunks
+    # are joined until they reach io.DEFAULT_BUFFER_SIZE characters, and a
+    # chunk at least that long is written as it is, after the batch before it.
+    @pytest.mark.parametrize("case", sorted(_STREAMED))
+    def test_streamed_output_is_written_in_blocks(self, monkeypatch, case):
+        argv, digest = _STREAMED[case]
+        stdout = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(argv)
+        monkeypatch.undo()
+        text = "".join(stdout.writes)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        block = io.DEFAULT_BUFFER_SIZE
+        sizes = [len(written) for written in stdout.writes]
+        # a write shorter than a block is the last one, or the batch that
+        # goes out just before a chunk of a block or more
+        assert all(size >= block or after >= block for size, after in zip(sizes, sizes[1:]))
+        if case.startswith("lattice"):
+            assert len(sizes) <= len(text) // block + 1
+
+    @pytest.mark.parametrize("case", sorted(_STREAMED))
+    def test_unbuffered_stdout_gets_the_same_bytes(self, case):
+        argv, digest = _STREAMED[case]
+        src = pathlib.Path(ditkit.__file__).parent.parent
+        outputs = []
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            env = dict(os.environ, PYTHONPATH=str(src))
+            env.pop("PYTHONUNBUFFERED", None)
+            child = subprocess.run(
+                [sys.executable, "-m", "ditkit.cli", *argv], capture_output=True,
+                timeout=60, env={**env, **unbuffered}, check=True,
+            )
+            outputs.append(child.stdout)
+        assert outputs[0] == outputs[1]
+        assert hashlib.sha256(outputs[1]).hexdigest() == digest
 
 
 _FORMULAS = ["p | ~p", "p -> q", "T", "F", "~~p", "p & q & r", "p &", "(p q)", ")"]
