@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from operator import is_, itemgetter
@@ -59,9 +59,15 @@ def _labels(k: int) -> list[str]:
 
 
 def _agreeing(k: int, mask: int, want: int) -> list[int]:
-    """Variants, ascending, whose digits under mask read want: bit i-1
-    of mask marks switch i as set and bit i-1 of want holds its value."""
-    return [v for v in range(2**k) if v & mask == want]
+    """Variants, ascending, whose digits under mask read want, where
+    want & ~mask == 0: bit i-1 of mask marks switch i as set and bit i-1
+    of want its value. Built from want by freeing each unset switch,
+    lowest first, which doubles the block in order: O(block), not O(2**k)."""
+    block = [want]
+    for i in range(k):
+        if not mask >> i & 1:
+            block += [v | 1 << i for v in block]
+    return block
 
 
 class VariantSpace(_Record):
@@ -454,10 +460,10 @@ def _selection_trace(
     of variant v.
 
     Amplification sees only fitness, so variants of equal fitness keep
-    equal weights: the run keeps one weight per fitness class. Each
-    total adds the class weights of all the variants in variant order,
-    the same floats in the same order as a sum of one weight per
-    variant, so every weight is that of such a run, bit for bit."""
+    equal weights: the run keeps one weight per fitness class. normalised
+    folds the class weights of all the variants left to right in variant
+    order, as sum() did before Python 3.12 made it compensated, so every
+    weight is that of a run with one weight per variant, bit for bit."""
     size = 2**k
     scores = fitness.scores
     distinct = list(dict.fromkeys(scores))  # class c holds the variants scoring distinct[c]
@@ -482,20 +488,20 @@ def _selection_trace(
         weight_map._layout, weight_map._weights = layout, weights
         return {"weights": weight_map, "extinct": extinct_labels.copy()}
 
+    def normalised(weights: list[float]) -> list[float]:
+        total = deque(itertools.accumulate(layout.per_variant(weights)), maxlen=1)[0]
+        return [w / total for w in weights]
+
     steps = [TraceStep(0, None, snapshot())]
     t = 0
     while len(extinct_labels) + counts[top] < size and t < max_steps:
         t += 1
-        weights = [w * s for w, s in zip(weights, distinct)]
-        total = sum(layout.per_variant(weights))
-        weights = [w / total for w in weights]
+        weights = normalised([w * s for w, s in zip(weights, distinct)])
         # extinct weights stay 0.0, so below holds them and any new ones
         below = {c for c, w in enumerate(weights) if w < extinction_threshold}
         if below != extinct:
             extinct = below
-            weights = [0.0 if c in extinct else w for c, w in enumerate(weights)]
-            total = sum(layout.per_variant(weights))
-            weights = [w / total for w in weights]
+            weights = normalised([0.0 if c in extinct else w for c, w in enumerate(weights)])
             extinct_labels = list(itertools.compress(labels, map(extinct.__contains__, of)))
         steps.append(TraceStep(t, {"kind": "amplify"}, snapshot()))
     return Trace(
@@ -534,27 +540,22 @@ def _generative_trace(
     k: int, experience: Iterable[tuple[int, int]], overwrite: bool, labels: list[str]
 ) -> Trace:
     """The generative run for a checked k; labels[v] is the text of
-    variant v."""
+    variant v. Each snapshot's block is built from its bank's free
+    switches, so a fresh setting and an overwrite take the same path."""
     bank = SwitchBank.neutral(k)
-    block = list(range(2**k))
 
     def snapshot() -> dict:
         return {
             "switches": [state.value for state in bank.states],
-            "block": [labels[v] for v in block],
+            "block": [labels[v] for v in _bank_block(bank)],
         }
 
     steps = [TraceStep(0, None, snapshot())]
     events = []
     for index, (i, value) in enumerate(experience, start=1):
         option = _as_option(value)
-        previous, bank = bank, set_switch(bank, i, option, overwrite=overwrite)
-        digit = int(option.value)
-        if previous.states[i - 1] is SwitchState.NEUTRAL:  # a fresh switch filters the block
-            block = [v for v in block if v >> (i - 1) & 1 == digit]
-        else:  # an overwrite can widen it
-            block = _bank_block(bank)
-        events.append((i, digit))
+        bank = set_switch(bank, i, option, overwrite=overwrite)
+        events.append((i, int(option.value)))
         steps.append(TraceStep(index, {"switch": i, "value": option.value}, snapshot()))
     return Trace(
         "generative",

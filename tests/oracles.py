@@ -13,7 +13,9 @@ weight per variant, and the formula lexer as a character loop.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from ditkit.errors import FormulaSyntaxError
 from ditkit.formulas import And, Const, Iff, Implies, Not, Or, Var
@@ -297,7 +299,8 @@ def switch_block(k: int, settings: dict[int, int]) -> frozenset[int]:
 
 def selection_trace(k: int, fitness, extinction_threshold: float, max_steps: int) -> Trace:
     """The selectionist run with a weight for every variant, updated,
-    culled and snapshotted one variant at a time."""
+    culled and snapshotted one variant at a time. Each total adds the
+    weights left to right, as sum() did before Python 3.12 compensated it."""
     size = 2**k
     labels = [format(v, f"0{k}b") for v in range(size)]
     weights = [1.0 / size] * size
@@ -315,14 +318,14 @@ def selection_trace(k: int, fitness, extinction_threshold: float, max_steps: int
     while len(extinct) + len(argmax) < size and t < max_steps:
         t += 1
         weights = [w * s for w, s in zip(weights, fitness.scores)]
-        total = sum(weights)
+        total = functools.reduce(operator.add, weights)
         weights = [w / total for w in weights]
         # extinct weights stay 0.0, so below holds them and any new ones
         below = {v for v, w in enumerate(weights) if w < extinction_threshold}
         if below != extinct:
             extinct = below
             weights = [0.0 if v in extinct else w for v, w in enumerate(weights)]
-            total = sum(weights)
+            total = functools.reduce(operator.add, weights)
             weights = [w / total for w in weights]
         steps.append(TraceStep(t, {"kind": "amplify"}, snapshot()))
     return Trace("selectionist", k, tuple(steps))

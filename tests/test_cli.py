@@ -294,6 +294,14 @@ class TestCompare:
         assert got["target"] == "010"
         assert got["generative"]["final"]["block"] == ["010"]
 
+    def test_weight_text_is_the_same_on_every_version(self, capsys):
+        # each total is a left-to-right fold; with Python 3.12's
+        # compensated sum() this weight would print 0.043478260869565216
+        code, out, _ = run(capsys, "compare", "--k", "4", "--target", "0101")
+        assert code == 0
+        assert '"0000": 0.04347826086956524, ' in out
+        assert "0.043478260869565216" not in out
+
     def test_bad_target(self, capsys):
         code, _, err = run(capsys, "compare", "--k", "3", "--target", "999")
         assert code == 2

@@ -152,6 +152,32 @@ class TestSwitches:
             block = trace.final["block"]
             assert block == sorted(block) and len(block) == len(expected)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_built_block_is_the_scan_in_order(self, k):
+        # every mask, with every want that reads only switches under it
+        for mask in range(2**k):
+            for want in range(2**k):
+                if want & ~mask == 0:
+                    expected = [v for v in range(2**k) if v & mask == want]
+                    assert mechanisms._agreeing(k, mask, want) == expected, (mask, want)
+
+    def test_block_of_high_switches_at_k20(self):
+        # switches 20 and 17 read 1 and 18 reads 0; 19 and 1..16 are free
+        bank = SwitchBank.neutral(20)
+        for i, value in [(20, 1), (18, 0), (17, 1)]:
+            bank = set_switch(bank, i, value)
+        want = 1 << 19 | 1 << 16
+        block = mechanisms._bank_block(bank)
+        assert len(block) == 2**17
+        assert block == [want | high | low for high in (0, 1 << 18) for low in range(2**16)]
+        assert consistent_block(bank) == frozenset(block)
+
+    def test_every_switch_set_at_k30_is_one_variant(self):
+        # the block is built, not found among all 2**30 variants
+        target = int("10" * 15, 2)
+        states = [SwitchState.ONE if target >> i & 1 else SwitchState.ZERO for i in range(30)]
+        assert consistent_block(SwitchBank(30, tuple(states))) == frozenset({target})
+
 
 class TestFitness:
     def test_uniform_and_peaked(self):
@@ -366,7 +392,7 @@ class TestGenerative:
 
     @given(st.data())
     def test_every_snapshot_matches_per_switch_oracle(self, data):
-        # fresh switches filter the last block; overwrites rescan it
+        # each snapshot builds its block from the bank, fresh setting or overwrite
         k = data.draw(st.integers(min_value=1, max_value=6))
         overwrite = data.draw(st.booleans())
         switch = st.integers(min_value=1, max_value=k)
@@ -434,6 +460,17 @@ class TestTwentyQuestions:
             for answers in itertools.product((0, 1), repeat=m):
                 expected = oracles.switch_block(k, dict(enumerate(answers, start=1)))
                 assert twenty_questions(k, answers) == expected
+
+    def test_three_answers_at_k20(self):
+        # switches 1..3 read 1, 0, 1; the 17 high switches are free
+        block = twenty_questions(20, [1, 0, 1])
+        assert len(block) == 2**17
+        assert block == frozenset(range(0b101, 2**20, 8))
+
+    def test_all_answers_at_k30(self):
+        answers = [1, 0] * 15
+        target = sum(a << j for j, a in enumerate(answers))
+        assert twenty_questions(30, answers) == frozenset({target})
 
 
 class TestCompare:
