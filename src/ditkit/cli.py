@@ -286,9 +286,10 @@ def _dot_chunks(labels: list[str], covers: Iterator[list[int]]) -> Iterator[str]
     yield "digraph lattice {\n  rankdir=BT;\n"
     for i, text in enumerate(labels):
         yield f'  n{i} [label="{text}"];\n'
+    names = list(map(str, range(len(labels))))
     for x, ys in enumerate(covers):
         if ys:
-            yield f"  n{x} -> n" + f";\n  n{x} -> n".join(map(str, ys)) + ";\n"
+            yield f"  n{x} -> n" + f";\n  n{x} -> n".join(map(names.__getitem__, ys)) + ";\n"
     yield "}\n"
 
 
@@ -296,10 +297,11 @@ def _lattice_json_chunks(
     kind: str, n: int, labels: list[str], covers: Iterator[list[int]]
 ) -> Iterator[str]:
     yield '{"edges": ['
+    names = list(map(str, range(len(labels))))
     separator = ""
     for x, ys in enumerate(covers):
         if ys:
-            yield f"{separator}[{x}, " + f"], [{x}, ".join(map(str, ys)) + "]"
+            yield f"{separator}[{x}, " + f"], [{x}, ".join(map(names.__getitem__, ys)) + "]"
             separator = ", "
     tail = {"kind": kind, "n": n, "nodes": labels}
     yield "], " + json.dumps(tail, sort_keys=True)[1:] + "\n"

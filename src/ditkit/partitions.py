@@ -379,10 +379,8 @@ def hasse_cover_edges(kind: str, n: int, limits: Limits = DEFAULT_LIMITS) -> lis
     sorted by enumeration position of their endpoints.
     """
     _, covers = _lattice(kind, n, limits)
-    if kind == "partition":
-        nodes: list = [Partition(n, a) for a in _rgs(n)]
-    else:
-        nodes = subset_lattice_nodes(n, limits)
+    make = enumerate_partitions if kind == "partition" else subset_lattice_nodes
+    nodes: list = list(make(n, limits))
     return [(nodes[x], nodes[y]) for x, ys in enumerate(covers) for y in ys]
 
 
@@ -409,17 +407,19 @@ def _lattice(kind: str, n: int, limits: Limits) -> tuple[list[str], Iterator[lis
 def _partition_lattice(n: int) -> tuple[list[str], Iterator[list[int]]]:
     """The partition lattice grown from n = 1 one element at a time.
 
-    A level holds each partition's blocks as text and its upper covers
-    as (position, bi, bj): the cover merged into it by joining blocks
-    bi < bj. Only the last level's covers are left as a stream.
+    A level holds each partition's blocks as text and its upper covers'
+    ascending positions. The pairs bi < bj of blocks they split are
+    grown one level behind, so the last level streams positions alone.
     """
     blocks: Iterable[tuple[str, ...]] = [("0",)]
-    covers: Iterable[list[tuple[int, int, int]]] = [[]]
+    positions: Iterable[list[int]] = [[]]
+    pairs: Iterable[list[tuple[int, int]]] = [[]]
     for u in range(1, n):
-        blocks = list(blocks)
-        covers = _grown_covers([len(b) for b in blocks], list(covers))
+        blocks, positions, pairs = list(blocks), list(positions), list(pairs)
+        ks = [len(b) for b in blocks]
+        positions, pairs = _grown_positions(ks, positions, pairs), _grown_pairs(ks, pairs)
         blocks = _grown_blocks(blocks, u)
-    return ["|".join(b) for b in blocks], ([y for y, _, _ in row] for row in covers)
+    return ["|".join(b) for b in blocks], iter(positions)
 
 
 def _grown_blocks(blocks: list[tuple[str, ...]], u: int) -> Iterator[tuple[str, ...]]:
@@ -432,11 +432,11 @@ def _grown_blocks(blocks: list[tuple[str, ...]], u: int) -> Iterator[tuple[str, 
         yield b + (new,)
 
 
-def _grown_covers(
-    ks: list[int], covers: list[list[tuple[int, int, int]]]
-) -> Iterator[list[tuple[int, int, int]]]:
-    """Upper covers one level up, for each child in enumeration order,
-    from the block counts ks and the covers of the level below.
+def _grown_positions(
+    ks: list[int], positions: list[list[int]], pairs: list[list[tuple[int, int]]]
+) -> Iterator[list[int]]:
+    """Upper cover positions one level up, for each child in enumeration
+    order, from the block counts ks and the level below's covers.
 
     The children (x, c) of x sit at off[x] + c, where off sums k + 1
     over the nodes before x. So a cover y of x that merges bi < bj gives
@@ -452,12 +452,22 @@ def _grown_covers(
         off.append(off[-1] + k + 1)
     for x, k in enumerate(ks):
         base = off[x]
-        lifted = [(off[y], bi, bj) for y, bi, bj in covers[x]]
+        lifted = [(off[y], bi, bj) for y, (bi, bj) in zip(positions[x], pairs[x])]
         for d in range(k + 1):
-            row = [(base + k, d, k)] if d < k else []
+            row = [base + k] if d < k else []
             for start, bi, bj in lifted:
                 if d == bi:
-                    row += ((start + bi, bi, bj), (start + bj, bi, bj))
+                    row += (start + bi, start + bj)
                 else:
-                    row.append((start + d + (d >= bj), bi, bj))
+                    row.append(start + d + (d >= bj))
+            yield row
+
+
+def _grown_pairs(ks: list[int], pairs: list[list[tuple[int, int]]]) -> Iterator[list]:
+    """The pairs aligned with _grown_positions' rows; only (d, k) is a new tuple."""
+    for k, above in zip(ks, pairs):
+        for d in range(k + 1):
+            row = [(d, k)] if d < k else []
+            for pair in above:
+                row += (pair, pair) if pair[0] == d else (pair,)
             yield row

@@ -376,7 +376,7 @@ class TestHasse:
 
 
 class TestLatticeGrowth:
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_merge_and_dict_reference(self, n):
         labels, covers = _lattice("partition", n, DEFAULT_LIMITS)
         nodes, edges = oracles.lattice_by_merging(n)
@@ -384,6 +384,19 @@ class TestLatticeGrowth:
         assert [p.assignment for p in partitions] == nodes
         assert labels == [format_partition(p) for p in partitions]
         assert [(x, y) for x, ys in enumerate(covers) for y in ys] == edges
+
+    def test_growth_holds_no_merge_data_per_edge(self):
+        # growing and draining n = 9 peaked at 5.15-5.36 MiB while the
+        # last level kept a (position, bi, bj) tuple per edge
+        tracemalloc.start()
+        try:
+            _, covers = _lattice("partition", 9, DEFAULT_LIMITS)
+            for _ in covers:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.75 * 2**20
 
     def test_cap_fires_before_growth(self, monkeypatch):
         def refuse(*args):
