@@ -77,7 +77,7 @@ def _load_limits(args: argparse.Namespace) -> Limits:
                 data = json.load(handle)
         except OSError as exc:
             raise TextFormatError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TextFormatError(f"bad JSON in config: {exc}") from None
         if not isinstance(data, dict):
             raise TextFormatError("config must be a JSON object of limit settings")
@@ -387,6 +387,7 @@ def cmd_sim_create(args: argparse.Namespace, limits: Limits) -> int:
     from .mechanisms import create
     from .textio import parse_int_list
 
+    _check_relation_n(args.n, limits)
     trace = create(args.n, parse_int_list(args.elements))
     _write_json(trace.to_json_dict())
     return 0

@@ -12,7 +12,7 @@ from .relations import _is_int, _Record
 
 
 class Limits(_Record):
-    # Largest universe the CLI accepts for relation-level work.
+    # Largest universe of eval, sim identify and sim create in the CLI.
     max_relation_n: int = 12
     # Largest universe for full-lattice enumeration; Bell numbers grow fast.
     max_lattice_n: int = 10

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import Partition
-from .relations import _check_element, _check_n, _components, _Field, _is_int, _Record
+from .relations import _check_element, _check_n, _components, _is_int, _Record
 from .textio import _variant_number, format_variant
 
 
@@ -297,12 +297,20 @@ class Trace(_Record):
     """Ordered record of mechanism states from the initial state to the
     final one. k is the size parameter: the switch count for variant
     mechanisms, the universe size for element mechanisms. params holds
-    whatever replay() needs to rerun the mechanism."""
+    whatever replay() needs to rerun the mechanism, a fresh {} when
+    None or left out; == and hash leave it out."""
 
     mechanism: str
     k: int
     steps: tuple[TraceStep, ...]
-    params: dict = _Field(default_factory=dict, compare=False)
+    params: dict = None
+
+    def __post_init__(self) -> None:
+        if self.params is None:
+            object.__setattr__(self, "params", {})
+
+    def _key(self) -> tuple:
+        return (self.mechanism, self.k, self.steps)
 
     @property
     def final(self) -> dict:

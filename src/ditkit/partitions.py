@@ -172,15 +172,9 @@ def partition_from_equivalence(r: PairRelation) -> Partition:
 
 
 def refines(p: Partition, q: Partition) -> bool:
-    """True iff every block of p sits inside some block of q."""
-    _check_same_universe(p, q)
-    image: dict[int, int] = {}
-    for u in range(p.n):
-        b = p.assignment[u]
-        c = q.assignment[u]
-        if image.setdefault(b, c) != c:
-            return False
-    return True
+    """True iff every block of p sits inside some block of q, that is
+    iff their join is p."""
+    return join(p, q) == p
 
 
 def refines_via_ditsets(p: Partition, q: Partition) -> bool:

@@ -18,32 +18,23 @@ from collections.abc import Iterable, Iterator
 from .errors import ElementOutOfRangeError, UniverseMismatchError
 
 
-class _Field:
-    """A record field default made anew for each record by
-    default_factory(); compare=False leaves the field out of == and hash."""
-
-    def __init__(self, *, default_factory, compare: bool = True):
-        self.default_factory = default_factory
-        self.compare = compare
-
-
 class _Record:
     """Base of the toolkit's immutable records: plain classes, which
     cost next to nothing to define.
 
     A subclass annotates its fields in order, after any inherited ones.
-    A class attribute of the same name is that field's default, or a
-    _Field. A record is built by position or keyword, then checked by
+    A class attribute of the same name is that field's default; every
+    record that takes it shares the one object, so it is immutable. A
+    record is built by position or keyword, then checked by
     __post_init__, and matched by position in a case pattern. Its repr
     is Name(field=value, ...). It equals only records of its own class
-    whose compared fields are equal, and hashes as the tuple of those
-    fields. Assignment and deletion raise AttributeError; pickle and
-    copy store and restore the fields as they are, without running
-    __init__.
+    with an equal _key(), the tuple of its fields unless the subclass
+    overrides _key, and hashes as that key. Assignment and deletion
+    raise AttributeError; pickle and copy store and restore the fields
+    as they are, without running __init__.
     """
 
     _fields: tuple[str, ...] = ()
-    _compared: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -51,10 +42,6 @@ class _Record:
         own = tuple(cls.__dict__.get("__annotations__", ()))
         defaults = {name: cls.__dict__[name] for name in own if name in cls.__dict__}
         cls._fields += own
-        cls._compared += tuple(
-            name for name in own
-            if not (isinstance(defaults.get(name), _Field) and not defaults[name].compare)
-        )
         cls._defaults = {**cls._defaults, **defaults}
         cls.__match_args__ = cls._fields
 
@@ -85,10 +72,7 @@ class _Record:
             if key not in values:
                 if key not in cls._defaults:
                     raise TypeError(f"{call} missing required argument {key!r}")
-                default = cls._defaults[key]
-                if isinstance(default, _Field):
-                    default = default.default_factory()
-                values[key] = default
+                values[key] = cls._defaults[key]
         return tuple(values[key] for key in fields)
 
     def __post_init__(self) -> None:
@@ -96,7 +80,7 @@ class _Record:
 
     def _key(self) -> tuple:
         """What == and hash read."""
-        return tuple([getattr(self, name) for name in self._compared])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -4,9 +4,8 @@ Partition text: blocks joined with '|', elements with ',' ("0,1|2"),
 or the explicit restricted-growth form "rgs:0,0,1". Subset text:
 "{0,2}"; braces are optional on input and the empty subset is "{}".
 Variant text: k binary digits b_k..b_1 ("010"), switch k first.
-Pair relations: "u,v" items joined with ';', sorted. Optional element
-names replace the integers at this layer only; the library itself
-always works on 0..n-1.
+Optional element names replace the integers at this layer only; the
+library itself always works on 0..n-1.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from collections.abc import Iterator
 
 from .errors import TextFormatError
 from .partitions import Partition, partition_from_blocks
-from .relations import PairRelation, Subset
+from .relations import Subset
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -103,25 +102,6 @@ def parse_subset(text: str, n: int, names: tuple[str, ...] | None = None) -> Sub
         return Subset.empty(n)
     members = [_parse_element(tok, n, names) for tok in body.split(",")]
     return Subset.of(n, members)
-
-
-def format_pairs(r: PairRelation) -> str:
-    return ";".join(f"{u},{v}" for u, v in r.sorted_pairs())
-
-
-def parse_pairs(text: str, n: int) -> PairRelation:
-    body = text.strip()
-    if not body:
-        return PairRelation.empty(n)
-    pairs = []
-    for item in body.split(";"):
-        halves = item.split(",")
-        if len(halves) != 2:
-            raise TextFormatError(f"bad pair {item!r}, expected 'u,v'")
-        pairs.append(
-            (_parse_element(halves[0], n, None), _parse_element(halves[1], n, None))
-        )
-    return PairRelation.of(n, pairs)
 
 
 def _int_pairs(text: str, noun: str, sep: str, shape: str) -> Iterator[tuple[int, int]]:

@@ -443,6 +443,15 @@ class TestArgHandling:
             Limits(**{field: True})
         assert str(exc.value) == f"{field} must be a positive integer, got True"
 
+    def test_config_too_deep_for_the_json_decoder(self, capsys, tmp_path):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000)
+        code, out, err = run(capsys, "--config", str(cfg), "taut", "p", "--logic", "truth")
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "TextFormatError"
+        assert error["message"].startswith("bad JSON in config: ")
+
     def test_config_rejects_bool_limit(self, capsys, tmp_path):
         cfg = tmp_path / "limits.json"
         cfg.write_text(json.dumps({"max_lattice_n": True}))
@@ -527,15 +536,18 @@ class TestCaps:
              "n=13 exceeds the relation cap 12"),
             (["eval", "p", "--logic", "partition", "--n", "13", "--assign", "p=0|1"],
              "n=13 exceeds the relation cap 12"),
+            (["sim", "create", "--n", "13", "--elements", "0"],
+             "n=13 exceeds the relation cap 12"),
         ],
-        ids=["identify", "identify flag", "eval subset", "eval partition"],
+        ids=["identify", "identify flag", "eval subset", "eval partition", "create"],
     )
     def test_relation_cap_before_universe(self, capsys, monkeypatch, argv, message):
         def refuse(*args):
             raise AssertionError("universe built before the relation cap check")
 
         # the handlers import these when they run, so patch them at their source
-        monkeypatch.setattr(mechanisms, "identify", refuse)
+        for name in ("identify", "create"):
+            monkeypatch.setattr(mechanisms, name, refuse)
         for name in ("parse_subset", "parse_partition"):
             monkeypatch.setattr(textio, name, refuse)
         code, out, err = run(capsys, *argv)
@@ -545,6 +557,9 @@ class TestCaps:
     def test_relation_cap_admits_its_bound(self, capsys):
         argv = ["--max-relation-n", "3", "sim", "identify", "--n", "3", "--pairs", "0-2"]
         assert run(capsys, *argv) == (0, "0,2|1\n", "")
+        argv = ["--max-relation-n", "13", "sim", "create", "--n", "13", "--elements", "12"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err, json.loads(out)["k"]) == (0, "", 13)
 
     def test_variable_free_partition_scan_over_budget(self, capsys, monkeypatch):
         def refuse(*args):

@@ -1,8 +1,7 @@
 import pytest
 
-from ditkit import PairRelation, Partition, Subset, TextFormatError
+from ditkit import Partition, Subset, TextFormatError
 from ditkit.textio import (
-    format_pairs,
     format_partition,
     format_subset,
     format_variant,
@@ -11,7 +10,6 @@ from ditkit.textio import (
     parse_int_list,
     parse_names,
     parse_pair_list,
-    parse_pairs,
     parse_partition,
     parse_subset,
     parse_variant,
@@ -71,20 +69,6 @@ class TestSubsetText:
 
 
 class TestPairsText:
-    def test_round_trip(self):
-        r = PairRelation.of(3, [(2, 0), (0, 1)])
-        text = format_pairs(r)
-        assert text == "0,1;2,0"
-        assert parse_pairs(text, 3) == r
-
-    def test_empty(self):
-        assert parse_pairs("", 3) == PairRelation.empty(3)
-        assert format_pairs(PairRelation.empty(3)) == ""
-
-    def test_bad_pair(self):
-        with pytest.raises(TextFormatError):
-            parse_pairs("0,1;2", 3)
-
     def test_pair_list_dash_form(self):
         assert parse_pair_list("0-1,1-2") == [(0, 1), (1, 2)]
         with pytest.raises(TextFormatError):
