@@ -151,6 +151,22 @@ class TestRefinement:
         with pytest.raises(UniverseMismatchError):
             refines(discrete(2), discrete(3))
 
+    def test_universe_mismatch_is_joins_error(self):
+        with pytest.raises(UniverseMismatchError) as by_join:
+            join(discrete(2), discrete(3))
+        with pytest.raises(UniverseMismatchError) as by_refines:
+            refines(discrete(2), discrete(3))
+        assert str(by_refines.value) == str(by_join.value)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_pair_matches_block_containment(self, n):
+        # the order read off the join against its definition on blocks
+        every = oracles.enumerate_blockwise(n)
+        for fine, coarse in itertools.product(every, repeat=2):
+            inside = all(any(b <= c for c in coarse) for b in fine)
+            p, q = partition_from_blocks(n, fine), partition_from_blocks(n, coarse)
+            assert refines(p, q) == inside
+
 
 def _pairs_same_n(n):
     return list(itertools.product(enumerate_partitions(n), repeat=2))

@@ -238,6 +238,13 @@ class TestRecordBase:
         assert trace == other and repr(trace) != repr(other)
         assert trace._key() == (trace.mechanism, trace.k, trace.steps)
 
+    def test_trace_hash_leaves_params_out(self):
+        # a dict in params makes no trace unhashable
+        given = Trace("generative", 1, (), params={"experience": [(1, 0)]})
+        bare = Trace("generative", 1, ())
+        assert hash(given) == hash(bare) == hash(("generative", 1, ()))
+        assert len({given, bare}) == 1
+
     def test_field_lists(self):
         assert Partition._fields == ("n", "assignment")
         assert Trace._fields == ("mechanism", "k", "steps", "params")
