@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(4, exc)
     except _USAGE_ERRORS as exc:
         return _fail(2, exc)
-    except DitkitError as exc:
+    except (DitkitError, ArithmeticError) as exc:  # an underflowing run divides by zero
         return _fail(3, exc)
     except BrokenPipeError:
         # The reader closed stdout. Point it at devnull so the flush at

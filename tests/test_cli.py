@@ -284,6 +284,38 @@ class TestSim:
         assert code == 2
         assert json.loads(err)["error"] == "TextFormatError"
 
+    def test_underflowing_selection_is_a_domain_error(self, capsys, tmp_path):
+        # every amplified weight rounds to 0.0, so normalising divides by zero
+        fitness = tmp_path / "fitness.txt"
+        fitness.write_text("00 5e-324\n01 1e-323\n10 5e-324\n11 5e-324\n")
+        code, out, err = run(capsys, "sim", "select", "--k", "2", "--fitness", str(fitness))
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "ZeroDivisionError",
+            "message": "float division by zero",
+        }
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "select", "--k", "K", "--fitness", "peak@01"],
+            ["sim", "select", "--k", "K", "--fitness", "peak@"],
+            ["sim", "generate", "--k", "K", "--events", "1=0"],
+            ["sim", "twentyq", "--k", "K", "--answers", "0,1"],
+            ["compare", "--k", "K", "--target", "01"],
+            ["compare", "--k", "K", "--target", ""],
+        ],
+        ids=lambda argv: " ".join(argv).replace(" --k K", ""),
+    )
+    def test_k_checked_before_variant_text(self, capsys, argv, k):
+        code, out, err = run(capsys, *(k if arg == "K" else arg for arg in argv))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"k must be a positive integer, got {k}",
+        }
+
 
 class TestCompare:
     def test_agreement(self, capsys):

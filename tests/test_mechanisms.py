@@ -390,6 +390,26 @@ class TestGenerative:
         trace = run_generative(2, [(2, 1)])
         assert trace.events() == [{"switch": 2, "value": "1"}]
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [(1, "1"), (True, "1"), (SwitchState.ONE, "1"),
+         (0, "0"), (False, "0"), (SwitchState.ZERO, "0")],
+    )
+    def test_event_value_is_read_as_its_option(self, value, text):
+        trace = run_generative(2, [(2, value), (1, value)])
+        assert trace.events() == [{"switch": 2, "value": text}, {"switch": 1, "value": text}]
+        recorded = trace.params["experience"]
+        assert recorded == ((2, int(text)), (1, int(text)))
+        assert {type(v) for _, v in recorded} == {int}
+
+    def test_bad_value_is_refused_before_bad_switch(self):
+        with pytest.raises(ValueError, match="switch value must be 0, 1"):
+            run_generative(2, [(9, 2)])
+        with pytest.raises(SwitchIndexError):
+            run_generative(2, [(9, 1)])
+        with pytest.raises(ValueError, match="back to neutral"):
+            run_generative(2, [(1, SwitchState.NEUTRAL)])
+
     @given(st.data())
     def test_every_snapshot_matches_per_switch_oracle(self, data):
         # each snapshot builds its block from the bank, fresh setting or overwrite
