@@ -6,19 +6,27 @@ domain problem, or stdout closed by its reader, 4 size or budget cap
 exceeded. Errors go to stderr as one JSON line
 {"error": ..., "message": ...}.
 
+The options are stated once, in _COMMANDS. _parse reads a plain call
+from that table: top-level flags first, then the command word (and the
+scenario word under sim), then that command's flags and positionals in
+any order, every flag spelled in full and followed by its value. Any
+other argv, -h among them, goes to the argparse parser that
+build_parser makes from the same table, so argparse alone prints help
+and usage errors, and a plain call never imports it.
+
 Each handler imports the modules its subcommand needs, so a call loads
 no other: taut never loads mechanisms, compare and sim never load
-formulas or validity, and lattice loads partitions alone.
+formulas or validity, and lattice loads partitions alone. json is
+imported only for the output, config file or error that needs it.
 """
 from __future__ import annotations
 
-import argparse
 import io
 import itertools
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from types import SimpleNamespace
 
 from .errors import (
     DitkitError,
@@ -29,6 +37,10 @@ from .errors import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations; a plain call never imports argparse
+    import argparse
+
 _USAGE_ERRORS = (FormulaSyntaxError, TextFormatError, ValueError)
 _RESOURCE_ERRORS = (ResourceLimitError, TooManyVariablesError)
 
@@ -38,11 +50,14 @@ _BLOCK = io.DEFAULT_BUFFER_SIZE  # buffered stdout writes blocks of this size to
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv, SimpleNamespace())
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         limits = _load_limits(args)
         code = args.handler(args, limits)
@@ -64,14 +79,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _fail(code: int, exc: Exception) -> int:
+    import json
+
     line = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(line, sort_keys=True), file=sys.stderr)
     return code
 
 
-def _load_limits(args: argparse.Namespace) -> Limits:
+def _load_limits(args: SimpleNamespace) -> Limits:
     settings: dict[str, int] = {}
     if args.config:
+        import json
+
         try:
             with open(args.config, encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -92,98 +111,100 @@ def _load_limits(args: argparse.Namespace) -> Limits:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ditkit",
-        description="Dual subset/partition logic and mechanism simulation "
-        "on finite universes.",
-    )
-    parser.add_argument("--config", metavar="FILE", help="JSON file of limit settings")
-    for name in _LIMIT_FLAGS:
-        parser.add_argument(
-            f"--{name.replace('_', '-')}",
-            type=int,
-            default=None,
-            help=f"override the {name} limit",
-        )
-    commands = parser.add_subparsers(dest="command", required=True)
+    """The argparse form of _COMMANDS, each parser and argument added in
+    table order, so its help and usage errors keep their bytes."""
+    import argparse
 
-    cmd = commands.add_parser("eval", help="evaluate a formula under an assignment")
-    cmd.add_argument("formula")
-    cmd.add_argument("--logic", choices=("subset", "partition"), required=True)
-    cmd.add_argument("--n", type=int, required=True, help="universe size")
-    cmd.add_argument(
-        "--assign",
-        action="append",
-        default=[],
-        metavar="VAR=VALUE",
-        help="variable assignment; repeatable",
-    )
-    cmd.add_argument("--names", help="comma-separated element names")
-    cmd.set_defaults(handler=cmd_eval)
+    words = {}  # path -> the subparsers action that reads the word after it
+    for path, (text, handler, arguments) in _COMMANDS.items():
+        if path:
+            parser = words[path[:-1]].add_parser(path[-1], help=text)
+        else:
+            parser = root = argparse.ArgumentParser(prog="ditkit", description=text)
+        group = None
+        for name, spec in arguments:
+            if spec.get("exclusive"):
+                group = group or parser.add_mutually_exclusive_group()
+                group.add_argument(name, **{k: v for k, v in spec.items() if k != "exclusive"})
+            else:
+                parser.add_argument(name, **spec)
+        if handler is not None:
+            parser.set_defaults(handler=handler)
+        if path in _WORD_DESTS:
+            words[path] = parser.add_subparsers(dest=_WORD_DESTS[path], required=True)
+    return root
 
-    cmd = commands.add_parser("taut", help="check validity, exit 1 with counterexample")
-    cmd.add_argument("formula")
-    cmd.add_argument("--logic", choices=("truth", "subset", "partition"), required=True)
-    cmd.add_argument("--max-n", type=int, default=None, help="largest universe to scan")
-    cmd.add_argument("--json", action="store_true", help="emit the verdict as JSON")
-    cmd.set_defaults(handler=cmd_taut)
 
-    cmd = commands.add_parser("lattice", help="nodes and cover edges of a lattice")
-    cmd.add_argument("--kind", choices=("subset", "partition"), required=True)
-    cmd.add_argument("--n", type=int, required=True)
-    style = cmd.add_mutually_exclusive_group()
-    style.add_argument("--json", action="store_true", help="JSON output (default)")
-    style.add_argument("--dot", action="store_true", help="Graphviz DOT output")
-    cmd.set_defaults(handler=cmd_lattice)
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of a plain call, or None for argv in
+    any other form and for argv that argparse refuses. A flag's value is
+    the next item, which may not start with "-"; a value is converted
+    and checked as argparse does, by the flag's type and choices."""
+    values: dict[str, object] = {}
+    path: tuple[str, ...] = ()
+    flags, positionals = _arguments(path, values)
+    seen: set[str] = set()
+    items = iter(argv)
+    for item in items:
+        if item in flags:
+            seen.add(item)
+            dest, spec = flags[item]
+            if spec.get("action") == "store_true":
+                values[dest] = True
+                continue
+            item = next(items, "-")  # a missing value is refused like a dash
+        elif item.startswith("-"):
+            return None
+        elif path in _WORD_DESTS:
+            if not _complete(flags, seen) or path + (item,) not in _COMMANDS:
+                return None
+            values[_WORD_DESTS[path]] = item
+            path += (item,)
+            flags, positionals = _arguments(path, values)
+            seen = set()
+            continue
+        elif positionals:
+            dest, spec = positionals.pop(0)
+        else:
+            return None
+        if item.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(item)
+        except ValueError:
+            return None
+        choices = spec.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = [*values[dest], value] if spec.get("action") == "append" else value
+    if path in _WORD_DESTS or positionals or not _complete(flags, seen):
+        return None
+    values["handler"] = _COMMANDS[path][1]
+    return SimpleNamespace(**values)
 
-    sim = commands.add_parser("sim", help="run a mechanism and emit its trace")
-    scenarios = sim.add_subparsers(dest="scenario", required=True)
 
-    cmd = scenarios.add_parser("select", help="selectionist amplification")
-    cmd.add_argument("--k", type=int, required=True)
-    cmd.add_argument(
-        "--fitness",
-        required=True,
-        help="peak@BITS for peaked fitness, otherwise a 'variant score' file",
-    )
-    cmd.add_argument("--margin", type=float, default=1.0, help="peak margin")
-    cmd.add_argument("--threshold", type=float, default=None)
-    cmd.add_argument("--max-steps", type=int, default=1000)
-    cmd.set_defaults(handler=cmd_sim_select)
+def _arguments(path: tuple[str, ...], values: dict[str, object]) -> tuple[dict, list]:
+    """Set the defaults of the arguments of path in values, as argparse
+    does; return its flags, each mapped to its dest and spec, and its
+    positionals as (dest, spec) in order."""
+    flags, positionals = {}, []
+    for name, spec in _COMMANDS[path][2]:
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")
+            flags[name] = dest, spec
+            switch = spec.get("action") == "store_true"
+            values[dest] = spec.get("default", False if switch else None)
+        else:
+            positionals.append((name, spec))
+            values[name] = None
+    return flags, positionals
 
-    cmd = scenarios.add_parser("generate", help="switch-setting experience")
-    cmd.add_argument("--k", type=int, required=True)
-    cmd.add_argument("--events", default="", help='e.g. "1=0,2=1,3=0"')
-    cmd.add_argument("--overwrite", action="store_true", help="allow resetting switches")
-    cmd.set_defaults(handler=cmd_sim_generate)
 
-    cmd = scenarios.add_parser("identify", help="glue elements into blocks")
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--pairs", default="", help='e.g. "0-1,1-2"')
-    cmd.add_argument("--names", help="comma-separated element names")
-    cmd.set_defaults(handler=cmd_sim_identify)
-
-    cmd = scenarios.add_parser("create", help="build a subset element by element")
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--elements", default="", help='e.g. "2,0"')
-    cmd.set_defaults(handler=cmd_sim_create)
-
-    cmd = scenarios.add_parser("twentyq", help="follow designated blocks down the tree")
-    cmd.add_argument("--k", type=int, required=True)
-    cmd.add_argument("--answers", default="", help='e.g. "0,1,0"')
-    cmd.set_defaults(handler=cmd_sim_twentyq)
-
-    cmd = commands.add_parser(
-        "compare", help="selectionist vs generative runs at one target"
-    )
-    cmd.add_argument("--k", type=int, required=True)
-    cmd.add_argument("--target", required=True, help="target variant bitstring")
-    cmd.add_argument("--margin", type=float, default=1.0)
-    cmd.add_argument("--threshold", type=float, default=None)
-    cmd.add_argument("--max-steps", type=int, default=None)
-    cmd.set_defaults(handler=cmd_compare)
-
-    return parser
+def _complete(flags: dict, seen: set[str]) -> bool:
+    """Whether the flags seen include every required one and at most one
+    of the mutually exclusive ones."""
+    required = all(flag in seen for flag, (_, spec) in flags.items() if spec.get("required"))
+    return required and sum(1 for flag in seen if flags[flag][1].get("exclusive")) <= 1
 
 
 def _split_assignment(item: str) -> tuple[str, str]:
@@ -194,7 +215,7 @@ def _split_assignment(item: str) -> tuple[str, str]:
     return name, value
 
 
-def _parse_name_table(args: argparse.Namespace) -> tuple[str, ...] | None:
+def _parse_name_table(args: SimpleNamespace) -> tuple[str, ...] | None:
     from .textio import parse_names
 
     names = getattr(args, "names", None)
@@ -206,7 +227,7 @@ def _check_relation_n(n: int, limits: Limits) -> None:
         raise ResourceLimitError(f"n={n} exceeds the relation cap {limits.max_relation_n}")
 
 
-def cmd_eval(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_eval(args: SimpleNamespace, limits: Limits) -> int:
     from .formulas import (
         PartitionAssignment,
         SubsetAssignment,
@@ -243,7 +264,7 @@ def _render_taut_value(value) -> str:
     return _render_value(value)
 
 
-def cmd_taut(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_taut(args: SimpleNamespace, limits: Limits) -> int:
     from .formulas import parse
     from .validity import partition_tautology, subset_valid, truth_table_tautology
 
@@ -268,7 +289,7 @@ def cmd_taut(args: argparse.Namespace, limits: Limits) -> int:
     return 0 if verdict.valid else 1
 
 
-def cmd_lattice(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_lattice(args: SimpleNamespace, limits: Limits) -> int:
     """Stream the lattice to stdout a node at a time. The bytes are
     those of json.dumps(payload, sort_keys=True), whose first key is
     "edges", or of the DOT listing with one line per node and edge."""
@@ -296,6 +317,8 @@ def _dot_chunks(labels: list[str], covers: Iterator[list[int]]) -> Iterator[str]
 def _lattice_json_chunks(
     kind: str, n: int, labels: list[str], covers: Iterator[list[int]]
 ) -> Iterator[str]:
+    import json
+
     yield '{"edges": ['
     names = list(map(str, range(len(labels))))
     separator = ""
@@ -340,7 +363,7 @@ def _write_json(document: dict) -> None:
     _emit(itertools.chain(_json_chunks(document), ("\n",)))
 
 
-def cmd_sim_select(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_sim_select(args: SimpleNamespace, limits: Limits) -> int:
     from .mechanisms import Fitness, _check_switch_bits, run_selectionist
     from .textio import parse_variant
 
@@ -361,7 +384,7 @@ def cmd_sim_select(args: argparse.Namespace, limits: Limits) -> int:
     return 0
 
 
-def cmd_sim_generate(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_sim_generate(args: SimpleNamespace, limits: Limits) -> int:
     from .mechanisms import _check_switch_bits, run_generative
     from .textio import parse_events
 
@@ -372,7 +395,7 @@ def cmd_sim_generate(args: argparse.Namespace, limits: Limits) -> int:
     return 0
 
 
-def cmd_sim_identify(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_sim_identify(args: SimpleNamespace, limits: Limits) -> int:
     from .mechanisms import identify
     from .textio import format_partition, parse_pair_list
 
@@ -383,7 +406,7 @@ def cmd_sim_identify(args: argparse.Namespace, limits: Limits) -> int:
     return 0
 
 
-def cmd_sim_create(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_sim_create(args: SimpleNamespace, limits: Limits) -> int:
     from .mechanisms import create
     from .textio import parse_int_list
 
@@ -393,7 +416,9 @@ def cmd_sim_create(args: argparse.Namespace, limits: Limits) -> int:
     return 0
 
 
-def cmd_sim_twentyq(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_sim_twentyq(args: SimpleNamespace, limits: Limits) -> int:
+    import json
+
     from .mechanisms import _check_switch_bits, twenty_questions
     from .textio import format_variant, parse_answers
 
@@ -404,7 +429,7 @@ def cmd_sim_twentyq(args: argparse.Namespace, limits: Limits) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_compare(args: SimpleNamespace, limits: Limits) -> int:
     from .mechanisms import _check_switch_bits, compare_mechanisms
     from .textio import parse_variant
 
@@ -420,6 +445,91 @@ def cmd_compare(args: argparse.Namespace, limits: Limits) -> int:
     )
     _write_json(result.to_json_dict())
     return 0
+
+
+# The CLI's arguments, stated once; build_parser and _parse both read
+# them. Each command path maps to its help (the description, for the
+# top level), its handler and its arguments in the order build_parser
+# adds them. An argument is its name (a flag, or a positional without
+# dashes) and the keyword arguments of add_argument, except "exclusive",
+# which puts it in the path's one mutually exclusive group. A path in
+# _WORD_DESTS has no handler: a word naming a path under it follows.
+_K = ("--k", dict(type=int, required=True))
+_N = ("--n", dict(type=int, required=True))
+_NAMES = ("--names", dict(help="comma-separated element names"))
+
+_COMMANDS: dict[tuple[str, ...], tuple] = {
+    (): (
+        "Dual subset/partition logic and mechanism simulation on finite universes.",
+        None,
+        (
+            ("--config", dict(metavar="FILE", help="JSON file of limit settings")),
+            *(
+                (f"--{name.replace('_', '-')}",
+                 dict(type=int, default=None, help=f"override the {name} limit"))
+                for name in _LIMIT_FLAGS
+            ),
+        ),
+    ),
+    ("eval",): ("evaluate a formula under an assignment", cmd_eval, (
+        ("formula", {}),
+        ("--logic", dict(choices=("subset", "partition"), required=True)),
+        ("--n", dict(type=int, required=True, help="universe size")),
+        ("--assign", dict(action="append", default=[], metavar="VAR=VALUE",
+                          help="variable assignment; repeatable")),
+        _NAMES,
+    )),
+    ("taut",): ("check validity, exit 1 with counterexample", cmd_taut, (
+        ("formula", {}),
+        ("--logic", dict(choices=("truth", "subset", "partition"), required=True)),
+        ("--max-n", dict(type=int, default=None, help="largest universe to scan")),
+        ("--json", dict(action="store_true", help="emit the verdict as JSON")),
+    )),
+    ("lattice",): ("nodes and cover edges of a lattice", cmd_lattice, (
+        ("--kind", dict(choices=("subset", "partition"), required=True)),
+        _N,
+        ("--json", dict(action="store_true", help="JSON output (default)", exclusive=True)),
+        ("--dot", dict(action="store_true", help="Graphviz DOT output", exclusive=True)),
+    )),
+    ("sim",): ("run a mechanism and emit its trace", None, ()),
+    ("sim", "select"): ("selectionist amplification", cmd_sim_select, (
+        _K,
+        ("--fitness", dict(
+            required=True,
+            help="peak@BITS for peaked fitness, otherwise a 'variant score' file",
+        )),
+        ("--margin", dict(type=float, default=1.0, help="peak margin")),
+        ("--threshold", dict(type=float, default=None)),
+        ("--max-steps", dict(type=int, default=1000)),
+    )),
+    ("sim", "generate"): ("switch-setting experience", cmd_sim_generate, (
+        _K,
+        ("--events", dict(default="", help='e.g. "1=0,2=1,3=0"')),
+        ("--overwrite", dict(action="store_true", help="allow resetting switches")),
+    )),
+    ("sim", "identify"): ("glue elements into blocks", cmd_sim_identify, (
+        _N,
+        ("--pairs", dict(default="", help='e.g. "0-1,1-2"')),
+        _NAMES,
+    )),
+    ("sim", "create"): ("build a subset element by element", cmd_sim_create, (
+        _N,
+        ("--elements", dict(default="", help='e.g. "2,0"')),
+    )),
+    ("sim", "twentyq"): ("follow designated blocks down the tree", cmd_sim_twentyq, (
+        _K,
+        ("--answers", dict(default="", help='e.g. "0,1,0"')),
+    )),
+    ("compare",): ("selectionist vs generative runs at one target", cmd_compare, (
+        _K,
+        ("--target", dict(required=True, help="target variant bitstring")),
+        ("--margin", dict(type=float, default=1.0)),
+        ("--threshold", dict(type=float, default=None)),
+        ("--max-steps", dict(type=int, default=None)),
+    )),
+}
+# the dest of the word that picks a path under each path that has them
+_WORD_DESTS = {(): "command", ("sim",): "scenario"}
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ any scan. Its values are distinction masks until a counterexample.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Iterator, Mapping
 
 from .errors import ResourceLimitError, TooManyVariablesError, UniverseTooSmallError
@@ -81,6 +80,8 @@ class Verdict(_Record):
         return {"valid": self.valid, "n_checked": n_checked, "counterexample": cx}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 

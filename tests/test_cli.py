@@ -9,7 +9,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ditkit
@@ -436,6 +436,18 @@ class TestArgHandling:
     def test_missing_required(self, capsys):
         assert run(capsys, "eval", "p")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, code", [(["taut", "p -> p", "--logic", "truth"], 0), (["taut"], 2)],
+        ids=["plain", "argparse"],
+    )
+    def test_argv_from_sys_argv(self, capsys, monkeypatch, argv, code):
+        # the installed entry point calls main() with no arguments
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "argv", ["ditkit", *argv])
+        got = (main(), *capsys.readouterr())
+        assert got[0] == code
+        assert got == run(capsys, *argv)
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "limits.json"
         cfg.write_text(json.dumps({"max_lattice_n": 2}))
@@ -835,7 +847,7 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["taut", "p -> (q -> p)", "--logic", "partition"], {"ditkit.mechanisms"}),
+        (["taut", "p -> (q -> p)", "--logic", "partition"], {"ditkit.mechanisms", "json"}),
         (["taut", "p | ~p", "--logic", "partition", "--json"], {"ditkit.mechanisms"}),
         (["compare", "--k", "3", "--target", "010"], {"ditkit.formulas", "ditkit.validity"}),
         (["sim", "generate", "--k", "3", "--events", "1=0"],
@@ -846,7 +858,8 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
     ids=["taut", "taut invalid", "compare", "sim generate", "lattice"],
 )
 def test_subcommand_loads_only_its_modules(argv, absent):
-    # what a CLI call adds to sys.modules, not what the interpreter preloads
+    # what a CLI call adds to sys.modules, not what the interpreter preloads;
+    # a plain call is parsed from the option table, without argparse
     code = (
         "import io, sys, contextlib\n"
         "before = set(sys.modules)\n"
@@ -857,13 +870,14 @@ def test_subcommand_loads_only_its_modules(argv, absent):
     )
     code, *loaded = _child(code).split()
     assert code in ("0", "1")
-    assert not set(loaded) & (absent | {"dataclasses", "inspect"})
+    assert not set(loaded) & (absent | {"dataclasses", "inspect", "argparse", "gettext"})
     assert "ditkit.cli" in loaded
 
 
 def test_cli_calls_load_neither_typing_nor_random():
     # site-packages may import both at start-up, so the child runs without
-    # site; ditkit's annotations need neither
+    # site; ditkit's annotations need neither. Nor does a plain call load
+    # shutil (with bz2 and lzma), which argparse imports for the terminal width
     code = (
         "import io, sys, contextlib\n"
         "from ditkit.cli import main\n"
@@ -871,7 +885,7 @@ def test_cli_calls_load_neither_typing_nor_random():
         "    codes = [main(['taut', 'p -> (q -> p)', '--logic', 'partition']),"
         " main(['taut', 'p | ~p', '--logic', 'partition']),"
         " main(['compare', '--k', '3', '--target', '010'])]\n"
-        "print(codes, {'typing', 'random'} & set(sys.modules))\n"
+        "print(codes, {'typing', 'random', 'shutil', 'bz2', 'lzma'} & set(sys.modules))\n"
     )
     assert _child(code, "-S") == "[0, 1, 0] set()\n"
 
@@ -1166,3 +1180,63 @@ def test_cli_fuzz_exit_codes(argv):
         text = out.getvalue()
         assert "taut" in argv
         assert text.startswith("invalid (n=") or json.loads(text)["valid"] is False
+
+
+# inserted as a unit: each is read otherwise than the plain form reads it,
+# or refused, or plain but out of place
+_INSERTS = st.sampled_from([
+    ["-h"], ["--"], [""], ["-"], ["-1"], ["--json", "--dot"], ["--max-lattice-n", "3"],
+    ["--n", "3"], ["--n"], ["p"],
+])
+
+
+@st.composite
+def _edited_argvs(draw) -> tuple[list[str], bool]:
+    """argv from _argvs after up to two edits (an inserted or dropped
+    item, an abbreviated flag, a flag joined to its value by "=", or an
+    item and the next repeated at the end), and whether any edit was
+    drawn."""
+    argv = draw(_argvs())
+    edits = draw(st.integers(min_value=0, max_value=2))
+    for _ in range(edits):
+        edit = draw(st.sampled_from(["insert", "drop", "abbreviate", "join", "repeat"]))
+        i = draw(st.integers(min_value=0, max_value=len(argv) - 1))
+        item = argv[i]
+        if edit == "insert":
+            argv[i + 1:i + 1] = draw(_INSERTS)
+        elif edit == "drop" and len(argv) > 1:
+            del argv[i]
+        elif edit == "abbreviate" and item.startswith("--") and len(item) > 3:
+            argv[i] = item[:draw(st.integers(min_value=3, max_value=len(item) - 1))]
+        elif edit == "join" and item.startswith("--") and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{item}={argv[i + 1]}"]
+        elif edit == "repeat":
+            argv += argv[i:i + 2]
+    return argv, edits > 0
+
+
+def _argparse_vars(argv: list[str]) -> dict | None:
+    """vars() of argparse's namespace for argv, or None where argparse
+    exits: for help, or to refuse argv."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=500)
+@given(_edited_argvs())
+@example(([], True))
+@example((["--max-lattice-n", "3"], True))  # no command word
+def test_plain_parse_agrees_with_argparse(case):
+    # _parse may leave any argv to argparse, but what it accepts argparse
+    # accepts with the same namespace. Unedited argv it leaves to argparse
+    # only for a negative number, which argparse reads as a flag's value.
+    argv, edited = case
+    got, expected = cli._parse(argv), _argparse_vars(argv)
+    if got is not None:
+        assert vars(got) == expected
+    else:
+        negative = any(item[:1] == "-" and item[1:].isdigit() for item in argv)
+        assert edited or expected is None or negative
