@@ -17,7 +17,8 @@ and usage errors, and a plain call never imports it.
 Each handler imports the modules its subcommand needs, so a call loads
 no other: taut never loads mechanisms, compare and sim never load
 formulas or validity, and lattice loads partitions alone. json is
-imported only for the output, config file or error that needs it.
+imported only for taut --json, a config file or an error: lattice,
+sim and compare write their JSON themselves.
 """
 from __future__ import annotations
 
@@ -317,7 +318,7 @@ def _dot_chunks(labels: list[str], covers: Iterator[list[int]]) -> Iterator[str]
 def _lattice_json_chunks(
     kind: str, n: int, labels: list[str], covers: Iterator[list[int]]
 ) -> Iterator[str]:
-    import json
+    from _json import encode_basestring_ascii as quoted  # a str as json.dumps writes it
 
     yield '{"edges": ['
     names = list(map(str, range(len(labels))))
@@ -326,8 +327,8 @@ def _lattice_json_chunks(
         if ys:
             yield f"{separator}[{x}, " + f"], [{x}, ".join(map(names.__getitem__, ys)) + "]"
             separator = ", "
-    tail = {"kind": kind, "n": n, "nodes": labels}
-    yield "], " + json.dumps(tail, sort_keys=True)[1:] + "\n"
+    nodes = ", ".join(map(quoted, labels))
+    yield f'], "kind": {quoted(kind)}, "n": {n}, "nodes": [{nodes}]}}\n'
 
 
 def _emit(chunks: Iterable[str]) -> None:
@@ -356,7 +357,7 @@ def _emit(chunks: Iterable[str]) -> None:
 
 
 def _write_json(document: dict) -> None:
-    """Stream a trace or comparison to stdout, with the bytes of
+    """Stream a JSON document to stdout, with the bytes of
     print(json.dumps(document, sort_keys=True))."""
     from .mechanisms import _json_chunks
 
@@ -417,15 +418,13 @@ def cmd_sim_create(args: SimpleNamespace, limits: Limits) -> int:
 
 
 def cmd_sim_twentyq(args: SimpleNamespace, limits: Limits) -> int:
-    import json
-
     from .mechanisms import _check_switch_bits, twenty_questions
     from .textio import format_variant, parse_answers
 
     _check_switch_bits(args.k, limits)
     block = twenty_questions(args.k, parse_answers(args.answers))
     rendered = sorted(format_variant(v, args.k) for v in block)
-    print(json.dumps({"k": args.k, "block": rendered}, sort_keys=True))
+    _write_json({"k": args.k, "block": rendered})
     return 0
 
 

@@ -21,12 +21,12 @@ the final one, replayable deterministically.
 from __future__ import annotations
 
 import itertools
-import json
 import math
+from _json import encode_basestring_ascii  # the str encoder of json.dumps
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
-from operator import is_, itemgetter
+from operator import is_, itemgetter, ne
 
 from .errors import (
     AlreadySetError,
@@ -338,40 +338,118 @@ class Trace(_Record):
         return "".join(_json_chunks(self.to_json_dict()))
 
 
-_ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True)
-_KEY = json.encoder.encode_basestring_ascii  # a str key as json.dumps writes it
-
-
 def _json_chunks(obj) -> Iterator[str]:
     """Yield the text of json.dumps(obj, sort_keys=True) in pieces.
 
-    A selectionist run's weight map renders from its run's layout. A
-    dict with str keys that holds a dict or list is walked, and so is a
-    list whose first item is a dict or list. Anything else goes to
-    json.dumps whole."""
-    if type(obj) is _WeightMap:
-        text = obj._text()
-        yield _ENCODE(obj) if text is None else text
-    elif (
-        type(obj) is dict
-        and {dict, list} & set(map(type, obj.values()))
-        and set(map(type, obj)) == {str}
-    ):
-        separator = "{"
-        for key in sorted(obj):
-            yield f"{separator}{_KEY(key)}: "
-            yield from _json_chunks(obj[key])
-            separator = ", "
-        yield "}"
-    elif type(obj) is list and obj and type(obj[0]) in (dict, list):
-        separator = "["
-        for item in obj:
-            yield separator
-            yield from _json_chunks(item)
-            separator = ", "
-        yield "]"
+    Lists, and dicts whose keys are all str, are walked, and their str,
+    int, float, bool and None items are written as json's encoder writes
+    them. A list of strings that need no escapes is joined whole, and a
+    selectionist run's weight map renders from its run's layout. Anything
+    else (a dict with a key that is not a str, an instance of a subclass)
+    goes to json.dumps whole. The walk keeps the ids of the containers on
+    its path, as json's markers do, so a cycle raises json's ValueError.
+
+    A trace's "final" state is its last step's state, and sorts before
+    "steps": the chunks of a value under a "final" key are kept, by id,
+    and written again where the same object comes back, so the final
+    map renders once. Only those are kept, so that memory holds no other
+    map's text once it is written."""
+    return _walk(obj, set(), {})
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# a leaf's text by exact type, as json's encoder writes it
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+_EMPTY = {list: "[]", dict: "{}"}
+
+
+def _walk(obj, path: set[int], kept: dict[int, list[str]]) -> Iterator[str]:
+    """_json_chunks(obj) inside a walk: path holds the ids of the
+    containers being walked, and kept the chunks of each "final" value
+    written so far, by id."""
+    kind = type(obj)
+    if kind in _LEAVES:
+        yield _LEAVES[kind](obj)
+    elif kind in _EMPTY and not obj:
+        yield _EMPTY[kind]
+    elif id(obj) in kept:
+        yield from kept[id(obj)]
+    elif kind is _WeightMap:
+        yield from obj._chunks() or (_encode(obj),)
+    elif kind is list:
+        if type(obj[0]) is str and _plain_strings(obj):
+            yield '["'
+            yield '", "'.join(obj)
+            yield '"]'
+        else:
+            items = zip(_separators("["), obj, itertools.repeat(False))
+            yield from _members(obj, items, "]", path, kept)
+    elif kind is dict and set(map(type, obj)) == {str}:
+        keys = sorted(obj)
+        prefixes = map("{}{}: ".format, _separators("{"), map(encode_basestring_ascii, keys))
+        items = zip(prefixes, map(obj.__getitem__, keys), map("final".__eq__, keys))
+        yield from _members(obj, items, "}", path, kept)
     else:
-        yield _ENCODE(obj)
+        yield _encode(obj)
+
+
+def _separators(opening: str) -> Iterator[str]:
+    return itertools.chain((opening,), itertools.repeat(", "))
+
+
+def _members(
+    container, items: Iterable[tuple[str, object, bool]], closing: str,
+    path: set[int], kept: dict[int, list[str]],
+) -> Iterator[str]:
+    """The text of a walked list or dict: each value after its prefix,
+    its chunks kept when the item says so, then closing."""
+    if id(container) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(container))
+    for prefix, value, keep in items:
+        leaf = _LEAVES.get(type(value))
+        if leaf is not None:
+            yield prefix + leaf(value)
+            continue
+        yield prefix
+        if keep:
+            kept[id(value)] = chunks = list(_walk(value, path, kept))
+            yield from chunks
+        else:
+            yield from _walk(value, path, kept)
+    path.remove(id(container))
+    yield closing
+
+
+def _plain_strings(items: list) -> bool:
+    """Whether items are all str that JSON writes as they are, between
+    quotes, as the variant labels and switch states of a trace are. Each
+    escape lengthens the encoded text, so one encoding of all the items
+    joined shows whether any needs one."""
+    try:
+        joined = "".join(items)
+    except TypeError:  # an item that is not a str
+        return False
+    return len(encode_basestring_ascii(joined)) == len(joined) + 2
+
+
+def _encode(obj) -> str:
+    """json.dumps(obj, sort_keys=True); json is imported on first use,
+    so a mechanism run that needs no fallback never loads it."""
+    import json
+
+    return json.dumps(obj, sort_keys=True)
 
 
 class _Layout:
@@ -380,20 +458,29 @@ class _Layout:
     per_variant maps the list of class weights to the tuple of the 2**k
     variant weights. The labels ascend, as json.dumps sorts keys."""
 
-    __slots__ = ("labels", "per_variant", "_prefixes")
+    __slots__ = ("labels", "of", "per_variant", "_runs")
 
     def __init__(self, labels: list[str], of: list[int]) -> None:
-        self.labels, self._prefixes = labels, None
+        self.labels, self.of, self._runs = labels, of, None
         self.per_variant = itemgetter(*of)  # 2**k >= 2 items, so always a tuple
 
-    def prefixes(self) -> list[str]:
-        """'{"label": ' for the first key and ', "label": ' for each
-        other, built at the run's first rendering; a label is a bitstring,
-        which JSON writes as it is."""
-        if self._prefixes is None:
-            self._prefixes = [f', "{label}": ' for label in self.labels]
-            self._prefixes[0] = "{" + self._prefixes[0][2:]
-        return self._prefixes
+    def runs(self) -> list[tuple[int, list[str]]]:
+        """A map's text in runs of consecutive variants of one class:
+        each run is its class and the '"label": ' prefix of each of its
+        variants, '{' leading the first key and ', ' each other, and then
+        the text that follows its last weight, "}" for the last run and
+        "" for the others. The class weight's text joins a run's list
+        into the run's chunk. Built at the run's first rendering; a label
+        is a bitstring, which JSON writes as it is."""
+        if self._runs is None:
+            prefixes = [f', "{label}": ' for label in self.labels]
+            prefixes[0] = "{" + prefixes[0][2:]
+            of = self.of
+            starts = [0, *itertools.compress(range(1, len(of)), map(ne, of, of[1:]))]
+            ends = [*starts[1:], len(of)]
+            self._runs = [(of[a], [*prefixes[a:b], ""]) for a, b in zip(starts, ends)]
+            self._runs[-1][1][-1] = "}"
+        return self._runs
 
 
 class _WeightMap(dict):
@@ -406,21 +493,19 @@ class _WeightMap(dict):
     def __reduce__(self):
         return dict, (dict(self),)
 
-    def _text(self) -> str | None:
-        """json.dumps(self, sort_keys=True) with each class weight
-        rendered once; None once the map no longer holds its class weight
-        objects in its layout's key order."""
+    def _chunks(self) -> list[str] | None:
+        """The text of json.dumps(self, sort_keys=True), one chunk per
+        run of its layout, each class weight rendered once per run; None
+        once the map no longer holds its class weight objects in its
+        layout's key order. The chunks are not joined, so the map's text
+        is never held twice."""
         layout, weights = self._layout, self._weights
         if list(self) != layout.labels or not all(
             map(is_, self.values(), layout.per_variant(weights))
         ):
             return None
         texts = list(map(float.__repr__, weights))  # a run's weights are finite
-        prefixes = layout.prefixes()
-        parts = prefixes * 2
-        parts[::2] = prefixes
-        parts[1::2] = layout.per_variant(texts)
-        return "".join(parts) + "}"
+        return [texts[c].join(prefixes) for c, prefixes in layout.runs()]
 
 
 def run_selectionist(
@@ -485,7 +570,7 @@ def _selection_trace(
     # then the other labels with their own; fromkeys over a dict presizes
     # the map and reuses the labels' hashes
     keys = dict.fromkeys(labels)
-    major = counts.most_common(1)[0][0]
+    major = max(counts, key=counts.__getitem__)  # the first largest, as most_common(1)
     minor_labels = list(itertools.compress(labels, map(major.__ne__, of)))
     minor_of = list(filter(major.__ne__, of))
     weights = [1.0 / size] * len(distinct)

@@ -118,3 +118,37 @@ def comparisons(draw) -> MechanismComparison:
     k = draw(st.integers(min_value=1, max_value=4))
     target = draw(st.integers(min_value=0, max_value=2**k - 1))
     return MechanismComparison(k, target, selection, generation, draw(st.booleans()))
+
+
+# strings json.dumps must escape: quotes, backslashes, control and
+# non-ASCII characters, DEL, and astral ones written as surrogate pairs
+_ESCAPED = st.text(alphabet=st.sampled_from('"\\\x00\n\x1f\x7f\x80é \U0001f600'))
+_STRINGS = st.one_of(st.sampled_from(["", "0", "01", "neutral", "final"]), _ESCAPED, st.text())
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(),
+    st.integers(min_value=2**63),  # beyond any fixed-width integer
+    _FLOATS,
+    _STRINGS,
+)
+# keys json.dumps accepts besides str; sort_keys raises TypeError on keys
+# that do not compare, such as a str and an int
+_KEYS = st.one_of(_STRINGS, st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def json_documents():
+    """Documents of scalars, lists and dicts. Lists may mix str with
+    other items; a dict's keys are mostly str, but may be of any kind
+    json.dumps takes, and of several kinds, which it cannot sort."""
+    return st.recursive(
+        _SCALARS,
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(_STRINGS, max_size=5),
+            st.dictionaries(_STRINGS, children, max_size=5),
+            st.dictionaries(_KEYS, children, max_size=3),
+        ),
+        max_leaves=20,
+    )

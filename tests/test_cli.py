@@ -849,13 +849,19 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
     [
         (["taut", "p -> (q -> p)", "--logic", "partition"], {"ditkit.mechanisms", "json"}),
         (["taut", "p | ~p", "--logic", "partition", "--json"], {"ditkit.mechanisms"}),
-        (["compare", "--k", "3", "--target", "010"], {"ditkit.formulas", "ditkit.validity"}),
+        (["compare", "--k", "3", "--target", "010"],
+         {"ditkit.formulas", "ditkit.validity", "json"}),
         (["sim", "generate", "--k", "3", "--events", "1=0"],
-         {"ditkit.formulas", "ditkit.validity"}),
+         {"ditkit.formulas", "ditkit.validity", "json"}),
+        (["sim", "twentyq", "--k", "3", "--answers", "0,1"],
+         {"ditkit.formulas", "ditkit.validity", "json"}),
         (["lattice", "--kind", "partition", "--n", "4"],
-         {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio"}),
+         {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio", "json"}),
+        (["lattice", "--kind", "subset", "--n", "3", "--dot"],
+         {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio", "json"}),
     ],
-    ids=["taut", "taut invalid", "compare", "sim generate", "lattice"],
+    ids=["taut", "taut invalid", "compare", "sim generate", "sim twentyq", "lattice",
+         "lattice dot"],
 )
 def test_subcommand_loads_only_its_modules(argv, absent):
     # what a CLI call adds to sys.modules, not what the interpreter preloads;

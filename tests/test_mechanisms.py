@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -544,6 +545,22 @@ def _dumped(document) -> str:
     return json.dumps(document.to_json_dict(), sort_keys=True)
 
 
+class _Text(str):
+    pass
+
+
+def _assert_chunks_match_dumps(document) -> None:
+    """The chunks of document join to json.dumps(document, sort_keys=True),
+    or raise the exception type that it raises."""
+    try:
+        expected = json.dumps(document, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            "".join(mechanisms._json_chunks(document))
+    else:
+        assert "".join(mechanisms._json_chunks(document)) == expected
+
+
 def _weights_trace(*maps: dict) -> Trace:
     steps = [TraceStep(i, None, {"weights": w, "extinct": []}) for i, w in enumerate(maps)]
     return Trace("selectionist", 3, tuple(steps))
@@ -562,6 +579,93 @@ class TestJsonBytes:
     @given(strategies.comparisons())
     def test_hand_built_comparisons(self, comparison):
         assert comparison.to_json() == _dumped(comparison)
+
+    @given(strategies.json_documents())
+    def test_any_document(self, document):
+        _assert_chunks_match_dumps(document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {1: "a", "b": 2},  # keys json.dumps cannot sort
+            {"a": [{None: 1, "x": 2}]},
+            {"a": {(1, 2): 3}},  # a key json.dumps refuses
+            [1, 2, object()],
+            ["0", "1", b"01"],
+            ["0", 1, 2.5, None, True, "\"", [], {}],
+            [True, 1, 1.0, False, 0, -0.0],
+            {"a": 10**5000},  # more digits than int() may write
+            [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324],
+            _Text("0"),
+            [_Text("0"), _Text("1")],
+            ["0", _Text("1")],
+            {"a": _Text("1")},
+        ],
+        ids=["mixed keys", "mixed keys nested", "tuple key", "object", "bytes",
+             "mixed list", "bools and numbers", "huge int", "special floats",
+             "str subclass", "str subclasses", "str subclass second", "str subclass value"],
+    )
+    def test_document_corners(self, document):
+        _assert_chunks_match_dumps(document)
+
+    @pytest.mark.parametrize("shape", ["dict", "list", "dict in list", "through int keys",
+                                       "through a weight map", "through final", "deep"])
+    def test_cycles_raise_as_json_does(self, shape):
+        document = {"a": {}}
+        if shape == "dict":
+            document["a"] = document
+        elif shape == "list":
+            document = [1, "0"]
+            document.append(document)
+        elif shape == "dict in list":
+            document["a"] = [{"b": document}]
+        elif shape == "through int keys":  # json.dumps renders that dict whole
+            document["a"] = {1: [document]}
+        elif shape == "through a weight map":
+            weights = self._run().final["weights"]
+            weights["101"] = document
+            document["a"] = weights
+        elif shape == "through final":  # a value under "final" is rendered whole first
+            document = {"final": {"a": []}, "steps": []}
+            document["final"]["a"].append(document)
+        else:
+            inner = document
+            for _ in range(50):
+                inner = inner["a"]
+                inner["a"] = {}
+            inner["a"] = document
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            json.dumps(document, sort_keys=True)
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            "".join(mechanisms._json_chunks(document))
+
+    def test_streaming_keeps_only_final_values(self):
+        # the text of every map but the final one is dropped once written:
+        # streaming compare --k 12 peaks near 0.6 MB, where keeping every
+        # map's text would hold 2.8 MB
+        limits = Limits().replaced(max_switch_bits=12)
+        document = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits).to_json_dict()
+        tracemalloc.start()
+        try:
+            for _ in mechanisms._json_chunks(document):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
+    def test_trace_with_a_cycle(self):
+        state = {"a": {}}
+        state["a"] = state
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            Trace("x", 1, (TraceStep(0, None, state),)).to_json()
+
+    def test_shared_objects_are_no_cycle(self):
+        shared, labels = {"x": [1.5]}, ["0", "1"]
+        document = {"a": shared, "b": [shared, labels], "c": labels}
+        _assert_chunks_match_dumps(document)
+        document = {"final": shared, "steps": [{"state": shared}, shared], "x": {"final": shared}}
+        _assert_chunks_match_dumps(document)
 
     @pytest.mark.parametrize(
         "values",
@@ -607,21 +711,37 @@ class TestJsonBytes:
 
     def test_snapshots_render_from_the_layout(self, monkeypatch):
         # every weight map of a peaked run renders from its run's layout,
-        # none falls back to json.dumps, and the key table is built once
+        # nothing falls back to json.dumps, and the key table is built once
         limits = Limits().replaced(max_switch_bits=12)
         trace = compare_mechanisms(12, 1234, 1.0, limits=limits).selectionist
         maps = [step.state["weights"] for step in trace.steps]
         layout = maps[0]._layout
-        assert all(m._layout is layout for m in maps) and layout._prefixes is None
+        assert all(m._layout is layout for m in maps) and layout._runs is None
         encoded = []
-        encode = mechanisms._ENCODE
-        monkeypatch.setattr(mechanisms, "_ENCODE", lambda obj: encoded.append(obj) or encode(obj))
+        encode = mechanisms._encode
+        monkeypatch.setattr(mechanisms, "_encode", lambda obj: encoded.append(obj) or encode(obj))
         for m in maps:
-            assert m._text() == json.dumps(m, sort_keys=True)
-        table = layout._prefixes
+            assert "".join(m._chunks()) == json.dumps(m, sort_keys=True)
+        table = layout._runs
         assert trace.to_json() == _dumped(trace)
-        assert layout._prefixes is table
-        assert not [obj for obj in encoded if type(obj) is mechanisms._WeightMap]
+        assert layout._runs is table
+        assert encoded == []
+
+    def test_each_map_renders_once(self, monkeypatch):
+        # the final map is the last step's, and its text is written twice
+        limits = Limits().replaced(max_switch_bits=12)
+        result = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits)
+        steps = result.selectionist.steps
+        assert result.selectionist.final["weights"] is steps[-1].state["weights"]
+        rendered = []
+        chunks = mechanisms._WeightMap._chunks
+        monkeypatch.setattr(
+            mechanisms._WeightMap, "_chunks", lambda m: rendered.append(m) or chunks(m)
+        )
+        assert result.to_json() == _dumped(result)
+        assert len(rendered) == len(steps)
+        order = [steps[-1], *steps[:-1]]  # "final" sorts before "steps"
+        assert [id(m) for m in rendered] == [id(step.state["weights"]) for step in order]
 
     @staticmethod
     def _run() -> Trace:
@@ -649,7 +769,7 @@ class TestJsonBytes:
         weights = trace.final["weights"]
         assert weights[label] == float(label == "101")
         weights[label] = value
-        assert weights._text() is None
+        assert weights._chunks() is None
         assert trace.to_json() == _dumped(trace)
 
     @pytest.mark.parametrize("edit", ["delete", "reinsert", "add", "clear"])
@@ -664,7 +784,7 @@ class TestJsonBytes:
             weights["1000"] = weights["000"]
         else:
             weights.clear()
-        assert weights._text() is None
+        assert weights._chunks() is None
         assert trace.to_json() == _dumped(trace)
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
