@@ -229,31 +229,19 @@ def _check_relation_n(n: int, limits: Limits) -> None:
 
 
 def cmd_eval(args: SimpleNamespace, limits: Limits) -> int:
-    from .formulas import (
-        PartitionAssignment,
-        SubsetAssignment,
-        eval_partition,
-        eval_subset,
-        parse,
-    )
+    from .formulas import PartitionAssignment, SubsetAssignment, eval_partition, eval_subset, parse
     from .textio import format_partition, format_subset, parse_partition, parse_subset
 
+    read, assignment, evaluate, render = {
+        "subset": (parse_subset, SubsetAssignment, eval_subset, format_subset),
+        "partition": (parse_partition, PartitionAssignment, eval_partition, format_partition),
+    }[args.logic]
     _check_relation_n(args.n, limits)
     names = _parse_name_table(args)
     formula = parse(args.formula)
     bindings = dict(_split_assignment(item) for item in args.assign)
-    if args.logic == "subset":
-        values = {
-            var: parse_subset(text, args.n, names) for var, text in bindings.items()
-        }
-        result = eval_subset(formula, SubsetAssignment(args.n, values))
-        print(format_subset(result, names))
-    else:
-        values = {
-            var: parse_partition(text, args.n, names) for var, text in bindings.items()
-        }
-        result = eval_partition(formula, PartitionAssignment(args.n, values))
-        print(format_partition(result, names))
+    values = {var: read(text, args.n, names) for var, text in bindings.items()}
+    print(render(evaluate(formula, assignment(args.n, values)), names))
     return 0
 
 
@@ -332,26 +320,19 @@ def _lattice_json_chunks(
 
 
 def _emit(chunks: Iterable[str]) -> None:
-    """Write chunks to stdout in blocks of at least _BLOCK characters, so
-    that a write-through stdout (python -u, PYTHONUNBUFFERED) makes one
-    system call per block, not one per chunk. A chunk of a block or more
-    is written as it is, after the batch pending before it, so it is
-    never copied; the batch stays under two blocks."""
+    """Write chunks to stdout in batches of at least _BLOCK characters,
+    the last batch aside, so that a write-through stdout (python -u,
+    PYTHONUNBUFFERED) makes one system call per batch, not one per
+    chunk."""
     write = sys.stdout.write
     pending: list[str] = []
     size = 0
     for chunk in chunks:
-        if len(chunk) >= _BLOCK:
-            if pending:
-                write("".join(pending))
-                pending, size = [], 0
-            write(chunk)
-        else:
-            pending.append(chunk)
-            size += len(chunk)
-            if size >= _BLOCK:
-                write("".join(pending))
-                pending, size = [], 0
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK:
+            write("".join(pending))
+            pending, size = [], 0
     if pending:
         write("".join(pending))
 

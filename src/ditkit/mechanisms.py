@@ -528,13 +528,6 @@ def run_selectionist(
     weight can never be culled. max_steps may not exceed the
     limits' max_selection_steps.
     """
-    _check_selection(k, fitness, extinction_threshold, max_steps, limits)
-    return _selection_trace(k, fitness, extinction_threshold, max_steps, _labels(k))
-
-
-def _check_selection(
-    k: int, fitness: Fitness, extinction_threshold: float, max_steps: int, limits: Limits
-) -> None:
     _check_k(k)
     if fitness.k != k:
         raise InvalidFitnessError(f"fitness is for k={fitness.k}, expected {k}")
@@ -546,19 +539,12 @@ def _check_selection(
             f"{_count_text(max_steps)} selection steps exceeds the cap "
             f"{limits.max_selection_steps}"
         )
-
-
-def _selection_trace(
-    k: int, fitness: Fitness, extinction_threshold: float, max_steps: int, labels: list[str]
-) -> Trace:
-    """The selectionist run of checked arguments; labels[v] is the text
-    of variant v.
-
-    Amplification sees only fitness, so variants of equal fitness keep
-    equal weights: the run keeps one weight per fitness class. normalised
-    folds the class weights of all the variants left to right in variant
-    order, as sum() did before Python 3.12 made it compensated, so every
-    weight is that of a run with one weight per variant, bit for bit."""
+    labels = _labels(k)  # labels[v] is the text of variant v
+    # Amplification sees only fitness, so variants of equal fitness keep
+    # equal weights: the run keeps one weight per fitness class. normalised
+    # folds the class weights of all the variants left to right in variant
+    # order, as sum() did before Python 3.12 made it compensated, so every
+    # weight is that of a run with one weight per variant, bit for bit.
     size = 2**k
     scores = fitness.scores
     distinct = list(dict.fromkeys(scores))  # class c holds the variants scoring distinct[c]
@@ -627,17 +613,10 @@ def run_generative(
     variants consistent with the settings so far, which halves while
     fresh switches are set.
     """
-    _check_k(k)
-    return _generative_trace(k, experience, overwrite, _labels(k))
-
-
-def _generative_trace(
-    k: int, experience: Iterable[tuple[int, int]], overwrite: bool, labels: list[str]
-) -> Trace:
-    """The generative run for a checked k; labels[v] is the text of
-    variant v. Each snapshot's block is built from its bank's free
-    switches, so a fresh setting and an overwrite take the same path."""
-    bank = SwitchBank.neutral(k)
+    bank = SwitchBank.neutral(k)  # checks k before the 2**k labels are built
+    labels = _labels(k)  # labels[v] is the text of variant v
+    # each snapshot's block is built from its bank's free switches, so a
+    # fresh setting and an overwrite take the same path
 
     def snapshot() -> dict:
         return {
@@ -767,13 +746,9 @@ def compare_mechanisms(
         steps = math.log(1.0 / extinction_threshold) / math.log1p(fitness_margin)
         # a subnormal margin or threshold overflows steps to inf, which the cap refuses
         max_steps = math.ceil(steps) + 2 if math.isfinite(steps) else steps
-    _check_selection(k, fitness, extinction_threshold, max_steps, limits)
-    # one table of variant text for both runs: a second table for the
-    # generative run raised the peak RSS of compare --k 12 by 0.25 MB
-    labels = _labels(k)
-    selection = _selection_trace(k, fitness, extinction_threshold, max_steps, labels)
+    selection = run_selectionist(k, fitness, extinction_threshold, max_steps, limits)
     experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
-    generation = _generative_trace(k, experience, False, labels)
+    generation = run_generative(k, experience)
     agreement = (
         selection_survivors(selection)
         == generative_block(generation)

@@ -9,7 +9,10 @@ operations with the fixpoint interior at every node, and recursive
 two-valued and frozenset evaluators with the truth-table, subset and
 partition scans built on them, the block of switch settings by a
 per-switch scan of every variant, the selectionist run with one
-weight per variant, and the formula lexer as a character loop.
+weight per variant, and the formula lexer as a character loop. The
+three verdict scans also come in a bottom-up form for many formulas at
+once, which builds each subformula's values from its children's over
+every assignment of a universe, with the same evaluators.
 """
 from __future__ import annotations
 
@@ -282,6 +285,114 @@ def partition_verdict_json(f, n_max: int) -> dict:
                 }
                 return {"valid": False, "n_checked": [2, n], "counterexample": cx}
     return {"valid": True, "n_checked": [2, n_max], "counterexample": None}
+
+
+_A, _B = Var("a"), Var("b")
+
+
+def _verdicts_bottom_up(formulas, first: int, n_max: int, universe) -> list[dict]:
+    """The verdict dicts of a scan over universes first..n_max, for many
+    formulas at once. universe(n) gives the pool of values a variable
+    takes on universe n, in scan order; the evaluator of a formula over
+    such values; the value that passes; and the text of a value.
+
+    On each universe, the assignments give every variable of every
+    formula a value, in itertools.product order over the sorted names.
+    A formula's first failing one there, restricted to its own variables,
+    is the first failing one of its own scan. Each distinct subformula's
+    values over those assignments are computed once, as positions in the
+    pool, from its children's values and one table per connective, which
+    the evaluator fills from a formula over Var("a") and Var("b")."""
+    names = sorted({name for f in formulas for name in _variables(f)})
+    verdicts: list[dict | None] = [None] * len(formulas)
+    for n in range(first, n_max + 1):
+        pending = [i for i, verdict in enumerate(verdicts) if verdict is None]
+        if not pending:
+            break
+        pool, evaluate, top, text = universe(n)
+        position = {value: i for i, value in enumerate(pool)}
+        rows = list(itertools.product(range(len(pool)), repeat=len(names)))
+
+        def table(node, i, j=0):
+            return position[evaluate(node, {"a": pool[i], "b": pool[j]})]
+
+        indices = range(len(pool))
+        negation = [table(Not(_A), i) for i in indices]
+        binary = {
+            shape: [[table(shape(_A, _B), i, j) for j in indices] for i in indices]
+            for shape in (And, Or, Implies, Iff)
+        }
+        memo: dict = {}
+
+        def values(f) -> list[int]:
+            if f not in memo:
+                if isinstance(f, Var):
+                    k = names.index(f.name)
+                    memo[f] = [row[k] for row in rows]
+                elif isinstance(f, Const):
+                    memo[f] = [position[evaluate(f, {})]] * len(rows)
+                elif isinstance(f, Not):
+                    memo[f] = [negation[i] for i in values(f.child)]
+                else:
+                    op = binary[type(f)]
+                    memo[f] = [op[i][j] for i, j in zip(values(f.left), values(f.right))]
+            return memo[f]
+
+        passing = position[top]
+        for i in pending:
+            f = formulas[i]
+            row = next((r for r, v in enumerate(values(f)) if v != passing), None)
+            if row is not None:
+                own = sorted(set(_variables(f)))
+                assignment = {name: text(pool[rows[row][names.index(name)]]) for name in own}
+                cx = {"n": n, "assignment": assignment, "value": text(pool[values(f)[row]])}
+                verdicts[i] = {"valid": False, "n_checked": [first, n], "counterexample": cx}
+    return [
+        verdict or {"valid": True, "n_checked": [first, n_max], "counterexample": None}
+        for verdict in verdicts
+    ]
+
+
+def truth_verdicts_json(formulas) -> list[dict]:
+    """truth_verdict_json of each formula, computed bottom-up."""
+    return _verdicts_bottom_up(formulas, 1, 1, lambda n: ((False, True), eval_bool, True, bool))
+
+
+def subset_verdicts_json(formulas, n_max: int) -> list[dict]:
+    """subset_verdict_json(f, n_max) of each formula, computed bottom-up
+    over the same pool and frozenset evaluator."""
+
+    def universe(n: int):
+        pool = [frozenset()]
+        for u in range(n):
+            pool += [members | {u} for members in pool]  # ascending bitmask order
+
+        def evaluate(f, env):
+            return eval_members(f, n, env)
+
+        return pool, evaluate, frozenset(range(n)), _members_text
+
+    return _verdicts_bottom_up(formulas, 1, n_max, universe)
+
+
+def partition_verdicts_json(formulas, n_max: int) -> list[dict]:
+    """partition_verdict_json(f, n_max) of each formula, computed
+    bottom-up over the same pool and distinction-set evaluator."""
+
+    def universe(n: int):
+        pool = [
+            frozenset((u, v) for u, v in all_pairs(n) if digits[u] != digits[v])
+            for digits in itertools.product(range(n), repeat=n)
+            if all(d <= max(digits[:i], default=-1) + 1 for i, d in enumerate(digits))
+        ]
+
+        def evaluate(f, env):
+            return eval_ditwise(f, n, env)
+
+        top = all_pairs(n) - {(u, u) for u in range(n)}
+        return pool, evaluate, top, functools.partial(_blocks_text, n)
+
+    return _verdicts_bottom_up(formulas, 2, n_max, universe)
 
 
 def switch_block(k: int, settings: dict[int, int]) -> frozenset[int]:

@@ -83,8 +83,14 @@ class TestVariantSpace:
             lambda k: switch_partition(k, 1),
             lambda k: Fitness.uniform(k),
             lambda k: twenty_questions(k, []),
+            # each run checks k before it builds its 2**k labels
+            lambda k: run_generative(k, []),
+            lambda k: run_selectionist(k, Fitness.uniform(1), 0.1, 1),
         ],
-        ids=["VariantSpace", "SwitchBank", "switch_partition", "Fitness", "twenty_questions"],
+        ids=[
+            "VariantSpace", "SwitchBank", "switch_partition", "Fitness", "twenty_questions",
+            "run_generative", "run_selectionist",
+        ],
     )
     @pytest.mark.parametrize("k", [True, False, 0, -1, 2.0])
     def test_k_must_be_a_positive_int_not_a_bool(self, build, k):
@@ -516,21 +522,23 @@ class TestCompare:
         assert got["selectionist"]["final"]["weights"]["11"] == 1.0
         assert got["generative"]["final"]["block"] == ["11"]
 
-    def test_label_table_built_once(self, monkeypatch):
-        calls = []
-        labels = mechanisms._labels
-
-        def counted(k):
-            calls.append(k)
-            return labels(k)
-
-        monkeypatch.setattr(mechanisms, "_labels", counted)
-        result = compare_mechanisms(5, 0b10110, 1.0)
-        assert calls == [5]
-        # each run alone builds its own table and gives the same trace
-        assert replay(result.selectionist).to_json() == result.selectionist.to_json()
-        assert replay(result.generative).to_json() == result.generative.to_json()
-        assert calls == [5, 5, 5]
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_runs_are_the_public_runs(self, k):
+        # compare derives its arguments and calls the two public runs
+        threshold = 0.5 / 2**k
+        max_steps = math.ceil(math.log(1.0 / threshold) / math.log1p(1.0)) + 2
+        for target in range(2**k):
+            result = compare_mechanisms(k, target, 1.0)
+            fitness = Fitness.peaked(k, target, 1.0)
+            selection = run_selectionist(k, fitness, threshold, max_steps)
+            experience = [(i, target >> (i - 1) & 1) for i in range(1, k + 1)]
+            generation = run_generative(k, experience)
+            assert (result.selectionist, result.generative) == (selection, generation)
+            # a trace compares without its params, which hold the arguments
+            assert result.selectionist.params == selection.params
+            assert result.generative.params == generation.params
+            assert result.selectionist.to_json() == selection.to_json()
+            assert result.generative.to_json() == generation.to_json()
 
     def test_step_cap_refused_before_labels(self, monkeypatch):
         def refuse(k):

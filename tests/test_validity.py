@@ -24,7 +24,7 @@ from ditkit import (
     subset_valid,
     truth_table_tautology,
 )
-from ditkit.formulas import And
+from ditkit.formulas import And, Const, Iff, Implies, Not, Or, Var
 
 
 class TestTruthTable:
@@ -268,3 +268,83 @@ class TestOrbitReduction:
             late += 1
             assert partition_tautology(f, 4).to_json() == want.to_json(), str(f)
         assert late >= 100
+
+
+def _formulas_by_size(atoms, max_nodes: int) -> list[list]:
+    """Every formula over the atoms with ~ and the four binary
+    connectives, grouped by node count: group s holds those of s nodes,
+    each built from smaller ones."""
+    groups = [[], list(atoms)]
+    for size in range(2, max_nodes + 1):
+        group = [Not(f) for f in groups[size - 1]]
+        for left in range(1, size - 1):
+            for shape in (And, Or, Implies, Iff):
+                group += [shape(a, b) for a in groups[left] for b in groups[size - 1 - left]]
+        groups.append(group)
+    return groups
+
+
+def _assert_verdicts(formulas, n_max: int) -> list[dict]:
+    """Compare the three checks of every formula with the bottom-up
+    oracles, subsets to n = 3 and partitions to n_max; give the
+    partition verdicts."""
+    truth = oracles.truth_verdicts_json(formulas)
+    subset = oracles.subset_verdicts_json(formulas, 3)
+    partition = oracles.partition_verdicts_json(formulas, n_max)
+    for f, *want in zip(formulas, truth, subset, partition):
+        got = (
+            truth_table_tautology(f).to_json_dict(),
+            subset_valid(f, 3).to_json_dict(),
+            partition_tautology(f, n_max).to_json_dict(),
+        )
+        assert got == tuple(want), str(f)
+    return partition
+
+
+_P, _Q, _R = Var("p"), Var("q"), Var("r")
+
+
+class TestSmallWorld:
+    """Every small formula, not a sample: the scan engine against the
+    oracles, verdicts and minimal counterexamples included."""
+
+    def test_bottom_up_oracles_match_the_scans(self):
+        formulas = [f for group in _formulas_by_size((_P, _Q, Const(True)), 4) for f in group]
+        formulas += _formulas_by_size((_P, _Q, _R), 5)[5][::7]
+        want = [oracles.truth_verdict_json(f) for f in formulas]
+        assert oracles.truth_verdicts_json(formulas) == want
+        for n_max in (1, 3):
+            want = [oracles.subset_verdict_json(f, n_max) for f in formulas]
+            assert oracles.subset_verdicts_json(formulas, n_max) == want
+        for n_max in (2, 3):
+            want = [oracles.partition_verdict_json(f, n_max) for f in formulas]
+            assert oracles.partition_verdicts_json(formulas, n_max) == want
+
+    def test_two_variables_up_to_five_nodes(self):
+        groups = _formulas_by_size((_P, _Q, Const(True), Const(False)), 5)
+        formulas = [f for group in groups for f in group]
+        assert len(formulas) == 2708
+        verdicts = _assert_verdicts(formulas, 4)
+        assert sum(verdict["valid"] for verdict in verdicts) == 845
+
+    def test_three_variables(self):
+        # The 5-node formulas with p, q and r each read once are not
+        # classical tautologies, so all of them fail at n = 2; the 7-node
+        # classical tautologies in all three include ones that hold at
+        # n = 2 and fail at n = 3, where heads of more than one block shape
+        # put orbit reduction to work on the first two variables.
+        groups = _formulas_by_size((_P, _Q, _R), 7)
+        every = {"p", "q", "r"}
+        read_once = [f for f in groups[5] if set(oracles._variables(f)) == every]
+        assert len(read_once) == 192
+        verdicts = _assert_verdicts(read_once, 3)
+        assert {tuple(verdict["n_checked"]) for verdict in verdicts} == {(2, 2)}
+        seven = [f for f in groups[7] if set(oracles._variables(f)) == every]
+        tautologies = [
+            f for f, verdict in zip(seven, oracles.truth_verdicts_json(seven)) if verdict["valid"]
+        ]
+        assert len(tautologies) == 756
+        verdicts = _assert_verdicts(tautologies, 3)
+        late = [verdict for verdict in verdicts if not verdict["valid"]]
+        assert len(late) == 180
+        assert all(verdict["n_checked"] == [2, 3] for verdict in late)
