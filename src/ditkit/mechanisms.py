@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from _json import encode_basestring_ascii  # the str encoder of json.dumps
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -53,9 +54,22 @@ def _check_switch(i: int, k: int) -> None:
         raise SwitchIndexError(f"switch {i} outside 1..{k}")
 
 
+class _Table(list):
+    __slots__ = ("__weakref__",)  # a list that a weak reference can hold
+
+
+_TABLES = weakref.WeakValueDictionary()  # k -> its table, until nothing holds it
+
+
 def _labels(k: int) -> list[str]:
-    """The text of every variant, indexed by variant number."""
-    return list(map("".join, itertools.product("01", repeat=k)))
+    """The text of every variant, indexed by variant number: one read-only
+    table per k, shared while a run or a trace holds it."""
+    table = _TABLES.get(k)
+    if table is None:
+        low = list(map("".join, itertools.product("01", repeat=k // 2)))
+        high = map("".join, itertools.product("01", repeat=k - k // 2))
+        _TABLES[k] = table = _Table([h + l for h in high for l in low])
+    return table
 
 
 def _agreeing(k: int, mask: int, want: int) -> list[int]:
@@ -343,11 +357,12 @@ def _json_chunks(obj) -> Iterator[str]:
 
     Lists, and dicts whose keys are all str, are walked, and their str,
     int, float, bool and None items are written as json's encoder writes
-    them. A list of strings that need no escapes is joined whole, and a
-    selectionist run's weight map renders from its run's layout. Anything
-    else (a dict with a key that is not a str, an instance of a subclass)
-    goes to json.dumps whole. The walk keeps the ids of the containers on
-    its path, as json's markers do, so a cycle raises json's ValueError.
+    them. A list of strings that need no escapes is joined in pieces of
+    at most _PIECE strings, and a selectionist run's weight map renders
+    from its run's layout in such pieces. Anything else (a dict with a
+    key that is not a str, an instance of a subclass) goes to json.dumps
+    whole. The walk keeps the ids of the containers on its path, as
+    json's markers do, so a cycle raises json's ValueError.
 
     A trace's "final" state is its last step's state, and sorts before
     "steps": the chunks of a value under a "final" key are kept, by id,
@@ -388,9 +403,11 @@ def _walk(obj, path: set[int], kept: dict[int, list[str]]) -> Iterator[str]:
     elif kind is _WeightMap:
         yield from obj._chunks() or (_encode(obj),)
     elif kind is list:
-        if type(obj[0]) is str and _plain_strings(obj):
+        pieces = _pieces(obj, range(0, len(obj), _PIECE)) if type(obj[0]) is str else ()
+        if pieces and all(map(_plain_strings, pieces)):
+            pieces[-1].pop()
             yield '["'
-            yield '", "'.join(obj)
+            yield from map('", "'.join, pieces)
             yield '"]'
         else:
             items = zip(_separators("["), obj, itertools.repeat(False))
@@ -444,6 +461,18 @@ def _plain_strings(items: list) -> bool:
     return len(encode_basestring_ascii(joined)) == len(joined) + 2
 
 
+_PIECE = 256  # labels per piece, so that no chunk of labels passes about 10 KB
+
+
+def _pieces(labels: list[str], starts: Sequence[int]) -> list[list[str]]:
+    """labels cut before each of the ascending starts (the first 0), each
+    slice ending in "": joined with one separator, they write the labels in turn."""
+    pieces = [labels[a:b] for a, b in zip(starts, [*starts[1:], len(labels)])]
+    for piece in pieces:
+        piece.append("")
+    return pieces
+
+
 def _encode(obj) -> str:
     """json.dumps(obj, sort_keys=True); json is imported on first use,
     so a mechanism run that needs no fallback never loads it."""
@@ -465,21 +494,18 @@ class _Layout:
         self.per_variant = itemgetter(*of)  # 2**k >= 2 items, so always a tuple
 
     def runs(self) -> list[tuple[int, list[str]]]:
-        """A map's text in runs of consecutive variants of one class:
-        each run is its class and the '"label": ' prefix of each of its
-        variants, '{' leading the first key and ', ' each other, and then
-        the text that follows its last weight, "}" for the last run and
-        "" for the others. The class weight's text joins a run's list
-        into the run's chunk. Built at the run's first rendering; a label
-        is a bitstring, which JSON writes as it is."""
+        """A map's keys in pieces of at most _PIECE consecutive variants
+        of one class: each is its class and a slice of the labels that
+        ends in "", but for the map's last piece. The separator '": w, "'
+        of its class's weight text w joins a piece into its chunk. Built
+        at the run's first rendering; a label is a bitstring, which JSON
+        writes as it is."""
         if self._runs is None:
-            prefixes = [f', "{label}": ' for label in self.labels]
-            prefixes[0] = "{" + prefixes[0][2:]
             of = self.of
-            starts = [0, *itertools.compress(range(1, len(of)), map(ne, of, of[1:]))]
-            ends = [*starts[1:], len(of)]
-            self._runs = [(of[a], [*prefixes[a:b], ""]) for a, b in zip(starts, ends)]
-            self._runs[-1][1][-1] = "}"
+            changes = itertools.compress(range(1, len(of)), map(ne, of, of[1:]))
+            starts = sorted({*range(0, len(of), _PIECE), *changes})  # each piece's first variant
+            self._runs = list(zip(map(of.__getitem__, starts), _pieces(self.labels, starts)))
+            self._runs[-1][1].pop()
         return self._runs
 
 
@@ -494,18 +520,20 @@ class _WeightMap(dict):
         return dict, (dict(self),)
 
     def _chunks(self) -> list[str] | None:
-        """The text of json.dumps(self, sort_keys=True), one chunk per
-        run of its layout, each class weight rendered once per run; None
-        once the map no longer holds its class weight objects in its
-        layout's key order. The chunks are not joined, so the map's text
-        is never held twice."""
+        """The text of json.dumps(self, sort_keys=True): '{"', one chunk
+        per piece of its layout, and the last weight with "}"; each class
+        weight is rendered once. None once the map no longer holds its
+        class weight objects in its layout's key order."""
         layout, weights = self._layout, self._weights
         if list(self) != layout.labels or not all(
             map(is_, self.values(), layout.per_variant(weights))
         ):
             return None
-        texts = list(map(float.__repr__, weights))  # a run's weights are finite
-        return [texts[c].join(prefixes) for c, prefixes in layout.runs()]
+        separators = [f'": {w!r}, "' for w in weights]  # a run's weights are finite
+        chunks = [separators[c].join(piece) for c, piece in layout.runs()]
+        chunks.insert(0, '{"')
+        chunks.append(f'": {weights[layout.of[-1]]!r}}}')
+        return chunks
 
 
 def run_selectionist(

@@ -1077,8 +1077,10 @@ class TestBlockWrites:
         sizes = [len(written) for written in stdout.writes]
         # only the last write may be shorter than a block
         assert all(size >= block for size in sizes[:-1])
-        if case.startswith("lattice"):
-            assert len(sizes) <= len(text) // block + 1
+        assert len(sizes) <= len(text) // block + 1
+        if case.startswith("compare"):
+            # a weight map is written in pieces of labels, never in one chunk
+            assert max(sizes) <= 4 * block
 
     @pytest.mark.parametrize("case", sorted(_STREAMED))
     def test_unbuffered_stdout_gets_the_same_bytes(self, case):

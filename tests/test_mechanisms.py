@@ -1,7 +1,9 @@
 import copy
+import gc
 import itertools
 import json
 import math
+import operator
 import pickle
 import random
 import re
@@ -288,6 +290,29 @@ class TestSelectionist:
     def test_labels(self, k):
         assert mechanisms._labels(k) == [format(v, f"0{k}b") for v in range(2**k)]
 
+    @pytest.mark.parametrize("fitness", ["uniform", "peaked", "all distinct"])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_layout_pieces(self, k, fitness):
+        # a map's keys are laid out in slices of the label table of at most
+        # _PIECE labels of one class, each ending in "" but the map's last
+        scores = {
+            "uniform": [1.0] * 2**k,
+            "peaked": [1.0 + (v == 2**k // 3) for v in range(2**k)],
+            "all distinct": [1.0 + v for v in range(2**k)],
+        }[fitness]
+        trace = run_selectionist(k, Fitness(k, tuple(scores)), 0.5 / 2**k, 1)
+        layout = trace.final["weights"]._layout
+        pieces = layout.runs()
+        labels = mechanisms._labels(k)
+        assert all(piece[-1] == "" for _, piece in pieces[:-1])
+        assert pieces[-1][1][-1] != ""
+        body = [piece[:-1] for _, piece in pieces[:-1]] + [pieces[-1][1]]
+        assert all(1 <= len(piece) <= mechanisms._PIECE for piece in body)
+        assert list(itertools.chain.from_iterable(body)) == labels
+        for (c, _), piece in zip(pieces, body):
+            assert {layout.of[int(label, 2)] for label in piece} == {c}
+            assert all(map(operator.is_, piece, labels[int(piece[0], 2):]))
+
     def test_peak_survives_alone(self):
         trace = run_selectionist(3, Fitness.peaked(3, 0b010, 1.0), 0.0625, 100)
         assert selection_survivors(trace) == frozenset({0b010})
@@ -522,6 +547,24 @@ class TestCompare:
         assert got["selectionist"]["final"]["weights"]["11"] == 1.0
         assert got["generative"]["final"]["block"] == ["11"]
 
+    def test_runs_share_one_label_table(self):
+        # the generative run reads the table that the selectionist trace holds
+        limits = Limits().replaced(max_switch_bits=12)
+        result = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits)
+        labels = result.selectionist.final["weights"]._layout.labels
+        assert mechanisms._labels(12) is labels
+        for step in result.generative.steps:
+            assert all(labels[int(label, 2)] is label for label in step.state["block"])
+        assert len(result.generative.steps[0].state["block"]) == 2**12
+
+    def test_label_table_dropped_with_the_traces(self):
+        limits = Limits().replaced(max_switch_bits=12)
+        result = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits)
+        assert 12 in mechanisms._TABLES
+        del result
+        gc.collect()
+        assert 12 not in mechanisms._TABLES
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_runs_are_the_public_runs(self, k):
         # compare derives its arguments and calls the two public runs
@@ -608,10 +651,14 @@ class TestJsonBytes:
             [_Text("0"), _Text("1")],
             ["0", _Text("1")],
             {"a": _Text("1")},
+            ["01"] * 513,  # three pieces
+            ["01"] * 300 + ["\""],  # an escape in the second piece
+            ["01"] * 300 + [1],  # an int in the second piece
         ],
         ids=["mixed keys", "mixed keys nested", "tuple key", "object", "bytes",
              "mixed list", "bools and numbers", "huge int", "special floats",
-             "str subclass", "str subclasses", "str subclass second", "str subclass value"],
+             "str subclass", "str subclasses", "str subclass second", "str subclass value",
+             "long list", "escape in a later piece", "int in a later piece"],
     )
     def test_document_corners(self, document):
         _assert_chunks_match_dumps(document)
@@ -648,9 +695,10 @@ class TestJsonBytes:
             "".join(mechanisms._json_chunks(document))
 
     def test_streaming_keeps_only_final_values(self):
-        # the text of every map but the final one is dropped once written:
-        # streaming compare --k 12 peaks near 0.6 MB, where keeping every
-        # map's text would hold 2.8 MB
+        # the text of every map but the final one is dropped once written,
+        # and a map's layout holds slices of the shared label table: streaming
+        # compare --k 12 peaks near 0.35 MiB, where keeping every map's text
+        # would hold 2.8 MB
         limits = Limits().replaced(max_switch_bits=12)
         document = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits).to_json_dict()
         tracemalloc.start()
@@ -660,7 +708,13 @@ class TestJsonBytes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2**20
+        assert peak < 0.5 * 2**20
+
+    def test_chunks_are_bounded(self):
+        # maps and label lists are written a piece of labels at a time
+        limits = Limits().replaced(max_switch_bits=12)
+        document = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits).to_json_dict()
+        assert max(map(len, mechanisms._json_chunks(document))) <= 12 * 1024
 
     def test_trace_with_a_cycle(self):
         state = {"a": {}}
