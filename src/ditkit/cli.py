@@ -219,8 +219,7 @@ def _split_assignment(item: str) -> tuple[str, str]:
 def _parse_name_table(args: SimpleNamespace) -> tuple[str, ...] | None:
     from .textio import parse_names
 
-    names = getattr(args, "names", None)
-    return parse_names(names) if names else None
+    return parse_names(args.names) if args.names else None
 
 
 def _check_relation_n(n: int, limits: Limits) -> None:
@@ -346,7 +345,7 @@ def _write_json(document: dict) -> None:
 
 
 def cmd_sim_select(args: SimpleNamespace, limits: Limits) -> int:
-    from .mechanisms import Fitness, _check_switch_bits, run_selectionist
+    from .mechanisms import Fitness, _check_switch_bits, _labels, run_selectionist
     from .textio import parse_variant
 
     _check_switch_bits(args.k, limits)
@@ -355,6 +354,7 @@ def cmd_sim_select(args: SimpleNamespace, limits: Limits) -> int:
         target = parse_variant(source[len("peak@"):], args.k)
         fitness = Fitness.peaked(args.k, target, args.margin)
     else:
+        labels = _labels(args.k)  # held, so that the fitness and the run build one table
         try:
             with open(source, encoding="utf-8") as handle:
                 fitness = Fitness.from_text(args.k, handle.read())

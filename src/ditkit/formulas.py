@@ -30,7 +30,7 @@ from .errors import (
     UniverseMismatchError,
     UniverseTooSmallError,
 )
-from .partitions import _BOOLEAN, Connective, Partition, _blocks_of, _dit_mask
+from .partitions import _BOOLEAN, CONNECTIVE_ARITY, Connective, Partition, _blocks_of, _dit_mask
 from .relations import Subset, _check_n, _Record
 
 
@@ -61,8 +61,10 @@ class Const(Formula):
     value: bool  # True is the top constant T, False the bottom constant F
 
 
+# A connective node states its Connective, token and binding strength (higher binds tighter).
 class Not(Formula):
     child: Formula
+    _connective, _symbol, _prec = Connective.NOT, "~", 5
 
 
 class _Binary(Formula):
@@ -72,34 +74,33 @@ class _Binary(Formula):
 
 class And(_Binary):
     """left & right"""
+    _connective, _symbol, _prec = Connective.AND, "&", 4
 
 
 class Or(_Binary):
     """left | right"""
+    _connective, _symbol, _prec = Connective.OR, "|", 3
 
 
 class Implies(_Binary):
     """left -> right"""
+    _connective, _symbol, _prec = Connective.IMPLIES, "->", 2
 
 
 class Iff(_Binary):
     """left <-> right"""
+    _connective, _symbol, _prec = Connective.IFF, "<->", 1
 
 
-_CONNECTIVE = {
-    Not: Connective.NOT,
-    And: Connective.AND,
-    Or: Connective.OR,
-    Implies: Connective.IMPLIES,
-    Iff: Connective.IFF,
-}
+_BINARIES = (And, Or, Implies, Iff)
+_CONNECTIVES = (Not, *_BINARIES)
 
 
 # An operator, a word, or any other visible character; whitespace
 # between tokens is skipped.
 _TOKEN = re.compile(r"(<->|->|[~&|()])|(\w+)|(\S)")
-_OPERATOR_TOKEN = {
-    "<->": "IFF", "->": "IMPLIES", "~": "NOT", "&": "AND", "|": "OR", "(": "LPAREN", ")": "RPAREN",
+_OPERATOR_TOKEN = {"(": "LPAREN", ")": "RPAREN"} | {
+    shape._symbol: shape._connective.name for shape in _CONNECTIVES
 }
 
 
@@ -121,8 +122,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-_BINARY_TOKEN = {"IFF": Iff, "IMPLIES": Implies, "OR": Or, "AND": And}
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
+_BINARY_TOKEN = {shape._connective.name: shape for shape in _BINARIES}
 _ATOM_PREC = 6
 
 
@@ -162,8 +162,8 @@ def parse(text: str) -> Formula:
         elif kind in _BINARY_TOKEN:
             shape = _BINARY_TOKEN[kind]
             # implication is right-associative: an equal-strength '->' stays stacked
-            bar = _PREC[shape] + (shape is Implies)
-            while operators and operators[-1] is not None and _PREC[operators[-1]] >= bar:
+            bar = shape._prec + (shape is Implies)
+            while operators and operators[-1] is not None and operators[-1]._prec >= bar:
                 _reduce(operators, operands)
             operators.append(shape)
             expect_operand = True
@@ -237,7 +237,7 @@ def _evaluate(program: tuple[Formula, ...], algebra: _Algebra, env: Mapping[str,
 def _bitmask_algebra(n: int) -> _Algebra:
     """Subsets of n points as n-bit masks; at n = 1 this is the truth table."""
     full = (1 << n) - 1
-    ops = {shape: functools.partial(_BOOLEAN[conn], full) for shape, conn in _CONNECTIVE.items()}
+    ops = {shape: functools.partial(_BOOLEAN[shape._connective], full) for shape in _CONNECTIVES}
     return _Algebra(_BOOLEAN[Connective.TOP](full), _BOOLEAN[Connective.BOTTOM](full), ops)
 
 
@@ -268,23 +268,22 @@ def _wrap(child: tuple[str, int], bar: int) -> str:
 
 
 def _render_binary(shape: type, left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
-    prec = _PREC[shape]
+    prec = shape._prec
     # an equal-strength child needs parentheses on the side the
     # connective does not associate to: the left one for '->'
     right_assoc = shape is Implies
     left_text = _wrap(left, prec + right_assoc)
     right_text = _wrap(right, prec + (not right_assoc))
-    return f"{left_text} {_OP_TEXT[shape]} {right_text}", prec
+    return f"{left_text} {shape._symbol} {right_text}", prec
 
 
-_OP_TEXT = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
 # Text paired with the binding strength of its outermost connective.
 _TEXT = _Algebra(
     ("T", _ATOM_PREC),
     ("F", _ATOM_PREC),
     {
-        Not: lambda child: ("~" + _wrap(child, _PREC[Not]), _PREC[Not]),
-        **{shape: functools.partial(_render_binary, shape) for shape in _OP_TEXT},
+        Not: lambda child: (Not._symbol + _wrap(child, Not._prec), Not._prec),
+        **{shape: functools.partial(_render_binary, shape) for shape in _BINARIES},
     },
 )
 
@@ -295,7 +294,7 @@ _REPR = _Algebra(
     "Const(value=False)",
     {
         Not: "Not(child={})".format,
-        **{shape: f"{shape.__name__}(left={{}}, right={{}})".format for shape in _OP_TEXT},
+        **{shape: f"{shape.__name__}(left={{}}, right={{}})".format for shape in _BINARIES},
     },
 )
 
@@ -317,10 +316,8 @@ def formula_to_json(f: Formula) -> dict:
         elif kind is Const:
             stack.append({"kind": "const", "value": "T" if node.value else "F"})
         else:
-            arity = 1 if kind is Not else 2
-            children = stack[-arity:]
-            del stack[-arity:]
-            stack.append({"kind": _CONNECTIVE[kind].value, "children": children})
+            arity = CONNECTIVE_ARITY[kind._connective]
+            stack[-arity:] = [{"kind": kind._connective.value, "children": stack[-arity:]}]
     return stack[0]
 
 
@@ -388,7 +385,7 @@ def random_formula(
         return Var(rng.choice(list(variables)))
     if roll < 0.47:
         return Not(random_formula(rng, variables, max_depth - 1))
-    shape = rng.choice((And, Or, Implies, Iff))
+    shape = rng.choice(_BINARIES)
     return shape(
         random_formula(rng, variables, max_depth - 1),
         random_formula(rng, variables, max_depth - 1),

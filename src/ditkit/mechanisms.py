@@ -50,8 +50,8 @@ def _check_k(k) -> None:
 
 
 def _check_switch(i: int, k: int) -> None:
-    if not 1 <= i <= k:
-        raise SwitchIndexError(f"switch {i} outside 1..{k}")
+    if not _is_int(i) or not 1 <= i <= k:
+        raise SwitchIndexError(f"switch {i!r} outside 1..{k}")
 
 
 class _Table(list):
@@ -285,9 +285,9 @@ class Fitness(_Record):
     def peaked(cls, k: int, target: int, margin: float) -> "Fitness":
         """Score 1 everywhere except 1 + margin at the target variant."""
         _check_k(k)
-        if not 0 <= target < 2**k:
+        if not _is_int(target) or not 0 <= target < 2**k:
             raise ElementOutOfRangeError(
-                f"target {target} outside the {2**k}-variant space"
+                f"target {target!r} outside the {2**k}-variant space"
             )
         if not math.isfinite(margin) or margin <= 0.0:
             raise InvalidFitnessError(f"fitness margin must be positive, got {margin}")
@@ -301,6 +301,12 @@ class Fitness(_Record):
     def argmax_set(self) -> frozenset[int]:
         best = max(self.scores)
         return frozenset(v for v, s in enumerate(self.scores) if s == best)
+
+
+def _to_json(self) -> str:
+    """Exactly json.dumps(self.to_json_dict(), sort_keys=True), joined
+    from the chunks that the CLI streams."""
+    return "".join(_json_chunks(self.to_json_dict()))
 
 
 class TraceStep(_Record):
@@ -346,10 +352,7 @@ class Trace(_Record):
             "final": self.final,
         }
 
-    def to_json(self) -> str:
-        """Exactly json.dumps(self.to_json_dict(), sort_keys=True), joined
-        from the chunks that the CLI streams."""
-        return "".join(_json_chunks(self.to_json_dict()))
+    to_json = _to_json
 
 
 def _json_chunks(obj) -> Iterator[str]:
@@ -741,10 +744,7 @@ class MechanismComparison(_Record):
             "generative": self.generative.to_json_dict(),
         }
 
-    def to_json(self) -> str:
-        """Exactly json.dumps(self.to_json_dict(), sort_keys=True), joined
-        from the chunks that the CLI streams."""
-        return "".join(_json_chunks(self.to_json_dict()))
+    to_json = _to_json
 
 
 def compare_mechanisms(

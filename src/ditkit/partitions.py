@@ -222,19 +222,9 @@ class Connective(Enum):
     BOTTOM = "bottom"
 
 
-CONNECTIVE_ARITY = {
-    Connective.NOT: 1,
-    Connective.AND: 2,
-    Connective.OR: 2,
-    Connective.IMPLIES: 2,
-    Connective.IFF: 2,
-    Connective.TOP: 0,
-    Connective.BOTTOM: 0,
-}
-
-
-# Each connective's subset operation on masks, given the all-ones mask:
-# on points the connective itself, on distinctions the lift's first step.
+# Each connective's subset operation on masks: it takes the all-ones mask,
+# then its operands, so its arity is read off it. On points it is the
+# connective itself, on distinctions the lift's first step.
 _BOOLEAN = {
     Connective.NOT: lambda full, a: full ^ a,
     Connective.AND: lambda full, a, b: a & b,
@@ -244,6 +234,7 @@ _BOOLEAN = {
     Connective.TOP: lambda full: full,
     Connective.BOTTOM: lambda full: 0,
 }
+CONNECTIVE_ARITY = {conn: op.__code__.co_argcount - 1 for conn, op in _BOOLEAN.items()}
 
 
 def _dit_mask(rgs: Sequence[int]) -> int:

@@ -134,14 +134,20 @@ def _first_failing_row(program, names) -> tuple[int, dict[str, bool] | None]:
     return rows, None
 
 
-def truth_table_tautology(f: Formula, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Check all two-valued rows."""
+def _truth_table_program(f: Formula, cap: str, limits: Limits) -> tuple[tuple, tuple[str, ...]]:
+    """f's program and variables; more variables than the cap are refused."""
     program = _compile(f)
     names = _variables(program)
     if len(names) > limits.max_truth_vars:
         raise TooManyVariablesError(
-            f"{len(names)} variables exceeds the truth-table cap {limits.max_truth_vars}"
+            f"{len(names)} variables exceeds the {cap} {limits.max_truth_vars}"
         )
+    return program, names
+
+
+def truth_table_tautology(f: Formula, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+    """Check all two-valued rows."""
+    program, names = _truth_table_program(f, "truth-table cap", limits)
     checked, row = _first_failing_row(program, names)
     cx = None if row is None else Counterexample(1, row, False)
     return Verdict(row is None, cx, (1, 1), checked)
@@ -153,12 +159,7 @@ def subset_valid(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Ver
     a tautology, with a failing row read as subsets of one point."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    program = _compile(f)
-    names = _variables(program)
-    if len(names) > limits.max_truth_vars:
-        raise TooManyVariablesError(
-            f"{len(names)} variables exceeds the cap {limits.max_truth_vars}"
-        )
+    program, names = _truth_table_program(f, "cap", limits)
     universes = range(1, n_max + 1)
     _check_budget("subset", ((n, 2**n) for n in universes), len(names), limits)
     checked, row = _first_failing_row(program, names)

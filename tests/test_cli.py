@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -318,6 +319,27 @@ class TestSim:
             "message": "float division by zero",
         }
 
+    @pytest.mark.parametrize("source", ["peak", "file"])
+    def test_select_builds_one_label_table(self, capsys, monkeypatch, tmp_path, source):
+        built = []
+
+        class Counted(mechanisms._Table):
+            __slots__ = ()
+
+            def __init__(self, labels):
+                built.append(len(labels))
+                super().__init__(labels)
+
+        monkeypatch.setattr(mechanisms, "_Table", Counted)
+        monkeypatch.setattr(mechanisms, "_TABLES", weakref.WeakValueDictionary())
+        fitness = "peak@0101"
+        if source == "file":
+            fitness = tmp_path / "fitness.txt"
+            fitness.write_text("".join(f"{v:04b} {v % 3 + 1}\n" for v in range(16)))
+        code, out, _ = run(capsys, "sim", "select", "--k", "4", "--fitness", str(fitness))
+        assert code == 0 and json.loads(out)["k"] == 4
+        assert built == [16]
+
     @pytest.mark.parametrize("k", ["0", "-2"])
     @pytest.mark.parametrize(
         "argv",
@@ -518,6 +540,26 @@ class TestArgHandling:
         error = json.loads(err)
         assert error["error"] == "TextFormatError"
         assert error["message"].startswith("bad JSON in config: ")
+
+    def test_unreadable_config(self, capsys, tmp_path):
+        for path in (tmp_path / "missing.json", tmp_path):
+            code, out, err = run(capsys, "--config", str(path), "taut", "p", "--logic", "truth")
+            assert (code, out) == (2, "")
+            error = json.loads(err)
+            assert error["error"] == "TextFormatError"
+            assert error["message"].startswith("cannot read config: ")
+            assert str(path) in error["message"]
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"max_lattice_n"', "null"])
+    def test_config_must_be_an_object(self, capsys, tmp_path, text):
+        cfg = tmp_path / "limits.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "--config", str(cfg), "taut", "p", "--logic", "truth")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "TextFormatError",
+            "message": "config must be a JSON object of limit settings",
+        }
 
     def test_config_rejects_bool_limit(self, capsys, tmp_path):
         cfg = tmp_path / "limits.json"
@@ -852,7 +894,7 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
     # not preloaded.
     code = (
         "import sys, __future__, argparse, collections.abc, enum, functools, itertools,"
-        " json, math, operator, re\n"
+        " json, math, operator, re, weakref\n"
         "before = set(sys.modules)\n"
         "import ditkit\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"

@@ -72,6 +72,23 @@ class TestVariantSpace:
         with pytest.raises(SwitchIndexError):
             VariantSpace(3).bit(0, 0)
 
+    @pytest.mark.parametrize("i", [1.5, True, False, "1", None])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda i: VariantSpace(3).bit(0, i),
+            lambda i: SwitchBank.neutral(3).state_of(i),
+            lambda i: set_switch(SwitchBank.neutral(3), i, 1),
+            lambda i: switch_partition(3, i),
+            lambda i: run_generative(3, [(i, 1)]),
+        ],
+        ids=["bit", "state_of", "set_switch", "switch_partition", "run_generative"],
+    )
+    def test_switch_index_must_be_an_int_not_a_bool(self, call, i):
+        message = f"^{re.escape(f'switch {i!r} outside 1..3')}$"
+        with pytest.raises(SwitchIndexError, match=message):
+            call(i)
+
     def test_bad_strings(self):
         for text in ("01", "0102", " 010", "01x"):
             with pytest.raises(ValueError, match=f"got {text!r}"):
@@ -112,6 +129,19 @@ class TestSwitches:
         block = consistent_block(bank)
         assert len(block) == 4
         assert all(VariantSpace(3).bit(v, 2) == 1 for v in block)
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            (SwitchState.NEUTRAL,),
+            (SwitchState.ONE,) * 3,
+            (SwitchState.ONE, "1"),
+            (SwitchState.ZERO, None),
+        ],
+    )
+    def test_bank_states_must_be_k_switch_states(self, states):
+        with pytest.raises(ValueError, match="^states must be k SwitchState values$"):
+            SwitchBank(2, states)
 
     def test_already_set(self):
         bank = set_switch(SwitchBank.neutral(2), 1, 0)
@@ -235,6 +265,31 @@ class TestFitness:
         with pytest.raises(ElementOutOfRangeError):
             Fitness.peaked(2, 9, 1.0)
 
+    @pytest.mark.parametrize("target", [1.5, True, False, "1", None])
+    def test_target_must_be_an_int_not_a_bool(self, target):
+        message = f"^{re.escape(f'target {target!r} outside the 8-variant space')}$"
+        with pytest.raises(ElementOutOfRangeError, match=message):
+            Fitness.peaked(3, target, 1.0)
+        with pytest.raises(ElementOutOfRangeError, match=message):
+            compare_mechanisms(3, target, 1.0)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("00 1.0\n01", "line 2: expected 'variant score', got '01'"),
+            ("00 1.0\n  01 2.0 3.0 ", "line 2: expected 'variant score', got '  01 2.0 3.0 '"),
+            ("# scores\n\n00 1.0\n00 2.0\n", "line 4: duplicate variant 00"),
+            ("00 1.0\n01 high\n", "line 2: bad score 'high'"),
+        ],
+    )
+    def test_from_text_refusals(self, text, message):
+        with pytest.raises(InvalidFitnessError, match=f"^{re.escape(message)}$"):
+            Fitness.from_text(1, text)
+
+    def test_score_count_must_match_k(self):
+        with pytest.raises(InvalidFitnessError, match=r"^expected 4 scores for k=2, got 3$"):
+            Fitness(2, (1.0, 1.0, 1.0))
+
 
 @st.composite
 def selection_cases(draw):
@@ -356,6 +411,11 @@ class TestSelectionist:
     def test_fitness_universe_mismatch(self):
         with pytest.raises(InvalidFitnessError):
             run_selectionist(3, Fitness.uniform(2), 0.01, 10)
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_max_steps_must_be_positive(self, max_steps):
+        with pytest.raises(ValueError, match=f"^max_steps must be >= 1, got {max_steps}$"):
+            run_selectionist(2, Fitness.uniform(2), 0.1, max_steps)
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=15))
     def test_convergence_for_any_peak(self, k, target):
@@ -505,6 +565,12 @@ class TestTwentyQuestions:
     def test_too_many_answers(self):
         with pytest.raises(SwitchIndexError):
             twenty_questions(2, [0, 1, 0])
+
+    @pytest.mark.parametrize("answer", [2, -1, "1", None])
+    def test_answers_must_be_0_or_1(self, answer):
+        message = f"^{re.escape(f'answers must be 0 or 1, got {answer!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            twenty_questions(3, [0, answer])
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_per_switch_oracle(self, k):
@@ -891,6 +957,10 @@ class TestReplay:
     def test_creationist_replay(self):
         trace = create(4, [1, 3, 1])
         assert replay(trace).to_json() == trace.to_json()
+
+    def test_unknown_mechanism(self):
+        with pytest.raises(ValueError, match="^cannot replay mechanism 'identification'$"):
+            replay(Trace("identification", 2, ()))
 
 
 class TestSchemes:

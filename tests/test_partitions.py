@@ -8,6 +8,7 @@ from hypothesis import given
 import oracles
 from ditkit import (
     Connective,
+    ElementOutOfRangeError,
     EmptyBlockError,
     MissingElementError,
     NotEquivalenceError,
@@ -67,6 +68,18 @@ class TestConstruction:
         # like bool elements in partition_from_blocks
         with pytest.raises(ValueError, match=message):
             Partition(n, assignment)
+
+    @pytest.mark.parametrize("assignment", [(0, 1), (0, 0, 1, 2)])
+    def test_assignment_length_must_be_n(self, assignment):
+        message = f"^assignment length {len(assignment)} != universe size 3$"
+        with pytest.raises(ValueError, match=message):
+            Partition(3, assignment)
+
+    @pytest.mark.parametrize("u", [-1, 3])
+    def test_block_of_outside_the_universe(self, u):
+        message = f"^element {u} outside universe of size 3$"
+        with pytest.raises(ElementOutOfRangeError, match=message):
+            Partition(3, (0, 0, 1)).block_of(u)
 
     def test_blocks_in_first_appearance_order(self):
         p = Partition(4, (0, 1, 0, 2))
@@ -242,6 +255,31 @@ class TestLiftedConnectives:
         with pytest.raises(UnknownConnectiveError):
             lift_connective("nand", (discrete(2), discrete(2)))
 
+    def test_arity_is_pinned(self):
+        # tests that draw operand tuples from CONNECTIVE_ARITY would adapt
+        # to a wrong derivation, so the mapping is stated here in full
+        assert CONNECTIVE_ARITY == {
+            Connective.NOT: 1,
+            Connective.AND: 2,
+            Connective.OR: 2,
+            Connective.IMPLIES: 2,
+            Connective.IFF: 2,
+            Connective.TOP: 0,
+            Connective.BOTTOM: 0,
+        }
+
+    def test_explicit_n_must_match_the_operands(self):
+        message = "^explicit n=4 disagrees with operand universe 3$"
+        with pytest.raises(UniverseMismatchError, match=message):
+            lift_connective(Connective.AND, (discrete(3), indiscrete(3)), n=4)
+        with pytest.raises(UniverseMismatchError, match=message):
+            lift_connective(Connective.NOT, (discrete(3),), n=4)
+
+    @pytest.mark.parametrize("conn", [Connective.TOP, Connective.BOTTOM])
+    def test_nullary_needs_n(self, conn):
+        with pytest.raises(ValueError, match="^universe size n is required for 0-ary connectives$"):
+            lift_connective(conn, ())
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_and_is_meet(self, n):
         for p, q in _pairs_same_n(n):
@@ -314,6 +352,10 @@ class TestEnumeration:
     def test_bell_numbers(self, n, want):
         assert bell_number(n) == want
 
+    def test_bell_number_of_a_negative_n(self):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            bell_number(-1)
+
     def test_lex_order_at_three(self):
         got = [p.assignment for p in enumerate_partitions(3)]
         assert got == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
@@ -348,6 +390,13 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError) as exc:
             list(enumerate_partitions(11))
         assert "11" in str(exc.value)
+
+    def test_subset_cap_message(self):
+        message = "^enumerating 2\\*\\*11 subsets exceeds the cap n <= 10$"
+        with pytest.raises(ResourceLimitError, match=message):
+            subset_lattice_nodes(11)
+        with pytest.raises(ResourceLimitError, match=message):
+            hasse_cover_edges("subset", 11)
 
     def test_subset_nodes(self):
         nodes = subset_lattice_nodes(3)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ditkit import Partition, Subset, TextFormatError
@@ -38,6 +40,20 @@ class TestPartitionText:
         p = Partition(3, (0, 0, 1))
         assert format_partition(p, names) == "a,b|c"
         assert parse_partition("a,b|c", 3, names) == p
+
+    @pytest.mark.parametrize(
+        "text, names, message",
+        [
+            ("0,|2", None, "empty element token"),
+            ("0,1| ", None, "empty element token"),
+            ("a,b|d", ("a", "b", "c"), "unknown element name 'd'"),
+            ("rgs:0,x,1", None, "bad rgs digits in 'rgs:0,x,1'"),
+            ("rgs:0,,1", None, "bad rgs digits in 'rgs:0,,1'"),
+        ],
+    )
+    def test_refusals(self, text, names, message):
+        with pytest.raises(TextFormatError, match=f"^{re.escape(message)}$"):
+            parse_partition(text, 3, names)
 
     def test_garbage(self):
         with pytest.raises(TextFormatError):

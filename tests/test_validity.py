@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -196,6 +197,11 @@ class TestDeterminism:
         got = json.loads(partition_tautology(parse("p -> p"), 3).to_json())
         assert got == {"valid": True, "n_checked": [2, 3], "counterexample": None}
 
+    @pytest.mark.parametrize("value", [3, None, "0,1|2", frozenset({0})])
+    def test_only_truth_values_subsets_and_partitions_render(self, value):
+        with pytest.raises(TypeError, match=f"^cannot render {re.escape(repr(value))}$"):
+            validity._render_value(value)
+
 
 class TestAgainstOracles:
     def test_truth_and_subset_verdicts_on_seeded_corpus(self):
@@ -348,3 +354,9 @@ class TestSmallWorld:
         late = [verdict for verdict in verdicts if not verdict["valid"]]
         assert len(late) == 180
         assert all(verdict["n_checked"] == [2, 3] for verdict in late)
+        # the other 576 scan three variables at n = 4 too; all of them hold
+        held = [f for f, verdict in zip(tautologies, verdicts) if verdict["valid"]]
+        assert len(held) == 576
+        verdicts = _assert_verdicts(held, 4)
+        assert all(verdict == {"counterexample": None, "n_checked": [2, 4], "valid": True}
+                   for verdict in verdicts)
