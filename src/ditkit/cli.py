@@ -16,9 +16,9 @@ and usage errors, and a plain call never imports it.
 
 Each handler imports the modules its subcommand needs, so a call loads
 no other: taut never loads mechanisms, compare and sim never load
-formulas or validity, and lattice loads partitions alone. json is
-imported only for taut --json, a config file or an error: lattice,
-sim and compare write their JSON themselves.
+formulas or validity, and lattice loads partitions alone. json only
+reads a config file: lattice writes its JSON itself, and the rest goes
+through textio's JSON writer (taut --json, sim, compare, error lines).
 """
 from __future__ import annotations
 
@@ -80,10 +80,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _fail(code: int, exc: Exception) -> int:
-    import json
+    from .textio import _json_chunks
 
     line = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(line, sort_keys=True), file=sys.stderr)
+    print("".join(_json_chunks(line)), file=sys.stderr)
     return code
 
 
@@ -216,12 +216,6 @@ def _split_assignment(item: str) -> tuple[str, str]:
     return name, value
 
 
-def _parse_name_table(args: SimpleNamespace) -> tuple[str, ...] | None:
-    from .textio import parse_names
-
-    return parse_names(args.names) if args.names else None
-
-
 def _check_relation_n(n: int, limits: Limits) -> None:
     if n > limits.max_relation_n:
         raise ResourceLimitError(f"n={n} exceeds the relation cap {limits.max_relation_n}")
@@ -229,14 +223,14 @@ def _check_relation_n(n: int, limits: Limits) -> None:
 
 def cmd_eval(args: SimpleNamespace, limits: Limits) -> int:
     from .formulas import PartitionAssignment, SubsetAssignment, eval_partition, eval_subset, parse
-    from .textio import format_partition, format_subset, parse_partition, parse_subset
+    from .textio import format_partition, format_subset, parse_names, parse_partition, parse_subset
 
     read, assignment, evaluate, render = {
         "subset": (parse_subset, SubsetAssignment, eval_subset, format_subset),
         "partition": (parse_partition, PartitionAssignment, eval_partition, format_partition),
     }[args.logic]
     _check_relation_n(args.n, limits)
-    names = _parse_name_table(args)
+    names = parse_names(args.names) if args.names else None
     formula = parse(args.formula)
     bindings = dict(_split_assignment(item) for item in args.assign)
     values = {var: read(text, args.n, names) for var, text in bindings.items()}
@@ -339,7 +333,7 @@ def _emit(chunks: Iterable[str]) -> None:
 def _write_json(document: dict) -> None:
     """Stream a JSON document to stdout, with the bytes of
     print(json.dumps(document, sort_keys=True))."""
-    from .mechanisms import _json_chunks
+    from .textio import _json_chunks
 
     _emit(itertools.chain(_json_chunks(document), ("\n",)))
 
@@ -379,10 +373,10 @@ def cmd_sim_generate(args: SimpleNamespace, limits: Limits) -> int:
 
 def cmd_sim_identify(args: SimpleNamespace, limits: Limits) -> int:
     from .mechanisms import identify
-    from .textio import format_partition, parse_pair_list
+    from .textio import format_partition, parse_names, parse_pair_list
 
     _check_relation_n(args.n, limits)
-    names = _parse_name_table(args)
+    names = parse_names(args.names) if args.names else None
     partition = identify(args.n, parse_pair_list(args.pairs))
     print(format_partition(partition, names))
     return 0

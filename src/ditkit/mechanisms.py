@@ -23,9 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from _json import encode_basestring_ascii  # the str encoder of json.dumps
 from collections import Counter, deque
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from operator import is_, itemgetter, ne
 
@@ -41,7 +40,7 @@ from .errors import (
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import Partition
 from .relations import _check_element, _check_n, _components, _is_int, _Record
-from .textio import _variant_number, format_variant
+from .textio import _PIECE, _pieces, _to_json, _variant_number, format_variant
 
 
 def _check_k(k) -> None:
@@ -52,6 +51,11 @@ def _check_k(k) -> None:
 def _check_switch(i: int, k: int) -> None:
     if not _is_int(i) or not 1 <= i <= k:
         raise SwitchIndexError(f"switch {i!r} outside 1..{k}")
+
+
+def _check_variant(v, k: int, noun: str = "variant") -> None:
+    if not _is_int(v) or not 0 <= v < 2**k:
+        raise ElementOutOfRangeError(f"{noun} {v!r} outside the {2**k}-variant space")
 
 
 class _Table(list):
@@ -101,6 +105,7 @@ class VariantSpace(_Record):
         return range(self.size)
 
     def to_string(self, v: int) -> str:
+        _check_variant(v, self.k)
         return format_variant(v, self.k)
 
     def from_string(self, text: str) -> int:
@@ -108,6 +113,7 @@ class VariantSpace(_Record):
 
     def bit(self, v: int, i: int) -> int:
         _check_switch(i, self.k)
+        _check_variant(v, self.k)
         return (v >> (i - 1)) & 1
 
 
@@ -285,10 +291,7 @@ class Fitness(_Record):
     def peaked(cls, k: int, target: int, margin: float) -> "Fitness":
         """Score 1 everywhere except 1 + margin at the target variant."""
         _check_k(k)
-        if not _is_int(target) or not 0 <= target < 2**k:
-            raise ElementOutOfRangeError(
-                f"target {target!r} outside the {2**k}-variant space"
-            )
+        _check_variant(target, k, "target")
         if not math.isfinite(margin) or margin <= 0.0:
             raise InvalidFitnessError(f"fitness margin must be positive, got {margin}")
         scores = [1.0] * 2**k
@@ -301,12 +304,6 @@ class Fitness(_Record):
     def argmax_set(self) -> frozenset[int]:
         best = max(self.scores)
         return frozenset(v for v, s in enumerate(self.scores) if s == best)
-
-
-def _to_json(self) -> str:
-    """Exactly json.dumps(self.to_json_dict(), sort_keys=True), joined
-    from the chunks that the CLI streams."""
-    return "".join(_json_chunks(self.to_json_dict()))
 
 
 class TraceStep(_Record):
@@ -355,135 +352,6 @@ class Trace(_Record):
     to_json = _to_json
 
 
-def _json_chunks(obj) -> Iterator[str]:
-    """Yield the text of json.dumps(obj, sort_keys=True) in pieces.
-
-    Lists, and dicts whose keys are all str, are walked, and their str,
-    int, float, bool and None items are written as json's encoder writes
-    them. A list of strings that need no escapes is joined in pieces of
-    at most _PIECE strings, and a selectionist run's weight map renders
-    from its run's layout in such pieces. Anything else (a dict with a
-    key that is not a str, an instance of a subclass) goes to json.dumps
-    whole. The walk keeps the ids of the containers on its path, as
-    json's markers do, so a cycle raises json's ValueError.
-
-    A trace's "final" state is its last step's state, and sorts before
-    "steps": the chunks of a value under a "final" key are kept, by id,
-    and written again where the same object comes back, so the final
-    map renders once. Only those are kept, so that memory holds no other
-    map's text once it is written."""
-    return _walk(obj, set(), {})
-
-
-def _float_text(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-# a leaf's text by exact type, as json's encoder writes it
-_LEAVES = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_text,
-    bool: ("false", "true").__getitem__,
-    type(None): lambda _: "null",
-}
-_EMPTY = {list: "[]", dict: "{}"}
-
-
-def _walk(obj, path: set[int], kept: dict[int, list[str]]) -> Iterator[str]:
-    """_json_chunks(obj) inside a walk: path holds the ids of the
-    containers being walked, and kept the chunks of each "final" value
-    written so far, by id."""
-    kind = type(obj)
-    if kind in _LEAVES:
-        yield _LEAVES[kind](obj)
-    elif kind in _EMPTY and not obj:
-        yield _EMPTY[kind]
-    elif id(obj) in kept:
-        yield from kept[id(obj)]
-    elif kind is _WeightMap:
-        yield from obj._chunks() or (_encode(obj),)
-    elif kind is list:
-        pieces = _pieces(obj, range(0, len(obj), _PIECE)) if type(obj[0]) is str else ()
-        if pieces and all(map(_plain_strings, pieces)):
-            pieces[-1].pop()
-            yield '["'
-            yield from map('", "'.join, pieces)
-            yield '"]'
-        else:
-            items = zip(_separators("["), obj, itertools.repeat(False))
-            yield from _members(obj, items, "]", path, kept)
-    elif kind is dict and set(map(type, obj)) == {str}:
-        keys = sorted(obj)
-        prefixes = map("{}{}: ".format, _separators("{"), map(encode_basestring_ascii, keys))
-        items = zip(prefixes, map(obj.__getitem__, keys), map("final".__eq__, keys))
-        yield from _members(obj, items, "}", path, kept)
-    else:
-        yield _encode(obj)
-
-
-def _separators(opening: str) -> Iterator[str]:
-    return itertools.chain((opening,), itertools.repeat(", "))
-
-
-def _members(
-    container, items: Iterable[tuple[str, object, bool]], closing: str,
-    path: set[int], kept: dict[int, list[str]],
-) -> Iterator[str]:
-    """The text of a walked list or dict: each value after its prefix,
-    its chunks kept when the item says so, then closing."""
-    if id(container) in path:
-        raise ValueError("Circular reference detected")
-    path.add(id(container))
-    for prefix, value, keep in items:
-        leaf = _LEAVES.get(type(value))
-        if leaf is not None:
-            yield prefix + leaf(value)
-            continue
-        yield prefix
-        if keep:
-            kept[id(value)] = chunks = list(_walk(value, path, kept))
-            yield from chunks
-        else:
-            yield from _walk(value, path, kept)
-    path.remove(id(container))
-    yield closing
-
-
-def _plain_strings(items: list) -> bool:
-    """Whether items are all str that JSON writes as they are, between
-    quotes, as the variant labels and switch states of a trace are. Each
-    escape lengthens the encoded text, so one encoding of all the items
-    joined shows whether any needs one."""
-    try:
-        joined = "".join(items)
-    except TypeError:  # an item that is not a str
-        return False
-    return len(encode_basestring_ascii(joined)) == len(joined) + 2
-
-
-_PIECE = 256  # labels per piece, so that no chunk of labels passes about 10 KB
-
-
-def _pieces(labels: list[str], starts: Sequence[int]) -> list[list[str]]:
-    """labels cut before each of the ascending starts (the first 0), each
-    slice ending in "": joined with one separator, they write the labels in turn."""
-    pieces = [labels[a:b] for a, b in zip(starts, [*starts[1:], len(labels)])]
-    for piece in pieces:
-        piece.append("")
-    return pieces
-
-
-def _encode(obj) -> str:
-    """json.dumps(obj, sort_keys=True); json is imported on first use,
-    so a mechanism run that needs no fallback never loads it."""
-    import json
-
-    return json.dumps(obj, sort_keys=True)
-
-
 class _Layout:
     """How a selectionist run lays out its weight maps: variant v, under
     the key labels[v], holds the weight of its fitness class of[v], and
@@ -508,14 +376,13 @@ class _Layout:
             changes = itertools.compress(range(1, len(of)), map(ne, of, of[1:]))
             starts = sorted({*range(0, len(of), _PIECE), *changes})  # each piece's first variant
             self._runs = list(zip(map(of.__getitem__, starts), _pieces(self.labels, starts)))
-            self._runs[-1][1].pop()
         return self._runs
 
 
 class _WeightMap(dict):
-    """A selectionist snapshot's weights by variant label: a dict, which
-    remembers its run's layout and the class weights it was filled from.
-    A copy or pickle of it is a plain dict."""
+    """A selectionist snapshot's weights by variant label: a dict that
+    remembers its run's layout and class weights, from which textio's JSON
+    writer takes its _chunks(). A copy or pickle of it is a plain dict."""
 
     __slots__ = ("_layout", "_weights")
 

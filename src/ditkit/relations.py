@@ -186,9 +186,9 @@ class PairRelation(_Record):
         pairs = frozenset((u, v) for u, v in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         for u, v in pairs:
-            if not 0 <= u < self.n or not 0 <= v < self.n:
+            if not (_is_int(u) and _is_int(v) and 0 <= u < self.n and 0 <= v < self.n):
                 raise ElementOutOfRangeError(
-                    f"pair ({u}, {v}) outside universe of size {self.n}"
+                    f"pair ({u!r}, {v!r}) outside universe of size {self.n}"
                 )
 
     @classmethod

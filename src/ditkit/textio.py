@@ -6,11 +6,17 @@ or the explicit restricted-growth form "rgs:0,0,1". Subset text:
 Variant text: k binary digits b_k..b_1 ("010"), switch k first.
 Optional element names replace the integers at this layer only; the
 library itself always works on 0..n-1.
+
+JSON: the one writer of traces, comparisons, verdicts and CLI error
+lines, streaming the bytes of json.dumps(x, sort_keys=True) in chunks.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import re
-from collections.abc import Iterator
+from _json import encode_basestring_ascii  # the str encoder of json.dumps
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import TextFormatError
 from .partitions import Partition, partition_from_blocks
@@ -172,3 +178,138 @@ def parse_variant(text: str, k: int) -> int:
 
 def format_variant(v: int, k: int) -> str:
     return format(v, f"0{k}b")
+
+
+def _json_chunks(obj) -> Iterator[str]:
+    """Yield the text of json.dumps(obj, sort_keys=True) in pieces.
+
+    Lists, and dicts whose keys are all str, are walked, and their str,
+    int, float, bool and None items are written as json's encoder writes
+    them. A list of strings that need no escapes is joined in pieces of
+    at most _PIECE strings. A value whose type defines _chunks() writes
+    itself, as a selectionist run's weight map does from its run's
+    layout, unless that gives None. Anything else (a dict with a key
+    that is not a str, an instance of a subclass) goes to json.dumps
+    whole. The walk keeps the ids of the containers on its path, as
+    json's markers do, so a cycle raises json's ValueError.
+
+    A trace's "final" state is its last step's state, and sorts before
+    "steps": the chunks of a value under a "final" key are kept, by id,
+    and written again where the same object comes back, so the final
+    map renders once. Only those are kept, so that memory holds no other
+    map's text once it is written."""
+    return _walk(obj, set(), {})
+
+
+def _to_json(self) -> str:
+    """json.dumps(self.to_json_dict(), sort_keys=True), joined from its chunks."""
+    return "".join(_json_chunks(self.to_json_dict()))
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# a leaf's text by exact type, as json's encoder writes it
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _walk(obj, path: set[int], kept: dict[int, list[str]]) -> Iterator[str]:
+    """_json_chunks(obj) inside a walk: path holds the ids of the
+    containers being walked, and kept the chunks of each "final" value
+    written so far, by id."""
+    kind = type(obj)
+    if kind in _LEAVES:
+        yield _LEAVES[kind](obj)
+    elif id(obj) in kept:
+        yield from kept[id(obj)]
+    elif kind is list:
+        chunks = _label_chunks(obj) if obj and type(obj[0]) is str else None
+        if chunks is None:
+            items = zip(_separators(), obj, itertools.repeat(False))
+            chunks = _members(obj, "[", items, "]", path, kept)
+        yield from chunks
+    elif kind is dict and set(map(type, obj)) <= {str}:
+        keys = sorted(obj)
+        prefixes = map("{}{}: ".format, _separators(), map(encode_basestring_ascii, keys))
+        items = zip(prefixes, map(obj.__getitem__, keys), map("final".__eq__, keys))
+        yield from _members(obj, "{", items, "}", path, kept)
+    else:
+        write = getattr(kind, "_chunks", None)  # a value that writes itself
+        yield from (write and write(obj)) or (_encode(obj),)
+
+
+def _separators() -> Iterator[str]:
+    return itertools.chain(("",), itertools.repeat(", "))
+
+
+def _members(
+    container, opening: str, items: Iterable[tuple[str, object, bool]], closing: str,
+    path: set[int], kept: dict[int, list[str]],
+) -> Iterator[str]:
+    """The text of a walked list or dict: opening, each value after its
+    prefix, its chunks kept when the item says so, then closing."""
+    if id(container) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(container))
+    yield opening
+    for prefix, value, keep in items:
+        yield prefix
+        if keep:
+            kept[id(value)] = chunks = list(_walk(value, path, kept))
+            yield from chunks
+        else:
+            yield from _walk(value, path, kept)
+    path.remove(id(container))
+    yield closing
+
+
+_PIECE = 256  # labels per piece, so that no chunk of labels passes about 10 KB
+
+
+def _pieces(labels: list[str], starts: Sequence[int]) -> list[list[str]]:
+    """labels cut before each of the ascending starts (the first 0), each
+    slice but the last ending in "": joined with one separator, they write
+    the labels in turn."""
+    pieces = [labels[a:b] for a, b in zip(starts, [*starts[1:], len(labels)])]
+    for piece in pieces[:-1]:
+        piece.append("")
+    return pieces
+
+
+# the ASCII characters that json's encoder escapes, read from the encoder
+_ESCAPED = bytes(b for b in range(128) if encode_basestring_ascii(chr(b)) != f'"{chr(b)}"')
+
+
+def _label_chunks(items: list) -> list[str] | None:
+    """The text of a list of strings in chunks, each of at most _PIECE
+    items joined by '", "'; None if an item is not a str or needs an
+    escape. A chunk of m items needs none when it is ASCII and json
+    escapes nothing in it but the 2 * (m - 1) quotes of its separators."""
+    pieces = _pieces(items, range(0, len(items), _PIECE))
+    try:
+        chunks = list(map('", "'.join, pieces))
+    except TypeError:  # an item that is not a str
+        return None
+    for chunk, piece in zip(chunks, pieces):
+        if not chunk.isascii():
+            return None
+        if len(chunk.encode().translate(None, _ESCAPED)) != len(chunk) - 2 * (len(piece) - 1):
+            return None
+    return ['["', *chunks, '"]']
+
+
+def _encode(obj) -> str:
+    """json.dumps(obj, sort_keys=True); json is imported on first use,
+    so a document that needs no fallback never loads it."""
+    import json
+
+    return json.dumps(obj, sort_keys=True)

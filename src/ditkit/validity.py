@@ -52,7 +52,6 @@ from .partitions import (
     Partition, _blocks_of, _canonical_rgs, _check_lattice_n, _dit_mask, _rgs, bell_number
 )
 from .relations import Subset, _Record
-from .textio import format_partition, format_subset
 
 
 class Counterexample(_Record):
@@ -80,14 +79,16 @@ class Verdict(_Record):
         return {"valid": self.valid, "n_checked": n_checked, "counterexample": cx}
 
     def to_json(self) -> str:
-        import json
+        from .textio import _to_json
 
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return _to_json(self)
 
 
 def _render_value(value) -> object:
     if isinstance(value, bool):
         return value
+    from .textio import format_partition, format_subset
+
     if isinstance(value, Subset):
         return format_subset(value)
     if isinstance(value, Partition):

@@ -148,6 +148,18 @@ class TestTaut:
             "counterexample": {"n": 3, "assignment": {"p": "0,1|2"}, "value": "0,1|2"},
         }
 
+    @pytest.mark.parametrize("message", ['a "quote", a \\ backslash, \x07 and \u00e9 p\u00b2 \u01c5', ""])
+    def test_error_line_is_json_dumps(self, capsys, message):
+        assert cli._fail(2, ValueError(message)) == 2
+        want = json.dumps({"error": "ValueError", "message": message}, sort_keys=True)
+        assert capsys.readouterr() == ("", want + "\n")
+
+    def test_refused_formula_error_line(self, capsys):
+        code, out, err = run(capsys, "taut", 'p & "\u00e9', "--logic", "truth")
+        assert (code, out) == (2, "")
+        assert err == json.dumps(json.loads(err), sort_keys=True) + "\n"
+        assert json.loads(err)["error"] == "FormulaSyntaxError"
+
     @pytest.mark.parametrize("logic, code", [("subset", 2), ("partition", 3)])
     @pytest.mark.parametrize("max_n", ["0", "-1"])
     def test_max_n_below_range_is_refused(self, capsys, logic, code, max_n):
@@ -910,37 +922,40 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
 
 
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, status, absent",
     [
-        (["taut", "p -> (q -> p)", "--logic", "partition"], {"ditkit.mechanisms", "json"}),
-        (["taut", "p | ~p", "--logic", "partition", "--json"], {"ditkit.mechanisms"}),
-        (["compare", "--k", "3", "--target", "010"],
+        (["taut", "p -> (q -> p)", "--logic", "partition"], 0,
+         {"ditkit.mechanisms", "ditkit.textio", "json", "_json"}),
+        (["taut", "p | ~p", "--logic", "partition", "--json"], 1, {"ditkit.mechanisms", "json"}),
+        (["taut", "p &", "--logic", "truth"], 2, {"ditkit.mechanisms", "json"}),
+        (["compare", "--k", "3", "--target", "010"], 0,
          {"ditkit.formulas", "ditkit.validity", "json"}),
-        (["sim", "generate", "--k", "3", "--events", "1=0"],
+        (["sim", "generate", "--k", "3", "--events", "1=0"], 0,
          {"ditkit.formulas", "ditkit.validity", "json"}),
-        (["sim", "twentyq", "--k", "3", "--answers", "0,1"],
+        (["sim", "twentyq", "--k", "3", "--answers", "0,1"], 0,
          {"ditkit.formulas", "ditkit.validity", "json"}),
-        (["lattice", "--kind", "partition", "--n", "4"],
+        (["lattice", "--kind", "partition", "--n", "4"], 0,
          {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio", "json"}),
-        (["lattice", "--kind", "subset", "--n", "3", "--dot"],
+        (["lattice", "--kind", "subset", "--n", "3", "--dot"], 0,
          {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio", "json"}),
     ],
-    ids=["taut", "taut invalid", "compare", "sim generate", "sim twentyq", "lattice",
-         "lattice dot"],
+    ids=["taut", "taut invalid", "taut refused", "compare", "sim generate", "sim twentyq",
+         "lattice", "lattice dot"],
 )
-def test_subcommand_loads_only_its_modules(argv, absent):
+def test_subcommand_loads_only_its_modules(argv, status, absent):
     # what a CLI call adds to sys.modules, not what the interpreter preloads;
     # a plain call is parsed from the option table, without argparse
     code = (
         "import io, sys, contextlib\n"
         "before = set(sys.modules)\n"
         "from ditkit.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
         f"    code = main({argv!r})\n"
         "print(code, ' '.join(sorted(set(sys.modules) - before)))\n"
     )
     code, *loaded = _child(code).split()
-    assert code in ("0", "1")
+    assert code == str(status)
     assert not set(loaded) & (absent | {"dataclasses", "inspect", "argparse", "gettext"})
     assert "ditkit.cli" in loaded
 

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 import strategies
-from ditkit import mechanisms
+from ditkit import mechanisms, textio
 from ditkit import (
     AlreadySetError,
     ElementOutOfRangeError,
@@ -88,6 +88,21 @@ class TestVariantSpace:
         message = f"^{re.escape(f'switch {i!r} outside 1..3')}$"
         with pytest.raises(SwitchIndexError, match=message):
             call(i)
+
+    @pytest.mark.parametrize("v", [8, 99, -1, True, False, 1.0, "1", None])
+    @pytest.mark.parametrize(
+        "call",
+        [lambda v: VariantSpace(3).bit(v, 1), lambda v: VariantSpace(3).to_string(v)],
+        ids=["bit", "to_string"],
+    )
+    def test_variant_must_be_in_the_space(self, call, v):
+        message = f"^{re.escape(f'variant {v!r} outside the 8-variant space')}$"
+        with pytest.raises(ElementOutOfRangeError, match=message):
+            call(v)
+
+    def test_switch_is_checked_before_the_variant(self):
+        with pytest.raises(SwitchIndexError, match=r"^switch 4 outside 1\.\.3$"):
+            VariantSpace(3).bit(99, 4)
 
     def test_bad_strings(self):
         for text in ("01", "0102", " 010", "01x"):
@@ -362,7 +377,7 @@ class TestSelectionist:
         assert all(piece[-1] == "" for _, piece in pieces[:-1])
         assert pieces[-1][1][-1] != ""
         body = [piece[:-1] for _, piece in pieces[:-1]] + [pieces[-1][1]]
-        assert all(1 <= len(piece) <= mechanisms._PIECE for piece in body)
+        assert all(1 <= len(piece) <= textio._PIECE for piece in body)
         assert list(itertools.chain.from_iterable(body)) == labels
         for (c, _), piece in zip(pieces, body):
             assert {layout.of[int(label, 2)] for label in piece} == {c}
@@ -673,9 +688,9 @@ def _assert_chunks_match_dumps(document) -> None:
         expected = json.dumps(document, sort_keys=True)
     except (TypeError, ValueError) as exc:
         with pytest.raises(type(exc)):
-            "".join(mechanisms._json_chunks(document))
+            "".join(textio._json_chunks(document))
     else:
-        assert "".join(mechanisms._json_chunks(document)) == expected
+        assert "".join(textio._json_chunks(document)) == expected
 
 
 def _weights_trace(*maps: dict) -> Trace:
@@ -720,11 +735,22 @@ class TestJsonBytes:
             ["01"] * 513,  # three pieces
             ["01"] * 300 + ["\""],  # an escape in the second piece
             ["01"] * 300 + [1],  # an int in the second piece
+            ["01"] * 300 + ["\\"] + ["01"] * 3,
+            ["01"] * 300 + ["\x07"] + ["01"] * 3,
+            ["01"] * 300 + ["\u00e9"] + ["01"] * 3,
+            ["01"] * 300 + ["\x7f"] + ["01"] * 3,
+            ["01"] * 300 + ["\ud800"] + ["01"] * 3,  # a lone surrogate
+            ["01"] * 300 + ['0", "1'] + ["01"] * 3,  # a label that holds the separator
+            ["01"] * 300 + [None] + ["01"] * 3,
+            ["", "", ""],
         ],
         ids=["mixed keys", "mixed keys nested", "tuple key", "object", "bytes",
              "mixed list", "bools and numbers", "huge int", "special floats",
              "str subclass", "str subclasses", "str subclass second", "str subclass value",
-             "long list", "escape in a later piece", "int in a later piece"],
+             "long list", "escape in a later piece", "int in a later piece",
+             "backslash in a later piece", "control character in a later piece",
+             "non-ASCII in a later piece", "DEL in a later piece", "surrogate in a later piece",
+             "separator in a later piece", "None in a later piece", "empty strings"],
     )
     def test_document_corners(self, document):
         _assert_chunks_match_dumps(document)
@@ -758,7 +784,7 @@ class TestJsonBytes:
         with pytest.raises(ValueError, match="^Circular reference detected$"):
             json.dumps(document, sort_keys=True)
         with pytest.raises(ValueError, match="^Circular reference detected$"):
-            "".join(mechanisms._json_chunks(document))
+            "".join(textio._json_chunks(document))
 
     def test_streaming_keeps_only_final_values(self):
         # the text of every map but the final one is dropped once written,
@@ -769,7 +795,7 @@ class TestJsonBytes:
         document = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits).to_json_dict()
         tracemalloc.start()
         try:
-            for _ in mechanisms._json_chunks(document):
+            for _ in textio._json_chunks(document):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -780,7 +806,7 @@ class TestJsonBytes:
         # maps and label lists are written a piece of labels at a time
         limits = Limits().replaced(max_switch_bits=12)
         document = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits).to_json_dict()
-        assert max(map(len, mechanisms._json_chunks(document))) <= 12 * 1024
+        assert max(map(len, textio._json_chunks(document))) <= 12 * 1024
 
     def test_trace_with_a_cycle(self):
         state = {"a": {}}
@@ -846,8 +872,8 @@ class TestJsonBytes:
         layout = maps[0]._layout
         assert all(m._layout is layout for m in maps) and layout._runs is None
         encoded = []
-        encode = mechanisms._encode
-        monkeypatch.setattr(mechanisms, "_encode", lambda obj: encoded.append(obj) or encode(obj))
+        encode = textio._encode
+        monkeypatch.setattr(textio, "_encode", lambda obj: encoded.append(obj) or encode(obj))
         for m in maps:
             assert "".join(m._chunks()) == json.dumps(m, sort_keys=True)
         table = layout._runs

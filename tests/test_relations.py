@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 
@@ -50,8 +52,15 @@ class TestPairRelation:
         assert r.sorted_pairs() == [(0, 1), (1, 0)]
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ElementOutOfRangeError):
+        with pytest.raises(ElementOutOfRangeError, match=r"^pair \(0, 2\) outside universe of size 2$"):
             PairRelation.of(2, [(0, 2)])
+
+    @pytest.mark.parametrize("pair", [(True, 0), (0, False), (1.0, 0), (0, "1"), (None, 0)])
+    def test_coordinates_must_be_ints_not_bools(self, pair):
+        # as Subset and Partition refuse them; True would equal 1 otherwise
+        message = f"^{re.escape(f'pair ({pair[0]!r}, {pair[1]!r}) outside universe of size 2')}$"
+        with pytest.raises(ElementOutOfRangeError, match=message):
+            PairRelation(2, frozenset({pair}))
 
     def test_diagonal_and_full(self):
         assert PairRelation.diagonal(3).pairs == frozenset({(0, 0), (1, 1), (2, 2)})

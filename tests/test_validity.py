@@ -197,6 +197,13 @@ class TestDeterminism:
         got = json.loads(partition_tautology(parse("p -> p"), 3).to_json())
         assert got == {"valid": True, "n_checked": [2, 3], "counterexample": None}
 
+    @pytest.mark.parametrize("text", ["p | ~p", "p -> p", "é | ~é", "p² -> ǅ", "(é & p²) | ~ǅ"])
+    def test_to_json_is_json_dumps(self, text):
+        # non-ASCII names are escaped, and sorted, as json.dumps does
+        f = parse(text)
+        for v in (truth_table_tautology(f), subset_valid(f, 3), partition_tautology(f, 3)):
+            assert v.to_json() == json.dumps(v.to_json_dict(), sort_keys=True)
+
     @pytest.mark.parametrize("value", [3, None, "0,1|2", frozenset({0})])
     def test_only_truth_values_subsets_and_partitions_render(self, value):
         with pytest.raises(TypeError, match=f"^cannot render {re.escape(repr(value))}$"):
