@@ -17,8 +17,9 @@ and usage errors, and a plain call never imports it.
 Each handler imports the modules its subcommand needs, so a call loads
 no other: taut never loads mechanisms, compare and sim never load
 formulas or validity, and lattice loads partitions alone. json only
-reads a config file: lattice writes its JSON itself, and the rest goes
-through textio's JSON writer (taut --json, sim, compare, error lines).
+reads a config file: lattice writes its JSON itself, without _json, and
+the rest goes through textio's JSON writer (taut --json, sim, compare,
+error lines); taut prints partition text without textio.
 """
 from __future__ import annotations
 
@@ -299,8 +300,6 @@ def _dot_chunks(labels: list[str], covers: Iterator[list[int]]) -> Iterator[str]
 def _lattice_json_chunks(
     kind: str, n: int, labels: list[str], covers: Iterator[list[int]]
 ) -> Iterator[str]:
-    from _json import encode_basestring_ascii as quoted  # a str as json.dumps writes it
-
     yield '{"edges": ['
     names = list(map(str, range(len(labels))))
     separator = ""
@@ -308,8 +307,9 @@ def _lattice_json_chunks(
         if ys:
             yield f"{separator}[{x}, " + f"], [{x}, ".join(map(names.__getitem__, ys)) + "]"
             separator = ", "
-    nodes = ", ".join(map(quoted, labels))
-    yield f'], "kind": {quoted(kind)}, "n": {n}, "nodes": [{nodes}]}}\n'
+    # kind is a choices word and labels hold digits, ',', '|' and braces; json escapes none
+    nodes = '", "'.join(labels)
+    yield f'], "kind": "{kind}", "n": {n}, "nodes": ["{nodes}"]}}\n'
 
 
 def _emit(chunks: Iterable[str]) -> None:

@@ -8,7 +8,8 @@ and 'ǅ' are names and '½p' is not; T and F themselves are the constants.
 Whitespace is what str.isspace accepts, the no-break space included.
 
 A tree compiles to a postfix program, its nodes with every child before
-its parent, and one stack evaluator runs that program over an algebra.
+its parent, and one stack evaluator runs that program over an algebra:
+a dict from node class to meaning, where Const means the pair (F, T).
 Both semantics are the Boolean operations of partitions._BOOLEAN on
 bitmasks: over n points for subsets (n = 1 is the truth table), and over
 the n(n-1)/2 unordered pairs for partitions, where each connective takes
@@ -204,19 +205,10 @@ def _variables(program: tuple[Formula, ...]) -> tuple[str, ...]:
     return tuple(sorted({node.name for node in program if type(node) is Var}))
 
 
-class _Algebra:
-    """Values for the two constants and an operation per connective node."""
-
-    __slots__ = ("top", "bottom", "ops")
-
-    def __init__(self, top: object, bottom: object, ops: Mapping[type, Callable]) -> None:
-        self.top, self.bottom, self.ops = top, bottom, ops
-
-
-def _evaluate(program: tuple[Formula, ...], algebra: _Algebra, env: Mapping[str, object]):
+def _evaluate(program: tuple[Formula, ...], algebra: dict, env: Mapping[str, object]):
     """Run a postfix program on one stack; env gives each variable's value."""
     stack: list = []
-    push, pop, ops = stack.append, stack.pop, algebra.ops
+    push, pop = stack.append, stack.pop
     for node in program:
         kind = type(node)
         if kind is Var:
@@ -225,23 +217,25 @@ def _evaluate(program: tuple[Formula, ...], algebra: _Algebra, env: Mapping[str,
             except KeyError:
                 raise UnboundVariableError(f"variable {node.name!r} has no value") from None
         elif kind is Const:
-            push(algebra.top if node.value else algebra.bottom)
+            push(algebra[Const][node.value])
         elif kind is Not:
-            push(ops[Not](pop()))
+            push(algebra[Not](pop()))
         else:
             right = pop()
-            push(ops[kind](pop(), right))
+            push(algebra[kind](pop(), right))
     return stack[0]
 
 
-def _bitmask_algebra(n: int) -> _Algebra:
+def _bitmask_algebra(n: int) -> dict:
     """Subsets of n points as n-bit masks; at n = 1 this is the truth table."""
     full = (1 << n) - 1
-    ops = {shape: functools.partial(_BOOLEAN[shape._connective], full) for shape in _CONNECTIVES}
-    return _Algebra(_BOOLEAN[Connective.TOP](full), _BOOLEAN[Connective.BOTTOM](full), ops)
+    return {
+        Const: (_BOOLEAN[Connective.BOTTOM](full), _BOOLEAN[Connective.TOP](full)),
+        **{shape: functools.partial(_BOOLEAN[shape._connective], full) for shape in _CONNECTIVES},
+    }
 
 
-def _partition_algebra(n: int) -> _Algebra:
+def _partition_algebra(n: int) -> dict:
     """Partitions of n points as distinction masks (partitions._dit_mask):
     the bitmask algebra on the n(n-1)/2 pairs, each connective followed by
     the interior. The interior is memoised for this algebra alone; a scan
@@ -258,8 +252,7 @@ def _partition_algebra(n: int) -> _Algebra:
 
         return lifted
 
-    ops = {shape: lift(op) for shape, op in boolean.ops.items()}
-    return _Algebra(boolean.top, boolean.bottom, ops)
+    return {**boolean, **{shape: lift(boolean[shape]) for shape in _CONNECTIVES}}
 
 
 def _wrap(child: tuple[str, int], bar: int) -> str:
@@ -278,25 +271,19 @@ def _render_binary(shape: type, left: tuple[str, int], right: tuple[str, int]) -
 
 
 # Text paired with the binding strength of its outermost connective.
-_TEXT = _Algebra(
-    ("T", _ATOM_PREC),
-    ("F", _ATOM_PREC),
-    {
-        Not: lambda child: (Not._symbol + _wrap(child, Not._prec), Not._prec),
-        **{shape: functools.partial(_render_binary, shape) for shape in _BINARIES},
-    },
-)
+_TEXT = {
+    Const: (("F", _ATOM_PREC), ("T", _ATOM_PREC)),
+    Not: lambda child: (Not._symbol + _wrap(child, Not._prec), Not._prec),
+    **{shape: functools.partial(_render_binary, shape) for shape in _BINARIES},
+}
 
 
 # The record repr of a tree, e.g. Not(child=Var(name='p')).
-_REPR = _Algebra(
-    "Const(value=True)",
-    "Const(value=False)",
-    {
-        Not: "Not(child={})".format,
-        **{shape: f"{shape.__name__}(left={{}}, right={{}})".format for shape in _BINARIES},
-    },
-)
+_REPR = {
+    Const: ("Const(value=False)", "Const(value=True)"),
+    Not: "Not(child={})".format,
+    **{shape: f"{shape.__name__}(left={{}}, right={{}})".format for shape in _BINARIES},
+}
 
 
 def format_formula(f: Formula) -> str:

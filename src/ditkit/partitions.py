@@ -32,7 +32,6 @@ from collections.abc import Hashable, Iterable, Iterator, Sequence
 from enum import Enum
 
 from .errors import (
-    ElementOutOfRangeError,
     EmptyBlockError,
     MissingElementError,
     NotEquivalenceError,
@@ -83,8 +82,7 @@ class Partition(_Record):
         return max(self.assignment) + 1
 
     def block_of(self, u: int) -> int:
-        if not 0 <= u < self.n:
-            raise ElementOutOfRangeError(f"element {u} outside universe of size {self.n}")
+        _check_element(u, self.n)
         return self.assignment[u]
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:

@@ -45,7 +45,7 @@ from collections.abc import Iterator, Mapping
 
 from .errors import ResourceLimitError, TooManyVariablesError, UniverseTooSmallError
 from .formulas import (
-    Formula, _bitmask_algebra, _compile, _evaluate, _partition_algebra, _variables
+    Const, Formula, _bitmask_algebra, _compile, _evaluate, _partition_algebra, _variables
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import (
@@ -87,12 +87,12 @@ class Verdict(_Record):
 def _render_value(value) -> object:
     if isinstance(value, bool):
         return value
-    from .textio import format_partition, format_subset
-
-    if isinstance(value, Subset):
-        return format_subset(value)
     if isinstance(value, Partition):
-        return format_partition(value)
+        return str(value)
+    if isinstance(value, Subset):
+        from .textio import format_subset
+
+        return format_subset(value)
     raise TypeError(f"cannot render {value!r}")
 
 
@@ -187,7 +187,7 @@ def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS)
         for combo in _orbit_representatives(list(masks), len(names)):
             checked += 1
             value = _evaluate(program, algebra, {name: masks[x] for name, x in zip(names, combo)})
-            if value != algebra.top:
+            if value != algebra[Const][True]:
                 assignment = {name: Partition(n, x) for name, x in zip(names, combo)}
                 cx = Counterexample(n, assignment, Partition(n, _blocks_of(n, value)))
                 return Verdict(False, cx, (2, n), checked)
@@ -200,9 +200,6 @@ def _orbit_representatives(pool: list[tuple], arity: int) -> Iterator[tuple]:
     in its orbit under all relabellings of the universe, and whose second
     comes first in its orbit under the relabellings that fix the first.
     The later values run over the whole pool."""
-    if arity == 0:
-        yield ()
-        return
     position = {x: i for i, x in enumerate(pool)}
     moves: dict[tuple[int, ...], list[int]] = {}
 
@@ -214,13 +211,11 @@ def _orbit_representatives(pool: list[tuple], arity: int) -> Iterator[tuple]:
         return _orbit_minima(pool, [moves[g] for g in generators])
 
     # pool[0] is the one-block partition, fixed by every relabelling
+    if arity < 2:  # product reads its input whole even at repeat=0, so arity 0 reads ()
+        yield from itertools.product(minima(pool[0]) if arity else (), repeat=arity)
+        return
     for head in minima(pool[0]):
-        if arity == 1:
-            yield (head,)
-            continue
-        for second in minima(head):
-            for rest in itertools.product(pool, repeat=arity - 2):
-                yield (head, second, *rest)
+        yield from itertools.product((head,), minima(head), *[pool] * (arity - 2))
 
 
 def _stabiliser_generators(head: tuple) -> list[tuple[int, ...]]:

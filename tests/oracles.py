@@ -4,8 +4,9 @@ Everything here favors obviousness over speed and stays off the
 library's code paths: closure by fixpoint saturation, enumeration by
 recursive block insertion, covering pairs by scanning for strictly
 intermediate elements or by merging two blocks and looking the result
-up by value, a distinction-set evaluator that composes raw set
-operations with the fixpoint interior at every node, and recursive
+up by value, orbits of pairs of partitions by applying every
+permutation of the universe, a distinction-set evaluator that composes
+raw set operations with the fixpoint interior at every node, and recursive
 two-valued and frozenset evaluators with the truth-table, subset and
 partition scans built on them, the block of switch settings by a
 per-switch scan of every variant, the selectionist run with one
@@ -125,6 +126,23 @@ def lattice_by_merging(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, i
         for bj in range(bi + 1, max(y) + 1)
     ]
     return nodes, sorted(edges)
+
+
+def orbit_least_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The least pair of each orbit of pairs of partitions under all n!
+    relabellings of {0..n-1}, in product order of rgs_lex(n): a pair
+    is kept when no pair before it reaches it by some permutation."""
+    def relabelled(x: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+        first: dict[int, int] = {}
+        return tuple(first.setdefault(x[v], len(first)) for v in perm)
+
+    perms = list(itertools.permutations(range(n)))
+    least, reached = [], set()
+    for pair in itertools.product(rgs_lex(n), repeat=2):
+        if pair not in reached:
+            least.append(pair)
+            reached.update((relabelled(pair[0], p), relabelled(pair[1], p)) for p in perms)
+    return least
 
 
 def eval_ditwise(

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import ditkit
 from ditkit import Limits, cli, mechanisms, textio, validity
 from ditkit.cli import main
+from ditkit.partitions import _lattice
 
 
 def run(capsys, *argv):
@@ -190,6 +191,13 @@ class TestLattice:
         assert out.startswith("digraph")
         assert 'label="0,1,2"' in out
         assert "n0 -> n1" in out
+
+    @pytest.mark.parametrize("kind", ["partition", "subset"])
+    def test_labels_need_no_json_escaping(self, kind):
+        # the JSON writer puts labels between plain quotes, as the DOT writer does
+        for n in range(1, 7):
+            labels, _ = _lattice(kind, n, Limits())
+            assert all(json.dumps(label) == f'"{label}"' for label in labels)
 
     # sha256 of stdout, recorded with `ditkit lattice` at commit dffb393,
     # where the CLI enumerated the lattice twice and keyed edges by node;
@@ -927,6 +935,8 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
         (["taut", "p -> (q -> p)", "--logic", "partition"], 0,
          {"ditkit.mechanisms", "ditkit.textio", "json", "_json"}),
         (["taut", "p | ~p", "--logic", "partition", "--json"], 1, {"ditkit.mechanisms", "json"}),
+        (["taut", "p | ~p", "--logic", "partition"], 1,
+         {"ditkit.mechanisms", "ditkit.textio", "json", "_json"}),
         (["taut", "p &", "--logic", "truth"], 2, {"ditkit.mechanisms", "json"}),
         (["compare", "--k", "3", "--target", "010"], 0,
          {"ditkit.formulas", "ditkit.validity", "json"}),
@@ -935,12 +945,13 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
         (["sim", "twentyq", "--k", "3", "--answers", "0,1"], 0,
          {"ditkit.formulas", "ditkit.validity", "json"}),
         (["lattice", "--kind", "partition", "--n", "4"], 0,
-         {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio", "json"}),
+         {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio", "json",
+          "_json"}),
         (["lattice", "--kind", "subset", "--n", "3", "--dot"], 0,
          {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio", "json"}),
     ],
-    ids=["taut", "taut invalid", "taut refused", "compare", "sim generate", "sim twentyq",
-         "lattice", "lattice dot"],
+    ids=["taut", "taut invalid", "taut invalid plain", "taut refused", "compare", "sim generate",
+         "sim twentyq", "lattice", "lattice dot"],
 )
 def test_subcommand_loads_only_its_modules(argv, status, absent):
     # what a CLI call adds to sys.modules, not what the interpreter preloads;

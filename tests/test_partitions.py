@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -75,9 +76,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             Partition(3, assignment)
 
-    @pytest.mark.parametrize("u", [-1, 3])
+    @pytest.mark.parametrize("u", [-1, 3, True, 1.5, "1"])
     def test_block_of_outside_the_universe(self, u):
-        message = f"^element {u} outside universe of size 3$"
+        # True is refused too, although bool is an int subclass
+        message = f"^element {re.escape(repr(u))} outside universe of size 3$"
         with pytest.raises(ElementOutOfRangeError, match=message):
             Partition(3, (0, 0, 1)).block_of(u)
 

@@ -283,6 +283,43 @@ class TestOrbitReduction:
         assert late >= 100
 
 
+class TestOrbitRepresentatives:
+    """The scan's value tuples against a brute-force orbit oracle that
+    applies all n! relabellings."""
+
+    @pytest.mark.parametrize("n, count", [(2, 4), (3, 10), (4, 33), (5, 91), (6, 298)])
+    def test_pairs_are_the_least_of_each_orbit(self, n, count):
+        want = oracles.orbit_least_pairs(n)
+        assert len(want) == count
+        assert list(validity._orbit_representatives(oracles.rgs_lex(n), 2)) == want
+
+    @pytest.mark.parametrize("n, count", [(2, 2), (3, 3), (4, 5), (5, 7), (6, 11)])
+    def test_one_value_per_block_size_shape(self, n, count):
+        # 0^a 1^b 2^c ... with a >= b >= c >= ...: one per integer partition of n
+        def shape(x):
+            sizes = [x.count(b) for b in range(max(x) + 1)]
+            return list(x) == sorted(x) and sizes == sorted(sizes, reverse=True)
+
+        pool = oracles.rgs_lex(n)
+        got = list(validity._orbit_representatives(pool, 1))
+        assert got == [(x,) for x in pool if shape(x)]
+        assert len(got) == count
+
+    def test_no_variables_give_the_empty_tuple(self, monkeypatch):
+        # and build no moves: at n = 8 that would take longer than the scan
+        def refuse(head):
+            raise AssertionError("stabiliser generators built for no variables")
+
+        monkeypatch.setattr(validity, "_stabiliser_generators", refuse)
+        assert list(validity._orbit_representatives(oracles.rgs_lex(3), 0)) == [()]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_later_values_run_over_the_whole_pool(self, n):
+        pool = oracles.rgs_lex(n)
+        want = [(*pair, x) for pair in oracles.orbit_least_pairs(n) for x in pool]
+        assert list(validity._orbit_representatives(pool, 3)) == want
+
+
 def _formulas_by_size(atoms, max_nodes: int) -> list[list]:
     """Every formula over the atoms with ~ and the four binary
     connectives, grouped by node count: group s holds those of s nodes,
