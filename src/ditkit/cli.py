@@ -19,7 +19,7 @@ no other: taut never loads mechanisms, compare and sim never load
 formulas or validity, and lattice loads partitions alone. json only
 reads a config file: lattice writes its JSON itself, without _json, and
 the rest goes through textio's JSON writer (taut --json, sim, compare,
-error lines); taut prints partition text without textio.
+error lines); taut prints a counterexample with str(), without textio.
 """
 from __future__ import annotations
 
@@ -240,11 +240,9 @@ def cmd_eval(args: SimpleNamespace, limits: Limits) -> int:
 
 
 def _render_taut_value(value) -> str:
-    from .validity import _render_value
-
     if isinstance(value, bool):
         return "1" if value else "0"
-    return _render_value(value)
+    return str(value)
 
 
 def cmd_taut(args: SimpleNamespace, limits: Limits) -> int:

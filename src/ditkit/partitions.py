@@ -50,6 +50,7 @@ from .relations import (
     _components,
     _is_int,
     _Record,
+    _subset_text,
     interior,
 )
 
@@ -100,7 +101,13 @@ class Partition(_Record):
         return self.n * self.n - sum(s * s for s in sizes)
 
     def __str__(self) -> str:
-        return "|".join(",".join(str(u) for u in block) for block in self.blocks())
+        return _partition_text(self)
+
+
+def _partition_text(p: Partition, names: Sequence[str] | None = None) -> str:
+    """The partition layout "0,1|2": blocks in order, elements by name if names are given."""
+    text = str if names is None else names.__getitem__
+    return "|".join([",".join(map(text, block)) for block in p.blocks()])
 
 
 def _canonical_rgs(labels: Sequence[Hashable]) -> tuple[int, ...]:
@@ -372,18 +379,15 @@ def _lattice(kind: str, n: int, limits: Limits) -> tuple[list[str], Iterator[lis
     that gives each node in turn the ascending positions of the nodes
     covering it.
 
-    Labels are the text that textio's format_partition and
-    format_subset write. The size checks run before anything is built;
-    the covers of the last level are computed as they are read.
+    Each label is its node's str(). The size checks run before anything
+    is built; the covers of the last level are computed as they are read.
     """
     if kind not in ("partition", "subset"):
         raise ValueError(f"kind must be 'subset' or 'partition', got {kind!r}")
     _check_lattice_n(kind, n, limits)
     if kind == "partition":
         return _partition_lattice(n)
-    labels = [
-        "{" + ",".join([str(u) for u in range(n) if m >> u & 1]) + "}" for m in range(2**n)
-    ]
+    labels = [_subset_text([u for u in range(n) if m >> u & 1]) for m in range(2**n)]
     return labels, ([m | 1 << u for u in range(n) if not m >> u & 1] for m in range(2**n))
 
 

@@ -13,7 +13,7 @@ sets, symmetric or not.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ElementOutOfRangeError, UniverseMismatchError
 
@@ -120,6 +120,11 @@ def _check_same_universe(a, b) -> None:
         raise UniverseMismatchError(f"universe sizes differ: {a.n} != {b.n}")
 
 
+def _subset_text(members: Iterable[int], names: Sequence[str] | None = None) -> str:
+    """The subset layout "{0,2}": members in the given order, by name if names are given."""
+    return "{" + ",".join(map(str if names is None else names.__getitem__, members)) + "}"
+
+
 class Subset(_Record):
     """Immutable subset of {0, ..., n-1}."""
 
@@ -170,6 +175,9 @@ class Subset(_Record):
 
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.members))
+
+    def __str__(self) -> str:
+        return _subset_text(self)
 
 
 Pair = tuple[int, int]

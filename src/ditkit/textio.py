@@ -19,8 +19,8 @@ from _json import encode_basestring_ascii  # the str encoder of json.dumps
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import TextFormatError
-from .partitions import Partition, partition_from_blocks
-from .relations import Subset
+from .partitions import Partition, _partition_text, partition_from_blocks
+from .relations import Subset, _subset_text
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -35,10 +35,6 @@ def parse_names(text: str) -> tuple[str, ...]:
     if len(set(names)) != len(names):
         raise TextFormatError("element names must be unique")
     return names
-
-
-def _render_element(u: int, names: tuple[str, ...] | None) -> str:
-    return names[u] if names is not None else str(u)
 
 
 def _parse_element(token: str, n: int, names: tuple[str, ...] | None) -> int:
@@ -63,9 +59,7 @@ def _check_names(names: tuple[str, ...] | None, n: int) -> None:
 
 def format_partition(p: Partition, names: tuple[str, ...] | None = None) -> str:
     _check_names(names, p.n)
-    return "|".join(
-        ",".join(_render_element(u, names) for u in block) for block in p.blocks()
-    )
+    return _partition_text(p, names)
 
 
 def parse_partition(
@@ -96,7 +90,7 @@ def parse_partition(
 
 def format_subset(s: Subset, names: tuple[str, ...] | None = None) -> str:
     _check_names(names, s.n)
-    return "{" + ",".join(_render_element(u, names) for u in s) + "}"
+    return _subset_text(s, names)
 
 
 def parse_subset(text: str, n: int, names: tuple[str, ...] | None = None) -> Subset:

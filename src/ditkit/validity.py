@@ -87,12 +87,8 @@ class Verdict(_Record):
 def _render_value(value) -> object:
     if isinstance(value, bool):
         return value
-    if isinstance(value, Partition):
+    if isinstance(value, (Partition, Subset)):
         return str(value)
-    if isinstance(value, Subset):
-        from .textio import format_subset
-
-        return format_subset(value)
     raise TypeError(f"cannot render {value!r}")
 
 
@@ -183,7 +179,8 @@ def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS)
     checked = 0
     for n in universes:
         algebra = _partition_algebra(n)
-        masks = {x: _dit_mask(x) for x in _rgs(n)}  # its keys are the pool, in order
+        # its keys are the pool, in order; a formula without variables needs none
+        masks = {x: _dit_mask(x) for x in _rgs(n)} if names else {}
         for combo in _orbit_representatives(list(masks), len(names)):
             checked += 1
             value = _evaluate(program, algebra, {name: masks[x] for name, x in zip(names, combo)})

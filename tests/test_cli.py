@@ -937,6 +937,8 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
         (["taut", "p | ~p", "--logic", "partition", "--json"], 1, {"ditkit.mechanisms", "json"}),
         (["taut", "p | ~p", "--logic", "partition"], 1,
          {"ditkit.mechanisms", "ditkit.textio", "json", "_json"}),
+        (["taut", "p & q", "--logic", "subset"], 1,
+         {"ditkit.mechanisms", "ditkit.textio", "json", "_json"}),
         (["taut", "p &", "--logic", "truth"], 2, {"ditkit.mechanisms", "json"}),
         (["compare", "--k", "3", "--target", "010"], 0,
          {"ditkit.formulas", "ditkit.validity", "json"}),
@@ -950,8 +952,8 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
         (["lattice", "--kind", "subset", "--n", "3", "--dot"], 0,
          {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio", "json"}),
     ],
-    ids=["taut", "taut invalid", "taut invalid plain", "taut refused", "compare", "sim generate",
-         "sim twentyq", "lattice", "lattice dot"],
+    ids=["taut", "taut invalid", "taut invalid plain", "taut invalid subset", "taut refused",
+         "compare", "sim generate", "sim twentyq", "lattice", "lattice dot"],
 )
 def test_subcommand_loads_only_its_modules(argv, status, absent):
     # what a CLI call adds to sys.modules, not what the interpreter preloads;

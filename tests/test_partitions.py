@@ -42,7 +42,6 @@ from ditkit import (
 from ditkit import partitions as partitions_module
 from ditkit.limits import DEFAULT_LIMITS, Limits
 from ditkit.partitions import CONNECTIVE_ARITY, _blocks_of, _dit_mask, _lattice, _rgs
-from ditkit.textio import format_partition
 from strategies import partitions, random_partition
 
 
@@ -449,8 +448,13 @@ class TestLatticeGrowth:
         nodes, edges = oracles.lattice_by_merging(n)
         partitions = list(enumerate_partitions(n))
         assert [p.assignment for p in partitions] == nodes
-        assert labels == [format_partition(p) for p in partitions]
+        assert labels == [str(p) for p in partitions]
         assert [(x, y) for x, ys in enumerate(covers) for y in ys] == edges
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_subset_labels_are_str(self, n):
+        labels, _ = _lattice("subset", n, DEFAULT_LIMITS)
+        assert labels == [str(s) for s in subset_lattice_nodes(n)]
 
     def test_growth_holds_no_merge_data_per_edge(self):
         # growing and draining n = 9 peaked at 5.15-5.36 MiB while the

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from ditkit import Partition, Subset, TextFormatError
+from ditkit import Partition, Subset, TextFormatError, enumerate_partitions, subset_lattice_nodes
 from ditkit.textio import (
     format_partition,
     format_subset,
@@ -23,6 +23,11 @@ class TestPartitionText:
         assert parse_partition("0,1|2", 3) == Partition(3, (0, 0, 1))
         assert parse_partition("2|0,1", 3) == Partition(3, (0, 0, 1))
         assert format_partition(Partition(3, (0, 0, 1))) == "0,1|2"
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_format_is_str(self, n):
+        for p in enumerate_partitions(n):
+            assert format_partition(p) == str(p)
 
     def test_rgs_form(self):
         assert parse_partition("rgs:0,0,1", 3) == Partition(3, (0, 0, 1))
@@ -74,6 +79,16 @@ class TestSubsetText:
     def test_format(self):
         assert format_subset(Subset.of(3, [2, 0])) == "{0,2}"
         assert format_subset(Subset.empty(3)) == "{}"
+
+    def test_str(self):
+        assert str(Subset.of(3, [2, 0])) == "{0,2}"
+        assert str(Subset.empty(3)) == "{}"
+        assert repr(Subset.of(3, [2, 0])) == "Subset(n=3, members=frozenset({0, 2}))"
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_format_is_str(self, n):
+        for s in subset_lattice_nodes(n):
+            assert format_subset(s) == str(s)
 
     def test_round_trip(self):
         s = Subset.of(5, [1, 3, 4])

@@ -159,6 +159,21 @@ class TestPartitionTautology:
         assert not v.valid
         assert v.counterexample.n == 2
 
+    def test_nullary_formulas_build_no_partition_pool(self, monkeypatch):
+        # the pool's distinction masks took 10-11 ms at n = 8 and 60-68 ms
+        # at n = 9 for a scan of one evaluation per universe
+        def refuse(x):
+            raise AssertionError("distinction mask built for a formula without variables")
+
+        monkeypatch.setattr(validity, "_dit_mask", refuse)
+        wide = Limits().replaced(max_search_assignments=30_000)
+        v = partition_tautology(parse("T"), 9, limits=wide)
+        assert (v.valid, v.universes_checked, v.assignments_checked) == (True, (2, 9), 8)
+        v = partition_tautology(parse("~T"), 9, limits=wide)
+        assert (v.valid, v.universes_checked, v.assignments_checked) == (False, (2, 2), 1)
+        assert (v.counterexample.n, v.counterexample.assignment) == (2, {})
+        assert str(v.counterexample.value) == "0,1"
+
     def test_budget_enforced(self):
         tight = Limits().replaced(max_search_assignments=20)
         with pytest.raises(ResourceLimitError):
