@@ -26,7 +26,7 @@ import weakref
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
-from operator import is_, itemgetter, ne
+from operator import itemgetter, ne
 
 from .errors import (
     AlreadySetError,
@@ -67,7 +67,8 @@ _TABLES = weakref.WeakValueDictionary()  # k -> its table, until nothing holds i
 
 def _labels(k: int) -> list[str]:
     """The text of every variant, indexed by variant number: one read-only
-    table per k, shared while a run or a trace holds it."""
+    table per k, shared while a run, compare_mechanisms or sim select
+    holds it. A trace does not hold it."""
     table = _TABLES.get(k)
     if table is None:
         low = list(map("".join, itertools.product("01", repeat=k // 2)))
@@ -208,15 +209,18 @@ def _check_switch_bits(k: int, limits: Limits) -> None:
     _check_k(k)
 
 
-def _count_text(count: float) -> str:
-    """A count as a refusal prints it: in full up to 10**15, and in .3e
-    form above, so that a derived count of 300 digits stays readable."""
-    if count <= 10**15 or count == math.inf:
-        return str(count)
-    # Decimal formats ints beyond the float range too; it is loaded only here
-    from decimal import Decimal
+def _check_steps(max_steps: float, limits: Limits) -> None:
+    """Refuse more selection steps than the cap, before a run builds
+    anything. The count prints in full up to 10**15, and in .3e form
+    above, so that a derived count of 300 digits stays readable."""
+    cap = limits.max_selection_steps
+    if max_steps > cap:
+        count = str(max_steps)
+        if max_steps > 10**15 and max_steps != math.inf:
+            from decimal import Decimal  # formats ints past the float range; loaded only here
 
-    return format(Decimal(count), ".3e")
+            count = format(Decimal(max_steps), ".3e")
+        raise ResourceLimitError(f"{count} selection steps exceeds the cap {cap}")
 
 
 def _check_threshold(k: int, extinction_threshold: float) -> None:
@@ -352,58 +356,32 @@ class Trace(_Record):
     to_json = _to_json
 
 
-class _Layout:
-    """How a selectionist run lays out its weight maps: variant v, under
-    the key labels[v], holds the weight of its fitness class of[v], and
-    per_variant maps the list of class weights to the tuple of the 2**k
-    variant weights. The labels ascend, as json.dumps sorts keys."""
-
-    __slots__ = ("labels", "of", "per_variant", "_runs")
-
-    def __init__(self, labels: list[str], of: list[int]) -> None:
-        self.labels, self.of, self._runs = labels, of, None
-        self.per_variant = itemgetter(*of)  # 2**k >= 2 items, so always a tuple
-
-    def runs(self) -> list[tuple[int, list[str]]]:
-        """A map's keys in pieces of at most _PIECE consecutive variants
-        of one class: each is its class and a slice of the labels that
-        ends in "", but for the map's last piece. The separator '": w, "'
-        of its class's weight text w joins a piece into its chunk. Built
-        at the run's first rendering; a label is a bitstring, which JSON
-        writes as it is."""
-        if self._runs is None:
-            of = self.of
-            changes = itertools.compress(range(1, len(of)), map(ne, of, of[1:]))
-            starts = sorted({*range(0, len(of), _PIECE), *changes})  # each piece's first variant
-            self._runs = list(zip(map(of.__getitem__, starts), _pieces(self.labels, starts)))
-        return self._runs
-
-
 class _WeightMap(dict):
-    """A selectionist snapshot's weights by variant label: a dict that
-    remembers its run's layout and class weights, from which textio's JSON
-    writer takes its _chunks(). A copy or pickle of it is a plain dict."""
+    """A selectionist snapshot's weights by variant label, read-only: a
+    dict that keeps its run's pieces and class weights, from which
+    textio's JSON writer takes its _chunks(). Edits go to a copy:
+    m.copy(), dict(m), and a copy, deep copy or pickle of it are plain
+    dicts."""
 
-    __slots__ = ("_layout", "_weights")
+    __slots__ = ("_pieces", "_weights")
 
     def __reduce__(self):
         return dict, (dict(self),)
 
-    def _chunks(self) -> list[str] | None:
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a selectionist weight map is read-only; edit a copy")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def _chunks(self) -> list[str]:
         """The text of json.dumps(self, sort_keys=True): '{"', one chunk
-        per piece of its layout, and the last weight with "}"; each class
-        weight is rendered once. None once the map no longer holds its
-        class weight objects in its layout's key order."""
-        layout, weights = self._layout, self._weights
-        if list(self) != layout.labels or not all(
-            map(is_, self.values(), layout.per_variant(weights))
-        ):
-            return None
+        per piece of its run, and the last weight with "}"; each class
+        weight is rendered once."""
+        weights = self._weights
         separators = [f'": {w!r}, "' for w in weights]  # a run's weights are finite
-        chunks = [separators[c].join(piece) for c, piece in layout.runs()]
-        chunks.insert(0, '{"')
-        chunks.append(f'": {weights[layout.of[-1]]!r}}}')
-        return chunks
+        body = [separators[c].join(piece) for c, piece in self._pieces]
+        return ['{"', *body, f'": {weights[self._pieces[-1][0]]!r}}}']
 
 
 def run_selectionist(
@@ -432,11 +410,7 @@ def run_selectionist(
     _check_threshold(k, extinction_threshold)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    if max_steps > limits.max_selection_steps:  # before the first snapshot
-        raise ResourceLimitError(
-            f"{_count_text(max_steps)} selection steps exceeds the cap "
-            f"{limits.max_selection_steps}"
-        )
+    _check_steps(max_steps, limits)
     labels = _labels(k)  # labels[v] is the text of variant v
     # Amplification sees only fitness, so variants of equal fitness keep
     # equal weights: the run keeps one weight per fitness class. normalised
@@ -447,7 +421,15 @@ def run_selectionist(
     scores = fitness.scores
     distinct = list(dict.fromkeys(scores))  # class c holds the variants scoring distinct[c]
     of = list(map({s: c for c, s in enumerate(distinct)}.__getitem__, scores))
-    layout = _Layout(labels, of)
+    per_variant = itemgetter(*of)  # 2**k >= 2 items, so always a tuple
+    # A map's keys in pieces of at most _PIECE consecutive variants of one
+    # class: each is its class and a slice of the labels that ends in "",
+    # but for the map's last piece. The separator '": w, "' of its class's
+    # weight text w joins a piece into its chunk; a label is a bitstring,
+    # which JSON writes as it is. Every map of the run shares them.
+    changes = itertools.compress(range(1, size), map(ne, of, of[1:]))
+    starts = sorted({*range(0, size, _PIECE), *changes})  # each piece's first variant
+    pieces = list(zip(map(of.__getitem__, starts), _pieces(labels, starts)))
     counts = Counter(of)
     top = distinct.index(max(distinct))
     # a snapshot fills every label with the weight of the largest class,
@@ -463,12 +445,12 @@ def run_selectionist(
 
     def snapshot() -> dict:
         weight_map = _WeightMap(dict.fromkeys(keys, weights[major]))
-        weight_map.update(zip(minor_labels, map(weights.__getitem__, minor_of)))
-        weight_map._layout, weight_map._weights = layout, weights
+        dict.update(weight_map, zip(minor_labels, map(weights.__getitem__, minor_of)))
+        weight_map._pieces, weight_map._weights = pieces, weights
         return {"weights": weight_map, "extinct": extinct_labels.copy()}
 
     def normalised(weights: list[float]) -> list[float]:
-        total = deque(itertools.accumulate(layout.per_variant(weights)), maxlen=1)[0]
+        total = deque(itertools.accumulate(per_variant(weights)), maxlen=1)[0]
         return [w / total for w in weights]
 
     steps = [TraceStep(0, None, snapshot())]
@@ -636,11 +618,13 @@ def compare_mechanisms(
     fitness = Fitness.peaked(k, target, fitness_margin)
     if extinction_threshold is None:
         extinction_threshold = 0.5 / 2**k
+    _check_threshold(k, extinction_threshold)  # before the step count, which needs it
     if max_steps is None:
-        _check_threshold(k, extinction_threshold)  # the step count below needs it
         steps = math.log(1.0 / extinction_threshold) / math.log1p(fitness_margin)
         # a subnormal margin or threshold overflows steps to inf, which the cap refuses
         max_steps = math.ceil(steps) + 2 if math.isfinite(steps) else steps
+    _check_steps(max_steps, limits)  # before the label table is built
+    labels = _labels(k)  # held, so that both runs read one table
     selection = run_selectionist(k, fitness, extinction_threshold, max_steps, limits)
     experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
     generation = run_generative(k, experience)
@@ -656,21 +640,21 @@ def replay(trace: Trace, limits: Limits = DEFAULT_LIMITS) -> Trace:
     """Rerun a trace's mechanism from its recorded parameters; a
     faithful implementation reproduces every snapshot exactly. A
     selectionist trace made under a raised max_selection_steps needs
-    the same limits again."""
+    the same limits again; one without a parameter it needs is refused."""
+
+    def param(key: str):
+        if key not in trace.params:
+            raise ValueError(f"cannot replay {trace.mechanism} trace without its {key!r}")
+        return trace.params[key]
+
     if trace.mechanism == "selectionist":
         return run_selectionist(
-            trace.k,
-            trace.params["fitness"],
-            trace.params["extinction_threshold"],
-            trace.params["max_steps"],
-            limits,
+            trace.k, param("fitness"), param("extinction_threshold"), param("max_steps"), limits
         )
     if trace.mechanism == "generative":
-        return run_generative(
-            trace.k, trace.params["experience"], trace.params.get("overwrite", False)
-        )
+        return run_generative(trace.k, param("experience"), trace.params.get("overwrite", False))
     if trace.mechanism == "creationist":
-        return create(trace.k, trace.params["elements"])
+        return create(trace.k, param("elements"))
     raise ValueError(f"cannot replay mechanism {trace.mechanism!r}")
 
 

@@ -28,6 +28,7 @@ or looked up per edge, and the edges come out in order.
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from enum import Enum
 
@@ -293,17 +294,21 @@ def lift_connective(
     return Partition(n, _blocks_of(n, _BOOLEAN[conn](full, *masks)))
 
 
+def _bell_numbers() -> Iterator[int]:
+    """Bell(0), Bell(1), ... read off the Bell triangle, whose rows start
+    with the last entry of the row above and add its entries in turn:
+    Bell(0..n) cost O(n**2) big additions in all."""
+    row = [1]
+    while True:
+        yield row[0]
+        row = list(itertools.accumulate(row, initial=row[-1]))
+
+
 def bell_number(n: int) -> int:
     """Number of partitions of an n-element set."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
+    return next(itertools.islice(_bell_numbers(), n, None))
 
 
 def _check_lattice_n(kind: str, n: int, limits: Limits) -> None:
@@ -434,9 +439,7 @@ def _grown_positions(
     into each earlier block d, covering (x, d). Both kinds come out in
     ascending position: (x, k(x)) precedes every child of a y > x.
     """
-    off = [0]
-    for k in ks:
-        off.append(off[-1] + k + 1)
+    off = list(itertools.accumulate([k + 1 for k in ks], initial=0))
     for x, k in enumerate(ks):
         base = off[x]
         lifted = [(off[y], bi, bj) for y, (bi, bj) in zip(positions[x], pairs[x])]

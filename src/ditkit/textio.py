@@ -181,11 +181,11 @@ def _json_chunks(obj) -> Iterator[str]:
     int, float, bool and None items are written as json's encoder writes
     them. A list of strings that need no escapes is joined in pieces of
     at most _PIECE strings. A value whose type defines _chunks() writes
-    itself, as a selectionist run's weight map does from its run's
-    layout, unless that gives None. Anything else (a dict with a key
-    that is not a str, an instance of a subclass) goes to json.dumps
-    whole. The walk keeps the ids of the containers on its path, as
-    json's markers do, so a cycle raises json's ValueError.
+    itself, as a selectionist run's read-only weight map does from its
+    run's pieces. Anything else (a dict with a key that is not a str, an
+    instance of another subclass) goes to json.dumps whole. The walk
+    keeps the ids of the containers on its path, as json's markers do,
+    so a cycle raises json's ValueError.
 
     A trace's "final" state is its last step's state, and sorts before
     "steps": the chunks of a value under a "final" key are kept, by id,
@@ -236,9 +236,8 @@ def _walk(obj, path: set[int], kept: dict[int, list[str]]) -> Iterator[str]:
         prefixes = map("{}{}: ".format, _separators(), map(encode_basestring_ascii, keys))
         items = zip(prefixes, map(obj.__getitem__, keys), map("final".__eq__, keys))
         yield from _members(obj, "{", items, "}", path, kept)
-    else:
-        write = getattr(kind, "_chunks", None)  # a value that writes itself
-        yield from (write and write(obj)) or (_encode(obj),)
+    else:  # a value that writes itself, or else json.dumps writes it
+        yield from obj._chunks() if hasattr(kind, "_chunks") else (_encode(obj),)
 
 
 def _separators() -> Iterator[str]:

@@ -49,7 +49,7 @@ from .formulas import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import (
-    Partition, _blocks_of, _canonical_rgs, _check_lattice_n, _dit_mask, _rgs, bell_number
+    Partition, _bell_numbers, _blocks_of, _canonical_rgs, _check_lattice_n, _dit_mask, _rgs,
 )
 from .relations import Subset, _Record
 
@@ -174,7 +174,8 @@ def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS)
     program = _compile(f)
     names = _variables(program)
     universes = range(2, n_max + 1)
-    _check_budget("partition", ((n, bell_number(n)) for n in universes), len(names), limits)
+    bells = itertools.islice(_bell_numbers(), 2, None)  # Bell(2), Bell(3), ...
+    _check_budget("partition", zip(universes, bells), len(names), limits)
     _check_lattice_n("partition", n_max, limits)
     checked = 0
     for n in universes:

@@ -1,5 +1,4 @@
 import copy
-import gc
 import itertools
 import json
 import math
@@ -8,6 +7,7 @@ import pickle
 import random
 import re
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -362,25 +362,27 @@ class TestSelectionist:
 
     @pytest.mark.parametrize("fitness", ["uniform", "peaked", "all distinct"])
     @pytest.mark.parametrize("k", range(1, 13))
-    def test_layout_pieces(self, k, fitness):
-        # a map's keys are laid out in slices of the label table of at most
-        # _PIECE labels of one class, each ending in "" but the map's last
+    def test_run_pieces(self, k, fitness):
+        # every map of a run shares one list of pieces: slices of the label
+        # table of at most _PIECE labels of one class, each ending in "" but
+        # the map's last, and each with the number of its class
         scores = {
             "uniform": [1.0] * 2**k,
             "peaked": [1.0 + (v == 2**k // 3) for v in range(2**k)],
             "all distinct": [1.0 + v for v in range(2**k)],
         }[fitness]
-        trace = run_selectionist(k, Fitness(k, tuple(scores)), 0.5 / 2**k, 1)
-        layout = trace.final["weights"]._layout
-        pieces = layout.runs()
         labels = mechanisms._labels(k)
+        trace = run_selectionist(k, Fitness(k, tuple(scores)), 0.5 / 2**k, 1)
+        pieces = trace.final["weights"]._pieces
+        assert all(step.state["weights"]._pieces is pieces for step in trace.steps)
         assert all(piece[-1] == "" for _, piece in pieces[:-1])
         assert pieces[-1][1][-1] != ""
         body = [piece[:-1] for _, piece in pieces[:-1]] + [pieces[-1][1]]
         assert all(1 <= len(piece) <= textio._PIECE for piece in body)
         assert list(itertools.chain.from_iterable(body)) == labels
+        of = {s: c for c, s in enumerate(dict.fromkeys(scores))}  # each score's class
         for (c, _), piece in zip(pieces, body):
-            assert {layout.of[int(label, 2)] for label in piece} == {c}
+            assert {of[scores[int(label, 2)]] for label in piece} == {c}
             assert all(map(operator.is_, piece, labels[int(piece[0], 2):]))
 
     def test_peak_survives_alone(self):
@@ -628,22 +630,40 @@ class TestCompare:
         assert got["selectionist"]["final"]["weights"]["11"] == 1.0
         assert got["generative"]["final"]["block"] == ["11"]
 
-    def test_runs_share_one_label_table(self):
-        # the generative run reads the table that the selectionist trace holds
+    @staticmethod
+    def _counted_tables(monkeypatch) -> list[int]:
+        """The sizes of the label tables built from here on, in a fresh memo."""
+        built = []
+
+        class Counted(mechanisms._Table):
+            __slots__ = ()
+
+            def __init__(self, labels):
+                built.append(len(labels))
+                super().__init__(labels)
+
+        monkeypatch.setattr(mechanisms, "_Table", Counted)
+        monkeypatch.setattr(mechanisms, "_TABLES", weakref.WeakValueDictionary())
+        return built
+
+    def test_runs_share_one_label_table(self, monkeypatch):
+        # compare holds the table across both runs, so the generative blocks
+        # hold the very strings that key the selectionist maps
+        built = self._counted_tables(monkeypatch)
         limits = Limits().replaced(max_switch_bits=12)
         result = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits)
-        labels = result.selectionist.final["weights"]._layout.labels
-        assert mechanisms._labels(12) is labels
+        assert built == [2**12]
+        keys = {label: label for label in result.selectionist.final["weights"]}
         for step in result.generative.steps:
-            assert all(labels[int(label, 2)] is label for label in step.state["block"])
+            assert all(keys[label] is label for label in step.state["block"])
         assert len(result.generative.steps[0].state["block"]) == 2**12
 
-    def test_label_table_dropped_with_the_traces(self):
+    def test_label_table_dropped_on_return(self, monkeypatch):
+        # a trace holds no table, so none is left once compare returns
+        built = self._counted_tables(monkeypatch)
         limits = Limits().replaced(max_switch_bits=12)
         result = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits)
-        assert 12 in mechanisms._TABLES
-        del result
-        gc.collect()
+        assert built == [2**12] and result.agreement
         assert 12 not in mechanisms._TABLES
 
     @pytest.mark.parametrize("k", range(1, 7))
@@ -756,7 +776,7 @@ class TestJsonBytes:
         _assert_chunks_match_dumps(document)
 
     @pytest.mark.parametrize("shape", ["dict", "list", "dict in list", "through int keys",
-                                       "through a weight map", "through final", "deep"])
+                                       "through final", "deep"])
     def test_cycles_raise_as_json_does(self, shape):
         document = {"a": {}}
         if shape == "dict":
@@ -768,10 +788,6 @@ class TestJsonBytes:
             document["a"] = [{"b": document}]
         elif shape == "through int keys":  # json.dumps renders that dict whole
             document["a"] = {1: [document]}
-        elif shape == "through a weight map":
-            weights = self._run().final["weights"]
-            weights["101"] = document
-            document["a"] = weights
         elif shape == "through final":  # a value under "final" is rendered whole first
             document = {"final": {"a": []}, "steps": []}
             document["final"]["a"].append(document)
@@ -863,22 +879,20 @@ class TestJsonBytes:
         trace = run_selectionist(8, Fitness(8, tuple(table)), 0.5 / 2**8, 30)
         assert trace.to_json() == _dumped(trace)
 
-    def test_snapshots_render_from_the_layout(self, monkeypatch):
-        # every weight map of a peaked run renders from its run's layout,
-        # nothing falls back to json.dumps, and the key table is built once
+    def test_snapshots_render_from_the_run_pieces(self, monkeypatch):
+        # every weight map of a peaked run renders from the pieces that its
+        # run built once, and nothing falls back to json.dumps
         limits = Limits().replaced(max_switch_bits=12)
         trace = compare_mechanisms(12, 1234, 1.0, limits=limits).selectionist
         maps = [step.state["weights"] for step in trace.steps]
-        layout = maps[0]._layout
-        assert all(m._layout is layout for m in maps) and layout._runs is None
+        pieces = maps[0]._pieces
+        assert all(m._pieces is pieces for m in maps)
         encoded = []
         encode = textio._encode
         monkeypatch.setattr(textio, "_encode", lambda obj: encoded.append(obj) or encode(obj))
         for m in maps:
             assert "".join(m._chunks()) == json.dumps(m, sort_keys=True)
-        table = layout._runs
         assert trace.to_json() == _dumped(trace)
-        assert layout._runs is table
         assert encoded == []
 
     def test_each_map_renders_once(self, monkeypatch):
@@ -904,42 +918,49 @@ class TestJsonBytes:
         return run_selectionist(3, Fitness.peaked(3, 0b101, 1.0), 0.1, 100)
 
     @pytest.mark.parametrize(
-        "label, value",
+        "edit",
         [
-            ("000", -0.0),  # in place of 0.0
-            ("000", 0),
-            ("000", False),
-            ("101", 1),  # in place of 1.0
-            ("101", True),
-            ("101", float("1.0")),  # equal, but another object
-            ("101", math.nan),
-            ("101", math.inf),
-            ("101", 0.25),
+            lambda m: operator.setitem(m, "101", 1),
+            lambda m: operator.setitem(m, "1000", 0.0),
+            lambda m: operator.delitem(m, "011"),
+            lambda m: operator.ior(m, {"101": 1}),
+            lambda m: operator.ior(m, {}),
+            lambda m: m.clear(),
+            lambda m: m.pop("011"),
+            lambda m: m.pop("1000", None),
+            lambda m: m.popitem(),
+            lambda m: m.setdefault("1000", 0.0),
+            lambda m: m.setdefault("101"),
+            lambda m: m.update({"101": 1}),
+            lambda m: m.update(),
+            lambda m: m.update(x=1),
         ],
-        ids=["-0.0", "0", "False", "1", "True", "equal float", "nan", "inf", "other float"],
+        ids=["set", "add", "delete", "|=", "|= nothing", "clear", "pop", "pop missing",
+             "popitem", "setdefault", "setdefault present", "update", "update nothing",
+             "update keywords"],
     )
-    def test_edited_value(self, label, value):
-        trace = self._run()
-        weights = trace.final["weights"]
-        assert weights[label] == float(label == "101")
-        weights[label] = value
-        assert weights._chunks() is None
-        assert trace.to_json() == _dumped(trace)
-
-    @pytest.mark.parametrize("edit", ["delete", "reinsert", "add", "clear"])
-    def test_edited_keys(self, edit):
+    def test_maps_are_read_only(self, edit):
         trace = self._run()
         weights = trace.steps[1].state["weights"]
-        if edit == "delete":
-            del weights["011"]
-        elif edit == "reinsert":
-            weights["011"] = weights.pop("011")  # same objects, another key order
-        elif edit == "add":
-            weights["1000"] = weights["000"]
-        else:
-            weights.clear()
-        assert weights._chunks() is None
-        assert trace.to_json() == _dumped(trace)
+        items, text = list(weights.items()), trace.to_json()
+        with pytest.raises(TypeError, match="^a selectionist weight map is read-only; edit a copy$"):
+            edit(weights)
+        assert list(weights.items()) == items
+        assert all(map(operator.is_, weights.values(), [w for _, w in items]))
+        assert trace.to_json() == text == _dumped(trace)
+
+    @pytest.mark.parametrize("duplicate", [lambda m: m.copy(), dict, copy.copy, copy.deepcopy],
+                             ids=["m.copy()", "dict(m)", "copy", "deepcopy"])
+    def test_copies_are_plain_editable_dicts(self, duplicate):
+        weights = self._run().steps[1].state["weights"]
+        copied = duplicate(weights)
+        assert type(copied) is dict and copied == weights
+        copied["101"] = 1
+        del copied["011"]
+        copied["1000"] = -0.0
+        copied |= {"000": math.nan}
+        assert "".join(textio._json_chunks(copied)) == json.dumps(copied, sort_keys=True)
+        assert "011" in weights and weights["101"] != 1
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickled_trace(self, protocol):
@@ -960,6 +981,8 @@ class TestJsonBytes:
         trace = self._run()
         copied = copy.deepcopy(trace)
         copied.final["weights"]["101"] = 1
+        del copied.steps[0].state["weights"]["011"]
+        copied.steps[1].state["weights"].update({"1000": 0.5, "000": True})
         assert copied.to_json() == _dumped(copied) != trace.to_json() == _dumped(trace)
 
 
@@ -983,6 +1006,22 @@ class TestReplay:
     def test_creationist_replay(self):
         trace = create(4, [1, 3, 1])
         assert replay(trace).to_json() == trace.to_json()
+
+    @pytest.mark.parametrize(
+        "mechanism, params, key",
+        [
+            ("selectionist", None, "fitness"),
+            ("selectionist", {"fitness": Fitness.uniform(2), "extinction_threshold": 0.1},
+             "max_steps"),
+            ("generative", None, "experience"),
+            ("generative", {"overwrite": True}, "experience"),
+            ("creationist", None, "elements"),
+        ],
+    )
+    def test_missing_parameter(self, mechanism, params, key):
+        trace = Trace(mechanism, 2, (), params)
+        with pytest.raises(ValueError, match=f"^cannot replay {mechanism} trace without its '{key}'$"):
+            replay(trace)
 
     def test_unknown_mechanism(self):
         with pytest.raises(ValueError, match="^cannot replay mechanism 'identification'$"):

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import time
 from unittest import mock
 
 import pytest
@@ -178,6 +179,17 @@ class TestPartitionTautology:
         tight = Limits().replaced(max_search_assignments=20)
         with pytest.raises(ResourceLimitError):
             partition_tautology(parse("p & q"), 4, limits=tight)
+
+    def test_budget_check_reads_the_bell_numbers_in_turn(self):
+        # a budget that admits every Bell(n) leaves the refusal to the
+        # lattice cap; recomputing Bell(n) from scratch for each n took
+        # about 5 s of CPU to n = 600
+        wide = Limits().replaced(max_search_assignments=10**4000)
+        start = time.process_time()
+        message = r"^enumerating Bell\(600\) > 10\*\*15 partitions exceeds the cap n <= 10$"
+        with pytest.raises(ResourceLimitError, match=message):
+            partition_tautology(parse("p"), 600, limits=wide)
+        assert time.process_time() - start < 1.0
 
     def test_assignments_checked_counts_evaluations(self):
         # only orbit representatives are evaluated: 4 + 10 + 33 + 91 pairs
