@@ -211,16 +211,21 @@ def _check_switch_bits(k: int, limits: Limits) -> None:
 
 def _check_steps(max_steps: float, limits: Limits) -> None:
     """Refuse more selection steps than the cap, before a run builds
-    anything. The count prints in full up to 10**15, and in .3e form
-    above, so that a derived count of 300 digits stays readable."""
+    anything, and then a count that is not an integer of at least 1.
+    The count prints in full up to 10**15, and in .3e form above, so
+    that a derived count of 300 digits stays readable."""
     cap = limits.max_selection_steps
-    if max_steps > cap:
+    if isinstance(max_steps, (int, float)) and max_steps > cap:
         count = str(max_steps)
         if max_steps > 10**15 and max_steps != math.inf:
             from decimal import Decimal  # formats ints past the float range; loaded only here
 
             count = format(Decimal(max_steps), ".3e")
         raise ResourceLimitError(f"{count} selection steps exceeds the cap {cap}")
+    if not _is_int(max_steps):
+        raise ValueError(f"max_steps must be an int, got {max_steps!r}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
 
 def _check_threshold(k: int, extinction_threshold: float) -> None:
@@ -401,15 +406,13 @@ def run_selectionist(
 
     The threshold must lie strictly between 0 and the uniform initial
     weight 1/2**k, so nothing is extinct at the start and the top
-    weight can never be culled. max_steps may not exceed the
+    weight can never be culled. max_steps is an int from 1 to the
     limits' max_selection_steps.
     """
     _check_k(k)
     if fitness.k != k:
         raise InvalidFitnessError(f"fitness is for k={fitness.k}, expected {k}")
     _check_threshold(k, extinction_threshold)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     _check_steps(max_steps, limits)
     labels = _labels(k)  # labels[v] is the text of variant v
     # Amplification sees only fitness, so variants of equal fitness keep

@@ -306,6 +306,8 @@ def _bell_numbers() -> Iterator[int]:
 
 def bell_number(n: int) -> int:
     """Number of partitions of an n-element set."""
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return next(itertools.islice(_bell_numbers(), n, None))

@@ -184,15 +184,10 @@ def _json_chunks(obj) -> Iterator[str]:
     itself, as a selectionist run's read-only weight map does from its
     run's pieces. Anything else (a dict with a key that is not a str, an
     instance of another subclass) goes to json.dumps whole. The walk
-    keeps the ids of the containers on its path, as json's markers do,
-    so a cycle raises json's ValueError.
-
-    A trace's "final" state is its last step's state, and sorts before
-    "steps": the chunks of a value under a "final" key are kept, by id,
-    and written again where the same object comes back, so the final
-    map renders once. Only those are kept, so that memory holds no other
-    map's text once it is written."""
-    return _walk(obj, set(), {})
+    keeps only the ids of the containers on its path, as json's markers
+    do, so a cycle raises json's ValueError. It holds no chunk once it
+    is yielded: a value that appears twice is written twice."""
+    return _walk(obj, set())
 
 
 def _to_json(self) -> str:
@@ -216,26 +211,19 @@ _LEAVES = {
 }
 
 
-def _walk(obj, path: set[int], kept: dict[int, list[str]]) -> Iterator[str]:
+def _walk(obj, path: set[int]) -> Iterator[str]:
     """_json_chunks(obj) inside a walk: path holds the ids of the
-    containers being walked, and kept the chunks of each "final" value
-    written so far, by id."""
+    containers being walked."""
     kind = type(obj)
     if kind in _LEAVES:
         yield _LEAVES[kind](obj)
-    elif id(obj) in kept:
-        yield from kept[id(obj)]
     elif kind is list:
         chunks = _label_chunks(obj) if obj and type(obj[0]) is str else None
-        if chunks is None:
-            items = zip(_separators(), obj, itertools.repeat(False))
-            chunks = _members(obj, "[", items, "]", path, kept)
-        yield from chunks
+        yield from chunks or _members(obj, "[", zip(_separators(), obj), "]", path)
     elif kind is dict and set(map(type, obj)) <= {str}:
         keys = sorted(obj)
         prefixes = map("{}{}: ".format, _separators(), map(encode_basestring_ascii, keys))
-        items = zip(prefixes, map(obj.__getitem__, keys), map("final".__eq__, keys))
-        yield from _members(obj, "{", items, "}", path, kept)
+        yield from _members(obj, "{", zip(prefixes, map(obj.__getitem__, keys)), "}", path)
     else:  # a value that writes itself, or else json.dumps writes it
         yield from obj._chunks() if hasattr(kind, "_chunks") else (_encode(obj),)
 
@@ -245,22 +233,17 @@ def _separators() -> Iterator[str]:
 
 
 def _members(
-    container, opening: str, items: Iterable[tuple[str, object, bool]], closing: str,
-    path: set[int], kept: dict[int, list[str]],
+    container, opening: str, items: Iterable[tuple[str, object]], closing: str, path: set[int]
 ) -> Iterator[str]:
     """The text of a walked list or dict: opening, each value after its
-    prefix, its chunks kept when the item says so, then closing."""
+    prefix, then closing."""
     if id(container) in path:
         raise ValueError("Circular reference detected")
     path.add(id(container))
     yield opening
-    for prefix, value, keep in items:
+    for prefix, value in items:
         yield prefix
-        if keep:
-            kept[id(value)] = chunks = list(_walk(value, path, kept))
-            yield from chunks
-        else:
-            yield from _walk(value, path, kept)
+        yield from _walk(value, path)
     path.remove(id(container))
     yield closing
 

@@ -51,7 +51,7 @@ from .limits import DEFAULT_LIMITS, Limits
 from .partitions import (
     Partition, _bell_numbers, _blocks_of, _canonical_rgs, _check_lattice_n, _dit_mask, _rgs,
 )
-from .relations import Subset, _Record
+from .relations import Subset, _is_int, _Record
 
 
 class Counterexample(_Record):
@@ -154,6 +154,8 @@ def subset_valid(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Ver
     """Check whether f evaluates to the whole universe under every
     subset assignment on every universe of size 1..n_max: whether it is
     a tautology, with a failing row read as subsets of one point."""
+    if not _is_int(n_max):
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     program, names = _truth_table_program(f, "cap", limits)
@@ -169,6 +171,8 @@ def subset_valid(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Ver
 def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Check whether f evaluates to the all-singletons partition under
     every partition assignment on every universe of size 2..n_max."""
+    if not _is_int(n_max):
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max < 2:
         raise UniverseTooSmallError(f"partition validity needs n_max >= 2, got {n_max}")
     program = _compile(f)

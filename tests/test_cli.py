@@ -118,6 +118,20 @@ class TestTaut:
         assert lines[1] == "assign p = 0,1|2"
         assert lines[2] == "value = 0,1|2"
 
+    @pytest.mark.parametrize(
+        "formula, code, stdout",
+        [("p -> p", 0, b"valid (n=2..4)\n"),
+         ("p | ~p", 1, b"invalid (n=3)\nassign p = 0,1|2\nvalue = 0,1|2\n")],
+    )
+    def test_module_entry(self, formula, code, stdout):
+        # python -m ditkit.cli, the entry that bench/cli_child.py mirrors
+        src = pathlib.Path(ditkit.__file__).parent.parent
+        child = subprocess.run(
+            [sys.executable, "-m", "ditkit.cli", "taut", formula, "--logic", "partition"],
+            capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (code, stdout, b"")
+
     def test_partition_valid_text(self, capsys):
         code, out, _ = run(
             capsys, "taut", "p -> p", "--logic", "partition", "--max-n", "4",

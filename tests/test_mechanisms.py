@@ -57,6 +57,7 @@ class TestVariantSpace:
     def test_strings(self):
         space = VariantSpace(3)
         assert space.size == 8
+        assert space.variants() == range(8)
         assert space.to_string(2) == "010"
         assert space.from_string("010") == 2
 
@@ -468,6 +469,33 @@ class TestSelectionStepCap:
         with pytest.raises(ResourceLimitError, match=f"^{steps} selection steps exceeds"):
             compare_mechanisms(3, 2, margin, max_steps=max_steps)
 
+    def test_infinite_steps_are_over_the_cap(self, monkeypatch):
+        # the cap is checked before the type, so inf is a resource refusal
+        monkeypatch.setattr(mechanisms, "_labels", self.refuse)
+        with pytest.raises(ResourceLimitError, match="^inf selection steps exceeds the cap 10000$"):
+            run_selectionist(2, Fitness.peaked(2, 1, 1.0), 0.1, math.inf)
+
+    @pytest.mark.parametrize("max_steps", [math.nan, 2.5, 3.0, True, False, -math.inf, "3", 0, -1])
+    @pytest.mark.parametrize("entry", ["run_selectionist", "compare_mechanisms", "replay"])
+    def test_steps_must_be_a_positive_int(self, monkeypatch, entry, max_steps):
+        # refused before anything is built, bools included; ints below 1
+        # keep their own message
+        for name in ("_labels", "run_generative"):
+            monkeypatch.setattr(mechanisms, name, self.refuse)
+        if type(max_steps) is int:
+            message = f"^max_steps must be >= 1, got {max_steps}$"
+        else:
+            message = f"^{re.escape(f'max_steps must be an int, got {max_steps!r}')}$"
+        fitness = Fitness.peaked(2, 1, 1.0)
+        with pytest.raises(ValueError, match=message):
+            if entry == "run_selectionist":
+                run_selectionist(2, fitness, 0.1, max_steps)
+            elif entry == "compare_mechanisms":
+                compare_mechanisms(2, 1, 1.0, max_steps=max_steps)
+            else:
+                params = {"fitness": fitness, "extinction_threshold": 0.1, "max_steps": max_steps}
+                replay(Trace("selectionist", 2, (), params))
+
     def test_runs_up_to_the_cap(self):
         tight = Limits().replaced(max_selection_steps=6)
         assert len(run_selectionist(3, Fitness.uniform(3), 0.01, 6, tight).steps) == 1
@@ -788,7 +816,7 @@ class TestJsonBytes:
             document["a"] = [{"b": document}]
         elif shape == "through int keys":  # json.dumps renders that dict whole
             document["a"] = {1: [document]}
-        elif shape == "through final":  # a value under "final" is rendered whole first
+        elif shape == "through final":  # the cycle starts under a trace's "final" key
             document = {"final": {"a": []}, "steps": []}
             document["final"]["a"].append(document)
         else:
@@ -802,11 +830,10 @@ class TestJsonBytes:
         with pytest.raises(ValueError, match="^Circular reference detected$"):
             "".join(textio._json_chunks(document))
 
-    def test_streaming_keeps_only_final_values(self):
-        # the text of every map but the final one is dropped once written,
-        # and a map's layout holds slices of the shared label table: streaming
-        # compare --k 12 peaks near 0.35 MiB, where keeping every map's text
-        # would hold 2.8 MB
+    def test_streaming_keeps_no_map_text(self):
+        # the text of every map is dropped once written, and a map's pieces
+        # are slices of the shared label table: streaming compare --k 12
+        # peaks near 0.17 MiB, where keeping every map's text would hold 2.8 MB
         limits = Limits().replaced(max_switch_bits=12)
         document = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits).to_json_dict()
         tracemalloc.start()
@@ -895,8 +922,10 @@ class TestJsonBytes:
         assert trace.to_json() == _dumped(trace)
         assert encoded == []
 
-    def test_each_map_renders_once(self, monkeypatch):
-        # the final map is the last step's, and its text is written twice
+    def test_each_appearance_renders(self, monkeypatch):
+        # the final map is the last step's, and the writer keeps no text
+        # between values: that map is written under "final" and again at
+        # the last step, one _chunks() call each
         limits = Limits().replaced(max_switch_bits=12)
         result = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits)
         steps = result.selectionist.steps
@@ -907,8 +936,7 @@ class TestJsonBytes:
             mechanisms._WeightMap, "_chunks", lambda m: rendered.append(m) or chunks(m)
         )
         assert result.to_json() == _dumped(result)
-        assert len(rendered) == len(steps)
-        order = [steps[-1], *steps[:-1]]  # "final" sorts before "steps"
+        order = [steps[-1], *steps]  # "final" sorts before "steps"
         assert [id(m) for m in rendered] == [id(step.state["weights"]) for step in order]
 
     @staticmethod

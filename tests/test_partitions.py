@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -356,6 +357,13 @@ class TestEnumeration:
     def test_bell_number_of_a_negative_n(self):
         with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             bell_number(-1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, math.nan, True, False, "3", None])
+    def test_bell_number_of_a_non_int(self, monkeypatch, n):
+        # bools included, and refused before a Bell number is computed
+        monkeypatch.setattr(partitions_module, "_bell_numbers", None)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n must be an int, got {n!r}')}$"):
+            bell_number(n)
 
     def test_lex_order_at_three(self):
         got = [p.assignment for p in enumerate_partitions(3)]

@@ -51,6 +51,13 @@ class TestPairRelation:
         assert (0, 1) in r.pairs
         assert r.sorted_pairs() == [(0, 1), (1, 0)]
 
+    def test_membership_and_size(self):
+        r = PairRelation.of(3, [(0, 1), (1, 0), (0, 1)])
+        assert (0, 1) in r and (1, 0) in r
+        assert (1, 1) not in r and (0, 3) not in r
+        assert len(r) == 2
+        assert len(PairRelation.empty(3)) == 0 and len(PairRelation.full(3)) == 9
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ElementOutOfRangeError, match=r"^pair \(0, 2\) outside universe of size 2$"):
             PairRelation.of(2, [(0, 2)])

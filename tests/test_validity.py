@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import re
 import time
@@ -49,6 +50,10 @@ class TestTruthTable:
             truth_table_tautology(f)
 
 
+# universe bounds refused before any range or budget is built, bools included
+_NON_INTS = [2.5, 3.0, math.nan, True, False, "3", None]
+
+
 class TestSubsetValidity:
     def test_excluded_middle_valid(self):
         assert subset_valid(parse("p | ~p"), 3).valid
@@ -69,6 +74,12 @@ class TestSubsetValidity:
         env = SubsetAssignment(cx.n, cx.assignment)
         assert eval_subset(parse("(p -> q) -> q"), env) == cx.value
         assert not cx.value.is_full()
+
+    @pytest.mark.parametrize("n_max", _NON_INTS)
+    def test_n_max_must_be_an_int(self, monkeypatch, n_max):
+        monkeypatch.setattr(validity, "_compile", None)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n_max must be an int, got {n_max!r}')}$"):
+            subset_valid(parse("p -> p"), n_max)
 
     def test_budget_enforced(self):
         tight = Limits().replaced(max_search_assignments=10)
@@ -130,6 +141,12 @@ class TestRowOrder:
 
 
 class TestPartitionTautology:
+    @pytest.mark.parametrize("n_max", _NON_INTS)
+    def test_n_max_must_be_an_int(self, monkeypatch, n_max):
+        monkeypatch.setattr(validity, "_compile", None)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n_max must be an int, got {n_max!r}')}$"):
+            partition_tautology(parse("p -> p"), n_max)
+
     def test_self_implication_valid(self):
         v = partition_tautology(parse("p -> p"), 4)
         assert v.valid
