@@ -89,21 +89,20 @@ def _fail(code: int, exc: Exception) -> int:
 
 
 def _load_limits(args: SimpleNamespace) -> Limits:
-    settings: dict[str, int] = {}
+    limits = DEFAULT_LIMITS
     if args.config:
         import json
 
         try:
             with open(args.config, encoding="utf-8") as handle:
                 data = json.load(handle)
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:
             raise TextFormatError(f"cannot read config: {exc}") from None
         except (json.JSONDecodeError, RecursionError) as exc:
             raise TextFormatError(f"bad JSON in config: {exc}") from None
         if not isinstance(data, dict):
             raise TextFormatError("config must be a JSON object of limit settings")
-        settings.update(data)
-    limits = Limits.from_mapping(settings) if settings else DEFAULT_LIMITS
+        limits = Limits.from_mapping(data)
     overrides = {
         name: getattr(args, name)
         for name in _LIMIT_FLAGS
@@ -350,7 +349,7 @@ def cmd_sim_select(args: SimpleNamespace, limits: Limits) -> int:
         try:
             with open(source, encoding="utf-8") as handle:
                 fitness = Fitness.from_text(args.k, handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:
             raise TextFormatError(f"cannot read fitness file: {exc}") from None
     threshold = args.threshold if args.threshold is not None else 0.5 / 2**args.k
     trace = run_selectionist(args.k, fitness, threshold, args.max_steps, limits)

@@ -125,10 +125,50 @@ def _subset_text(members: Iterable[int], names: Sequence[str] | None = None) -> 
     return "{" + ",".join(map(str if names is None else names.__getitem__, members)) + "}"
 
 
-class Subset(_Record):
-    """Immutable subset of {0, ..., n-1}."""
+class _UniverseSet(_Record):
+    """One set algebra for subsets of U and of U x U: a frozen set, the
+    record's second field, inside the whole set _whole(n) a subclass names."""
 
     n: int
+
+    @classmethod
+    def empty(cls, n: int):
+        return cls(n, frozenset())
+
+    @classmethod
+    def full(cls, n: int):
+        return cls(n, cls._whole(n))
+
+    _elements = property(lambda self: getattr(self, self._fields[1]))
+
+    def _elements_of(self, other: "_UniverseSet") -> frozenset:
+        if other.__class__ is not self.__class__:
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        _check_same_universe(self, other)
+        return other._elements
+
+    def complement(self):
+        return self.__class__(self.n, self._whole(self.n) - self._elements)
+
+    def union(self, other: "_UniverseSet"):
+        return self.__class__(self.n, self._elements | self._elements_of(other))
+
+    def intersection(self, other: "_UniverseSet"):
+        return self.__class__(self.n, self._elements & self._elements_of(other))
+
+    __or__ = union
+    __and__ = intersection
+
+    def __contains__(self, element: object) -> bool:
+        return element in self._elements
+
+    def __len__(self) -> int:
+        return len(self._elements)
+
+
+class Subset(_UniverseSet):
+    """Immutable subset of {0, ..., n-1}."""
+
     members: frozenset[int]
 
     def __post_init__(self) -> None:
@@ -142,36 +182,12 @@ class Subset(_Record):
     def of(cls, n: int, members: Iterable[int] = ()) -> "Subset":
         return cls(n, frozenset(members))
 
-    @classmethod
-    def empty(cls, n: int) -> "Subset":
-        return cls(n, frozenset())
-
-    @classmethod
-    def full(cls, n: int) -> "Subset":
-        return cls(n, frozenset(range(n)))
-
-    def complement(self) -> "Subset":
-        return Subset(self.n, frozenset(range(self.n)) - self.members)
-
-    def union(self, other: "Subset") -> "Subset":
-        _check_same_universe(self, other)
-        return Subset(self.n, self.members | other.members)
-
-    def intersection(self, other: "Subset") -> "Subset":
-        _check_same_universe(self, other)
-        return Subset(self.n, self.members & other.members)
-
-    __or__ = union
-    __and__ = intersection
+    @staticmethod
+    def _whole(n: int) -> frozenset[int]:
+        return frozenset(range(n))
 
     def is_full(self) -> bool:
         return len(self.members) == self.n
-
-    def __contains__(self, u: int) -> bool:
-        return u in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
 
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.members))
@@ -183,10 +199,9 @@ class Subset(_Record):
 Pair = tuple[int, int]
 
 
-class PairRelation(_Record):
+class PairRelation(_UniverseSet):
     """Immutable set of ordered pairs over {0, ..., n-1} x {0, ..., n-1}."""
 
-    n: int
     pairs: frozenset[Pair]
 
     def __post_init__(self) -> None:
@@ -203,42 +218,16 @@ class PairRelation(_Record):
     def of(cls, n: int, pairs: Iterable[Pair] = ()) -> "PairRelation":
         return cls(n, frozenset(pairs))
 
-    @classmethod
-    def empty(cls, n: int) -> "PairRelation":
-        return cls(n, frozenset())
+    @staticmethod
+    def _whole(n: int) -> frozenset[Pair]:
+        return frozenset((u, v) for u in range(n) for v in range(n))
 
     @classmethod
     def diagonal(cls, n: int) -> "PairRelation":
         return cls(n, frozenset((u, u) for u in range(n)))
 
-    @classmethod
-    def full(cls, n: int) -> "PairRelation":
-        return cls(n, frozenset((u, v) for u in range(n) for v in range(n)))
-
-    def complement(self) -> "PairRelation":
-        everything = frozenset((u, v) for u in range(self.n) for v in range(self.n))
-        return PairRelation(self.n, everything - self.pairs)
-
-    def union(self, other: "PairRelation") -> "PairRelation":
-        _check_same_universe(self, other)
-        return PairRelation(self.n, self.pairs | other.pairs)
-
-    def intersection(self, other: "PairRelation") -> "PairRelation":
-        _check_same_universe(self, other)
-        return PairRelation(self.n, self.pairs & other.pairs)
-
-    __or__ = union
-    __and__ = intersection
-
     def issubset(self, other: "PairRelation") -> bool:
-        _check_same_universe(self, other)
-        return self.pairs <= other.pairs
-
-    def __contains__(self, pair: Pair) -> bool:
-        return pair in self.pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+        return self.pairs <= self._elements_of(other)
 
     def sorted_pairs(self) -> list[Pair]:
         return sorted(self.pairs)

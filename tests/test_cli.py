@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -353,6 +354,17 @@ class TestSim:
             "message": "float division by zero",
         }
 
+    def test_fitness_file_not_utf8(self, capsys, tmp_path):
+        fitness = tmp_path / "fitness.txt"
+        fitness.write_bytes(b"\xff")
+        code, out, err = run(capsys, "sim", "select", "--k", "1", "--fitness", str(fitness))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "TextFormatError",
+            "message": "cannot read fitness file: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte",
+        }
+
     @pytest.mark.parametrize("source", ["peak", "file"])
     def test_select_builds_one_label_table(self, capsys, monkeypatch, tmp_path, source):
         built = []
@@ -583,6 +595,24 @@ class TestArgHandling:
             assert error["error"] == "TextFormatError"
             assert error["message"].startswith("cannot read config: ")
             assert str(path) in error["message"]
+
+    def test_config_not_utf8(self, capsys, tmp_path):
+        cfg = tmp_path / "limits.json"
+        cfg.write_bytes(b"\xff")
+        code, out, err = run(
+            capsys, "--config", str(cfg), "lattice", "--kind", "subset", "--n", "2",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "TextFormatError",
+            "message": "cannot read config: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte",
+        }
+
+    def test_empty_config_gives_the_default_limits(self, tmp_path):
+        cfg = tmp_path / "limits.json"
+        cfg.write_text("{}")
+        assert cli._load_limits(SimpleNamespace(config=str(cfg))) == ditkit.DEFAULT_LIMITS
 
     @pytest.mark.parametrize("text", ["[1, 2]", "5", '"max_lattice_n"', "null"])
     def test_config_must_be_an_object(self, capsys, tmp_path, text):

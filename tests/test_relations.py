@@ -1,3 +1,5 @@
+import itertools
+import operator
 import re
 
 import pytest
@@ -39,10 +41,6 @@ class TestSubset:
         assert list(a | b) == [0, 1, 2]
         assert list(a & b) == [1]
         assert list(a.complement()) == [2, 3]
-
-    def test_universe_mismatch(self):
-        with pytest.raises(UniverseMismatchError):
-            Subset.of(3, [0]) | Subset.of(4, [0])
 
 
 class TestPairRelation:
@@ -106,6 +104,63 @@ class TestPairRelation:
         r = PairRelation.of(3, [(0, 2), (2, 0), (1, 2), (2, 1)])
         assert r.is_ditset()
         assert not PairRelation.of(3, [(0, 1)]).is_ditset()
+
+
+# each class with the largest n it is checked at and its whole set over n
+_SET_CLASSES = [
+    pytest.param(Subset, 3, lambda n: frozenset(range(n)), id="Subset"),
+    pytest.param(
+        PairRelation, 2, lambda n: frozenset(itertools.product(range(n), repeat=2)),
+        id="PairRelation",
+    ),
+]
+
+
+class TestSetAlgebra:
+    """Subset (over U) and PairRelation (over U x U) share one set algebra."""
+
+    @pytest.mark.parametrize("cls, n_max, whole", _SET_CLASSES)
+    def test_matches_frozenset_algebra(self, cls, n_max, whole):
+        for n in range(1, n_max + 1):
+            everything = whole(n)
+            elements = sorted(everything)
+            sets = [
+                frozenset(chosen)
+                for size in range(len(elements) + 1)
+                for chosen in itertools.combinations(elements, size)
+            ]
+            assert len(sets) == 2 ** len(everything)
+            assert cls.empty(n) == cls(n, frozenset()) and cls.full(n) == cls(n, everything)
+            for a in sets:
+                x = cls(n, a)
+                assert x.complement() == cls(n, everything - a)
+                assert len(x) == len(a)
+                assert [e in x for e in elements] == [e in a for e in elements]
+                for b in sets:
+                    y = cls(n, b)
+                    assert x | y == x.union(y) == cls(n, a | b)
+                    assert x & y == x.intersection(y) == cls(n, a & b)
+
+    @pytest.mark.parametrize("cls, n_max, whole", _SET_CLASSES)
+    def test_universe_mismatch(self, cls, n_max, whole):
+        small, large = cls.full(2), cls.empty(3)
+        for combine in (operator.or_, operator.and_, cls.union, cls.intersection):
+            for a, b in ((small, large), (large, small)):
+                with pytest.raises(UniverseMismatchError, match="^universe sizes differ: "):
+                    combine(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        pytest.param(Subset.of(2, [0]), PairRelation.of(2), id="Subset-PairRelation"),
+        pytest.param(PairRelation.of(2), Subset.of(2, [0]), id="PairRelation-Subset"),
+    ])
+    def test_subsets_of_u_and_of_u_squared_do_not_combine(self, a, b):
+        message = f"^cannot combine {type(a).__name__} with {type(b).__name__}$"
+        for combine in (operator.or_, operator.and_, type(a).union, type(a).intersection):
+            with pytest.raises(TypeError, match=message):
+                combine(a, b)
+        if isinstance(a, PairRelation):
+            with pytest.raises(TypeError, match=message):
+                a.issubset(b)
 
 
 class TestClosure:
