@@ -10,11 +10,11 @@ Whitespace is what str.isspace accepts, the no-break space included.
 A tree compiles to a postfix program, its nodes with every child before
 its parent, and one stack evaluator runs that program over an algebra:
 a dict from node class to meaning, where Const means the pair (F, T).
-Both semantics are the Boolean operations of partitions._BOOLEAN on
-bitmasks: over n points for subsets (n = 1 is the truth table), and over
-the n(n-1)/2 unordered pairs for partitions, where each connective takes
-the interior of its result (partition logic is subset logic on
-distinction sets, plus the interior).
+One algebra serves both semantics, partition logic being subset logic
+on distinction sets plus the interior: a value holds one int per pair
+u < v of the universe, each bit one assignment's distinction of that
+pair, and each connective is partitions._BOOLEAN pair by pair, then the
+interior. Subsets of n points are its one-pair case, n bits wide.
 Parsing, compiling, evaluating and printing all use explicit stacks, so
 no formula is too deep for them.
 """
@@ -226,33 +226,30 @@ def _evaluate(program: tuple[Formula, ...], algebra: dict, env: Mapping[str, obj
     return stack[0]
 
 
-def _bitmask_algebra(n: int) -> dict:
-    """Subsets of n points as n-bit masks; at n = 1 this is the truth table."""
-    full = (1 << n) - 1
-    return {
-        Const: (_BOOLEAN[Connective.BOTTOM](full), _BOOLEAN[Connective.TOP](full)),
-        **{shape: functools.partial(_BOOLEAN[shape._connective], full) for shape in _CONNECTIVES},
-    }
-
-
-def _partition_algebra(n: int) -> dict:
-    """Partitions of n points as distinction masks (partitions._dit_mask):
-    the bitmask algebra on the n(n-1)/2 pairs, each connective followed by
-    the interior. The interior is memoised for this algebra alone; a scan
-    meets the same raw mask many times."""
-    boolean = _bitmask_algebra(n * (n - 1) // 2)
-    interiors: dict[int, int] = {}
+def _partition_algebra(n: int, width: int) -> dict:
+    """Partitions of n points, width assignments at once: one int per pair
+    u < v, in _dit_mask order, with bit t set when assignment t splits it.
+    A connective is _BOOLEAN pair by pair, then Warshall's closure of the
+    unsplit pairs; at n = 2 there is one pair, so no closure."""
+    full = (1 << width) - 1
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    at = {pair: e for e, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
+    # for each point k in turn, u and v become joined where u, k and k, v are
+    steps = [(at[u, v], at[u, k], at[k, v]) for k in range(n) for u, v in pairs if k not in (u, v)]
 
     def lift(op: Callable) -> Callable:
-        def lifted(*masks: int) -> int:
-            d = op(*masks)
-            if d not in interiors:
-                interiors[d] = _dit_mask(_blocks_of(n, d))
-            return interiors[d]
+        def lifted(*values: tuple[int, ...]) -> tuple[int, ...]:
+            same = [full ^ op(full, *column) for column in zip(*values)]
+            for uv, uk, kv in steps:
+                same[uv] |= same[uk] & same[kv]
+            return tuple([full ^ s for s in same])
 
         return lifted
 
-    return {**boolean, **{shape: lift(boolean[shape]) for shape in _CONNECTIVES}}
+    return {
+        Const: ((0,) * len(pairs), (full,) * len(pairs)),
+        **{shape: lift(_BOOLEAN[shape._connective]) for shape in _CONNECTIVES},
+    }
 
 
 def _wrap(child: tuple[str, int], bar: int) -> str:
@@ -336,16 +333,13 @@ class PartitionAssignment(_Assignment):
     """Maps variable names to partitions of a shared universe."""
 
 
-def _members(n: int, mask: int) -> frozenset[int]:
-    return frozenset(u for u in range(n) if mask >> u & 1)
-
-
 def eval_subset(f: Formula, assignment: SubsetAssignment) -> Subset:
     """Evaluate under subset semantics; the result is a subset of the
     assignment's universe."""
     n = assignment.n
-    env = {name: sum(1 << u for u in s.members) for name, s in assignment.values.items()}
-    return Subset(n, _members(n, _evaluate(_compile(f), _bitmask_algebra(n), env)))
+    env = {name: (sum(1 << u for u in s.members),) for name, s in assignment.values.items()}
+    (mask,) = _evaluate(_compile(f), _partition_algebra(2, n), env)
+    return Subset(n, frozenset(u for u in range(n) if mask >> u & 1))
 
 
 def eval_partition(f: Formula, assignment: PartitionAssignment) -> Partition:
@@ -355,8 +349,11 @@ def eval_partition(f: Formula, assignment: PartitionAssignment) -> Partition:
             f"partition semantics needs n >= 2, got n={assignment.n}"
         )
     n = assignment.n
-    env = {name: _dit_mask(p.assignment) for name, p in assignment.values.items()}
-    return Partition(n, _blocks_of(n, _evaluate(_compile(f), _partition_algebra(n), env)))
+    bits = f"0{n * (n - 1) // 2}b"  # reversed, character e is pair e's bit
+    env = {name: tuple(map(int, format(_dit_mask(p.assignment), bits)[::-1]))
+           for name, p in assignment.values.items()}
+    value = _evaluate(_compile(f), _partition_algebra(n, 1), env)
+    return Partition(n, _blocks_of(n, int("".join(map(str, value))[::-1], 2)))
 
 
 def random_formula(

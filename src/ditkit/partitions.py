@@ -186,21 +186,28 @@ def refines(p: Partition, q: Partition) -> bool:
 def refines_via_ditsets(p: Partition, q: Partition) -> bool:
     """Same relation computed on the distinction sets: p refines q
     exactly when dit(q) is contained in dit(p)."""
-    _check_same_universe(p, q)
+    _check_operands(p, q)
     return dit(q).pairs <= dit(p).pairs
+
+
+def _check_operands(*ops) -> None:
+    for p in ops:
+        if not isinstance(p, Partition):
+            raise TypeError(f"expected a Partition, got {type(p).__name__}")
+        _check_same_universe(ops[0], p)
 
 
 def join(p: Partition, q: Partition) -> Partition:
     """Least upper bound in refinement order: the partition of nonempty
     pairwise block intersections."""
-    _check_same_universe(p, q)
+    _check_operands(p, q)
     return Partition(p.n, _canonical_rgs(list(zip(p.assignment, q.assignment))))
 
 
 def join_via_ditsets(p: Partition, q: Partition) -> Partition:
     """Join computed from distinction sets: dit of the join is the plain
     union dit(p) | dit(q), no interior required."""
-    _check_same_universe(p, q)
+    _check_operands(p, q)
     return partition_from_equivalence((dit(p) | dit(q)).complement())
 
 
@@ -213,7 +220,7 @@ def meet(p: Partition, q: Partition) -> Partition:
 def meet_via_interior(p: Partition, q: Partition) -> Partition:
     """Meet computed from distinction sets: the interior of
     dit(p) & dit(q) is exactly the meet's distinction set."""
-    _check_same_universe(p, q)
+    _check_operands(p, q)
     inner = interior(dit(p) & dit(q))
     return partition_from_equivalence(inner.complement())
 
@@ -278,9 +285,8 @@ def lift_connective(
         raise UnknownConnectiveError(
             f"connective {conn.value} takes {arity} operand(s), got {len(ops)}"
         )
+    _check_operands(*ops)
     if ops:
-        for other in ops[1:]:
-            _check_same_universe(ops[0], other)
         if n is not None and n != ops[0].n:
             raise UniverseMismatchError(
                 f"explicit n={n} disagrees with operand universe {ops[0].n}"

@@ -9,12 +9,12 @@ first, then the lexicographically least assignment in enumeration
 order (subsets by ascending bitmask, partitions in restricted-growth
 order, variables sorted by name).
 
-Truth and subset validity read one truth table, evaluated as bit
-strings with one bit per row in itertools.product order; the lowest
-zero bit is the first failing row (Knuth, TAOCP Vol. 4A, 7.1.1 and
-7.1.3). Subset semantics is pointwise, so a formula is subset-valid at
-every n exactly when it is a tautology, and its least counterexample is
-the first failing row at n = 1, with the subsets {} and {0} for 0 and 1.
+All three run one bit-sliced scan (Knuth, TAOCP Vol. 4A, 7.1.3), which
+evaluates up to 2**16 assignments at once in formulas._partition_algebra.
+Truth and subset validity are its n = 2 case, where the two partitions
+are the truth values. Subset semantics is pointwise, so a formula is
+subset-valid at every n exactly when it is a tautology, and its least
+counterexample is the first failing row, as subsets {} and {0} of n = 1.
 
 Partition validity is one sequential scan that stops at the first
 failure, and it evaluates only orbit representatives. Partition
@@ -27,29 +27,28 @@ second value is the least of its orbit under the relabellings that fix
 the first. The scan runs through the tuples that pass both tests, in
 the order of the full scan, so it meets t first and reports the same
 verdict and counterexample (orderly generation: McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998). Orbits are found by
-closure under generators read from the first value's blocks; the n!
-relabellings are never listed.
+exhaustive generation", J. Algorithms 26, 1998).
 
 Subset and partition validity refuse before they start when a universe
 has more assignments than the budget, counting all of them, not only
 those evaluated; a formula with no variables counts as one variable.
 Universe sizes are computed in order and stop at the first over budget.
 Partition validity then refuses an n_max over the lattice cap, before
-any scan. Its values are distinction masks until a counterexample.
+any scan. Its counterexample's value is evaluated again, on its own.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections.abc import Iterator, Mapping
 
 from .errors import ResourceLimitError, TooManyVariablesError, UniverseTooSmallError
-from .formulas import (
-    Const, Formula, _bitmask_algebra, _compile, _evaluate, _partition_algebra, _variables
-)
+from .formulas import Formula, PartitionAssignment, _compile, _evaluate, _partition_algebra
+from .formulas import _variables, eval_partition
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import (
-    Partition, _bell_numbers, _blocks_of, _canonical_rgs, _check_lattice_n, _dit_mask, _rgs,
+    Partition, _bell_numbers, _canonical_rgs, _check_lattice_n, _dit_mask, _rgs,
 )
 from .relations import Subset, _is_int, _Record
 
@@ -108,27 +107,48 @@ def _check_budget(
             )
 
 
-_BLOCK_ROWS = 1 << 16  # truth-table rows per evaluation, which bounds the masks
+# rows per chunk, doubling from the first to the last; the last also caps a prefix's rows
+_FIRST_CHUNK, _LAST_CHUNK = 1 << 10, 1 << 16
 
 
-def _first_failing_row(program, names) -> tuple[int, dict[str, bool] | None]:
-    """Evaluate the truth table, 2**16 rows at a time. Give the rows
-    checked up to the first failing one and its values, or all and None."""
-    # variable i is true in row r of itertools.product order when r & halves[i]
-    halves = [1 << (len(names) - 1 - i) for i in range(len(names))]
-    rows = 1 << len(names)
-    width = min(rows, _BLOCK_ROWS)
-    full = (1 << width) - 1
-    algebra = _bitmask_algebra(width)
-    # h zeros then h ones, repeated: full // (2**2h - 1) has a 1 every 2h bits
-    low = {h: full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h) for h in halves if h < width}
-    for base in range(0, rows, width):
-        env = {name: low.get(h, full if base & h else 0) for name, h in zip(names, halves)}
-        failing = full ^ _evaluate(program, algebra, env)
-        if failing:
-            row = base + (failing & -failing).bit_length() - 1
-            return row + 1, {name: bool(row & h) for name, h in zip(names, halves)}
-    return rows, None
+def _columns(texts: list[str], pairs: int) -> list[tuple[int, ...]]:
+    """Each text's value: one int per pair e, whose bit t is character e of row t."""
+    return [tuple([int(t[e::pairs][::-1], 2) for e in range(pairs)]) for t in texts]
+
+
+def _first_failure(program, names, n: int) -> tuple[int, dict[str, tuple] | None]:
+    """Scan _orbit_representatives on n points in chunks: runs of prefixes
+    (head values), each with every value of the later variables. Give the
+    tuples evaluated up to the first failure and it by name, or all and None."""
+    pool = list(_rgs(n)) if names else []  # a formula without variables needs none
+    pairs, head = n * (n - 1) // 2, min(len(names), 2)
+    text = {x: format(_dit_mask(x), f"0{pairs}b")[::-1] for x in pool}  # character e is pair e
+    while len(pool) ** (len(names) - head) > _LAST_CHUNK:
+        head += 1
+    later, prefixes = len(names) - head, _orbit_representatives(pool, head)
+    rows, checked, size, tails = len(pool) ** later, 0, _FIRST_CHUNK, {}
+    # bit s*k + j of a chunk of k prefixes is row s of prefix j, so a head variable's
+    # k bits repeat once per row, and a later one's values depend on k alone
+    while chunk := list(itertools.islice(prefixes, max(1, size // rows))):
+        k, width = len(chunk), len(chunk) * rows
+        if k not in tails:
+            fixed = ["".join([t * k * len(pool) ** (later - 1 - i) for t in text.values()])
+                     * len(pool) ** i for i in range(later)]
+            tails[k] = int("1".rjust(k, "0") * rows, 2), _columns(fixed, pairs)
+        repeat, fixed = tails[k]
+        heads = _columns(["".join([text[x] for x in values]) for values in zip(*chunk)], pairs)
+        env = dict(zip(names, [tuple([m * repeat for m in value]) for value in heads] + fixed))
+        root = _evaluate(program, _partition_algebra(n, width), env)
+        failing = ((1 << width) - 1) ^ functools.reduce(operator.and_, root)
+        if failing:  # the first failing prefix, then its first failing row
+            bits = format(failing, f"0{width}b")[::-1]
+            j = next(j for j in range(k) if "1" in bits[j::k])
+            s = bits[j::k].index("1")
+            tail = [pool[s // len(pool) ** (later - 1 - i) % len(pool)] for i in range(later)]
+            return checked + j * rows + s + 1, dict(zip(names, (*chunk[j], *tail)))
+        checked += width
+        size = min(2 * size, _LAST_CHUNK)
+    return checked, None
 
 
 def _truth_table_program(f: Formula, cap: str, limits: Limits) -> tuple[tuple, tuple[str, ...]]:
@@ -145,8 +165,8 @@ def _truth_table_program(f: Formula, cap: str, limits: Limits) -> tuple[tuple, t
 def truth_table_tautology(f: Formula, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Check all two-valued rows."""
     program, names = _truth_table_program(f, "truth-table cap", limits)
-    checked, row = _first_failing_row(program, names)
-    cx = None if row is None else Counterexample(1, row, False)
+    checked, row = _first_failure(program, names, 2)
+    cx = None if row is None else Counterexample(1, {v: bool(x[1]) for v, x in row.items()}, False)
     return Verdict(row is None, cx, (1, 1), checked)
 
 
@@ -161,10 +181,10 @@ def subset_valid(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS) -> Ver
     program, names = _truth_table_program(f, "cap", limits)
     universes = range(1, n_max + 1)
     _check_budget("subset", ((n, 2**n) for n in universes), len(names), limits)
-    checked, row = _first_failing_row(program, names)
+    checked, row = _first_failure(program, names, 2)
     if row is None:
         return Verdict(True, None, (1, n_max), sum((2**n) ** len(names) for n in universes))
-    assignment = {name: Subset.of(1, [0] if bit else []) for name, bit in row.items()}
+    assignment = {name: Subset.of(1, [0] if x[1] else []) for name, x in row.items()}
     return Verdict(False, Counterexample(1, assignment, Subset.empty(1)), (1, 1), checked)
 
 
@@ -183,16 +203,12 @@ def partition_tautology(f: Formula, n_max: int, limits: Limits = DEFAULT_LIMITS)
     _check_lattice_n("partition", n_max, limits)
     checked = 0
     for n in universes:
-        algebra = _partition_algebra(n)
-        # its keys are the pool, in order; a formula without variables needs none
-        masks = {x: _dit_mask(x) for x in _rgs(n)} if names else {}
-        for combo in _orbit_representatives(list(masks), len(names)):
-            checked += 1
-            value = _evaluate(program, algebra, {name: masks[x] for name, x in zip(names, combo)})
-            if value != algebra[Const][True]:
-                assignment = {name: Partition(n, x) for name, x in zip(names, combo)}
-                cx = Counterexample(n, assignment, Partition(n, _blocks_of(n, value)))
-                return Verdict(False, cx, (2, n), checked)
+        count, row = _first_failure(program, names, n)
+        checked += count
+        if row is not None:
+            env = PartitionAssignment(n, {name: Partition(n, x) for name, x in row.items()})
+            cx = Counterexample(n, env.values, eval_partition(f, env))
+            return Verdict(False, cx, (2, n), checked)
     return Verdict(True, None, (2, n_max), checked)
 
 

@@ -14,6 +14,11 @@ weight per variant, and the formula lexer as a character loop. The
 three verdict scans also come in a bottom-up form for many formulas at
 once, which builds each subformula's values from its children's over
 every assignment of a universe, with the same evaluators.
+
+One reference does use the library: the scalar partition scan, which
+evaluates the library's value tuples one at a time on distinction
+masks, as the library did before its bit-sliced scan; it checks the
+slicing, not the orbit reduction or the lift.
 """
 from __future__ import annotations
 
@@ -21,9 +26,11 @@ import functools
 import itertools
 import operator
 
+from ditkit import formulas, validity
 from ditkit.errors import FormulaSyntaxError
 from ditkit.formulas import And, Const, Iff, Implies, Not, Or, Var
 from ditkit.mechanisms import Trace, TraceStep
+from ditkit.partitions import _BOOLEAN, Partition, _blocks_of, _dit_mask
 
 Pair = tuple[int, int]
 
@@ -303,6 +310,40 @@ def partition_verdict_json(f, n_max: int) -> dict:
                 }
                 return {"valid": False, "n_checked": [2, n], "counterexample": cx}
     return {"valid": True, "n_checked": [2, n_max], "counterexample": None}
+
+
+def _scalar_partition_algebra(n: int) -> dict:
+    """Partitions of n points as distinction masks, one assignment at a
+    time: _BOOLEAN on the operands' masks, then the interior as
+    _dit_mask(_blocks_of(...)), with no memo."""
+    full = (1 << n * (n - 1) // 2) - 1
+
+    def lift(op):
+        return lambda *masks: _dit_mask(_blocks_of(n, op(full, *masks)))
+
+    lifted = {shape: lift(_BOOLEAN[shape._connective]) for shape in (Not, And, Or, Implies, Iff)}
+    return {Const: (0, full), **lifted}
+
+
+def scalar_partition_scan(f, n_max: int) -> tuple[dict, int]:
+    """The verdict dict of partition_tautology(f, n_max) and its
+    assignments_checked, by evaluating the value tuples of
+    validity._orbit_representatives one at a time, in order."""
+    program = formulas._compile(f)
+    names = formulas._variables(program)
+    checked = 0
+    for n in range(2, n_max + 1):
+        algebra, pool = _scalar_partition_algebra(n), rgs_lex(n)
+        for combo in validity._orbit_representatives(pool, len(names)):
+            checked += 1
+            env = {name: _dit_mask(x) for name, x in zip(names, combo)}
+            value = formulas._evaluate(program, algebra, env)
+            if value != algebra[Const][True]:
+                assignment = {name: str(Partition(n, x)) for name, x in zip(names, combo)}
+                value = str(Partition(n, _blocks_of(n, value)))
+                cx = {"n": n, "assignment": assignment, "value": value}
+                return {"valid": False, "n_checked": [2, n], "counterexample": cx}, checked
+    return {"valid": True, "n_checked": [2, n_max], "counterexample": None}, checked
 
 
 _A, _B = Var("a"), Var("b")

@@ -734,7 +734,7 @@ class TestCaps:
         def refuse(*args):
             raise AssertionError("truth table evaluated before the budget check")
 
-        monkeypatch.setattr(validity, "_first_failing_row", refuse)
+        monkeypatch.setattr(validity, "_first_failure", refuse)
         code, out, err = run(
             capsys, "--max-search-assignments", "10",
             "taut", "T", "--logic", "subset", "--max-n", "14",
@@ -752,7 +752,7 @@ class TestCaps:
         def refuse(*args):
             raise AssertionError("truth table evaluated before the variable cap check")
 
-        monkeypatch.setattr(validity, "_first_failing_row", refuse)
+        monkeypatch.setattr(validity, "_first_failure", refuse)
         argv = ["--max-truth-vars", "2", "taut", "p | q | ~r", "--logic", logic]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (4, "")

@@ -18,6 +18,7 @@ from ditkit import (
     PairRelation,
     Partition,
     ResourceLimitError,
+    Subset,
     UniverseMismatchError,
     UnknownConnectiveError,
     bell_number,
@@ -172,6 +173,20 @@ class TestRefinement:
         with pytest.raises(UniverseMismatchError) as by_refines:
             refines(discrete(2), discrete(3))
         assert str(by_refines.value) == str(by_join.value)
+
+    @pytest.mark.parametrize("combine", [
+        pytest.param(lambda p, s: join(p, s), id="join"),
+        pytest.param(lambda p, s: meet(s, p), id="meet"),
+        pytest.param(lambda p, s: refines(p, s), id="refines"),
+        pytest.param(lambda p, s: lift_connective(Connective.NOT, (s,)), id="lift_connective"),
+        pytest.param(lambda p, s: join_via_ditsets(p, s), id="join_via_ditsets"),
+        pytest.param(lambda p, s: meet_via_interior(s, p), id="meet_via_interior"),
+        pytest.param(lambda p, s: refines_via_ditsets(p, s), id="refines_via_ditsets"),
+    ])
+    def test_operands_must_be_partitions(self, combine):
+        # a subset of the same universe has an n but no blocks
+        with pytest.raises(TypeError, match="^expected a Partition, got Subset$"):
+            combine(Partition(2, (0, 0)), Subset.full(2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_pair_matches_block_containment(self, n):

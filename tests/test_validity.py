@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -448,3 +449,123 @@ class TestSmallWorld:
         verdicts = _assert_verdicts(held, 4)
         assert all(verdict == {"counterexample": None, "n_checked": [2, 4], "valid": True}
                    for verdict in verdicts)
+
+
+def _sliced_and_scalar(f, n_max: int, limits: Limits = Limits()) -> tuple:
+    v = partition_tautology(f, n_max, limits)
+    want, checked = oracles.scalar_partition_scan(f, n_max)
+    return (v.to_json(), v.assignments_checked), (json.dumps(want, sort_keys=True), checked)
+
+
+class TestSlicedScan:
+    """The bit-sliced scan against the scalar scan it replaced, which
+    evaluates the same value tuples one at a time: the same verdict,
+    counterexample and evaluated count."""
+
+    def test_two_variables_up_to_five_nodes(self):
+        groups = _formulas_by_size((_P, _Q, Const(True), Const(False)), 5)
+        for f in (f for group in groups for f in group):
+            got, want = _sliced_and_scalar(f, 4)
+            assert got == want, str(f)
+
+    def test_seeded_sample_to_five(self):
+        # classical tautologies, so that scans reach the larger universes
+        rng = random.Random(20261021)
+        wide = Limits().replaced(max_search_assignments=52**3)
+        late = 0
+        for _ in range(40):
+            names = ("p", "q", "r")[: rng.randint(2, 3)]
+            a, b = (random_formula(rng, variables=names, max_depth=2) for _ in "ab")
+            f = parse(rng.choice(_CLASSICAL).format(a=f"({a})", b=f"({b})"))
+            got, want = _sliced_and_scalar(f, 5, wide)
+            assert got == want, str(f)
+            late += json.loads(got[0])["n_checked"][1] >= 4
+        assert late >= 20
+
+    def test_syllogism_to_seven_in_well_under_a_second(self):
+        # 863,849 evaluations took about 4 s of CPU one at a time
+        wide = Limits().replaced(max_search_assignments=877**3)
+        start = time.process_time()
+        v = partition_tautology(parse("(p -> q) -> ((q -> r) -> (p -> r))"), 7, wide)
+        assert time.process_time() - start < 1.0
+        assert (v.valid, v.universes_checked, v.assignments_checked) == (True, (2, 7), 863_849)
+
+
+def _chunk_corpus() -> list[tuple]:
+    """Formulas of 1 to 4 variables, each with the n_max of its partition
+    check: each truth row as the only failing one, seeded random
+    formulas, and seeded instances of classical tautologies, which fail
+    late or not at all; last, one that first fails at n = 4 with four
+    variables, where Bell(4)**2 rows outgrow a chunk of 64."""
+    corpus = [(_false_only_at("pqrs"[:v], row), 3) for v in range(1, 5) for row in range(2**v)]
+    rng = random.Random(20261022)
+    for _ in range(30):
+        names = ("p", "q", "r", "s")[: rng.randint(1, 4)]
+        n_max = 4 if len(names) < 4 else 3
+        corpus.append((random_formula(rng, variables=names, max_depth=4), n_max))
+        a, b = (random_formula(rng, variables=names, max_depth=2) for _ in "ab")
+        corpus.append((parse(rng.choice(_CLASSICAL).format(a=f"({a})", b=f"({b})")), n_max))
+    corpus.append((parse("((p -> (q | r)) -> ((p -> q) | (p -> r))) | (s & ~s)"), 4))
+    return corpus
+
+
+def _checks(f, n_max: int) -> list:
+    wide = Limits().replaced(max_search_assignments=15**4)
+    return [
+        functools.partial(truth_table_tautology, f),
+        functools.partial(subset_valid, f, 3),
+        functools.partial(partition_tautology, f, n_max, wide),
+    ]
+
+
+class TestChunkEdges:
+    """Chunks of any size give the default verdicts and counts. Small
+    ones put failures in later chunks and on a chunk's last bit, and
+    make the scan's head grow past two variables."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_chunk_sizes_keep_verdicts(self, monkeypatch, rows):
+        corpus = [(f, check) for f, n_max in _chunk_corpus() for check in _checks(f, n_max)]
+        want = [(v.to_json(), v.assignments_checked) for v in (check() for _, check in corpus)]
+        monkeypatch.setattr(validity, "_FIRST_CHUNK", rows)
+        monkeypatch.setattr(validity, "_LAST_CHUNK", rows)
+        heads, widths = [], []
+        orbit_representatives = validity._orbit_representatives
+        algebra = validity._partition_algebra
+
+        def recorded_heads(pool, head):
+            heads.append(head)
+            return orbit_representatives(pool, head)
+
+        def recorded_widths(n, width):
+            widths.append((n, width))
+            return algebra(n, width)
+
+        monkeypatch.setattr(validity, "_orbit_representatives", recorded_heads)
+        monkeypatch.setattr(validity, "_partition_algebra", recorded_widths)
+        later = last = 0
+        for (f, check), (text, checked) in zip(corpus, want):
+            widths.clear()
+            v = check()
+            assert (v.to_json(), v.assignments_checked) == (text, checked), str(f)
+            if not v.valid:
+                # the failing chunk is the last; every chunk before it passed whole
+                later += sum(n == widths[-1][0] for n, _ in widths) > 1
+                last += sum(width for _, width in widths) == checked
+        assert max(heads) > 2 and later and last
+
+    def test_head_grows_past_two_at_the_default_size(self):
+        # With seven variables at n = 4, a pair of head values would stand
+        # for Bell(4)**5 rows, more than a chunk, so the head takes p, q and
+        # r. Each disjoined s & ~s is the bottom partition, so the scan
+        # fails at the three-variable counterexample with s..w at their
+        # first value, after Bell(n)**4 rows for each (p, q, r) before it.
+        base = "(p -> (q | r)) -> ((p -> q) | (p -> r))"
+        three = partition_tautology(parse(base), 4)
+        assert three.assignments_checked == 8 + 50 + 198
+        padded = parse(f"({base}) | (s & ~s) | (t & ~t) | (u & ~u) | (w & ~w)")
+        seven = partition_tautology(padded, 4, Limits().replaced(max_search_assignments=15**7))
+        assert seven.assignments_checked == 8 * 2**4 + 50 * 5**4 + 197 * 15**4 + 1
+        want = three.to_json_dict()
+        want["counterexample"]["assignment"].update(dict.fromkeys("stuw", "0,1,2,3"))
+        assert seven.to_json_dict() == want
