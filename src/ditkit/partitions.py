@@ -177,6 +177,13 @@ def partition_from_equivalence(r: PairRelation) -> Partition:
     return Partition(r.n, tuple(_components(r.n, r.pairs)))
 
 
+def _check_operands(*ops) -> None:
+    for p in ops:
+        if not isinstance(p, Partition):
+            raise TypeError(f"expected a Partition, got {type(p).__name__}")
+        _check_same_universe(ops[0], p)
+
+
 def refines(p: Partition, q: Partition) -> bool:
     """True iff every block of p sits inside some block of q, that is
     iff their join is p."""
@@ -188,13 +195,6 @@ def refines_via_ditsets(p: Partition, q: Partition) -> bool:
     exactly when dit(q) is contained in dit(p)."""
     _check_operands(p, q)
     return dit(q).pairs <= dit(p).pairs
-
-
-def _check_operands(*ops) -> None:
-    for p in ops:
-        if not isinstance(p, Partition):
-            raise TypeError(f"expected a Partition, got {type(p).__name__}")
-        _check_same_universe(ops[0], p)
 
 
 def join(p: Partition, q: Partition) -> Partition:
