@@ -252,6 +252,16 @@ def _partition_algebra(n: int, width: int) -> dict:
     }
 
 
+def _pair_text(mask: int, pairs: int) -> str:
+    """A distinction mask as one row of a value's text: character e is bit e."""
+    return format(mask, f"0{pairs}b")[::-1]
+
+
+def _pair_columns(texts: list[str], pairs: int) -> list[tuple[int, ...]]:
+    """Each text, rows of _pair_text, as one int per pair e: bit t is character e of row t."""
+    return [tuple([int(t[e::pairs][::-1], 2) for e in range(pairs)]) for t in texts]
+
+
 def _wrap(child: tuple[str, int], bar: int) -> str:
     text, prec = child
     return text if prec >= bar else f"({text})"
@@ -348,12 +358,11 @@ def eval_partition(f: Formula, assignment: PartitionAssignment) -> Partition:
         raise UniverseTooSmallError(
             f"partition semantics needs n >= 2, got n={assignment.n}"
         )
-    n = assignment.n
-    bits = f"0{n * (n - 1) // 2}b"  # reversed, character e is pair e's bit
-    env = {name: tuple(map(int, format(_dit_mask(p.assignment), bits)[::-1]))
-           for name, p in assignment.values.items()}
+    n, pairs = assignment.n, assignment.n * (assignment.n - 1) // 2
+    texts = [_pair_text(_dit_mask(p.assignment), pairs) for p in assignment.values.values()]
+    env = dict(zip(assignment.values, _pair_columns(texts, pairs)))
     value = _evaluate(_compile(f), _partition_algebra(n, 1), env)
-    return Partition(n, _blocks_of(n, int("".join(map(str, value))[::-1], 2)))
+    return Partition(n, _blocks_of(n, sum(bit << e for e, bit in enumerate(value))))
 
 
 def random_formula(

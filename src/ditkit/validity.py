@@ -16,11 +16,10 @@ are the truth values. Subset semantics is pointwise, so a formula is
 subset-valid at every n exactly when it is a tautology, and its least
 counterexample is the first failing row, as subsets {} and {0} of n = 1.
 
-Partition validity is one sequential scan that stops at the first
-failure, and it evaluates only orbit representatives. Partition
-semantics commutes with relabelling the universe, so every relabelling
-of the least failing tuple t fails too, and none comes before t in scan
-order. Hence t's first value is the least of its orbit under all
+Partition validity is the same chunked scan, restricted to orbit
+representatives. Partition semantics commutes with relabelling the
+universe, so every relabelling of the least failing tuple t fails too,
+and none comes before t in scan order. Hence t's first value is the least of its orbit under all
 relabellings, which makes it 0^a 1^b 2^c ... with a >= b >= c >= ...
 (one value per integer partition of n, not per set partition), and t's
 second value is the least of its orbit under the relabellings that fix
@@ -44,8 +43,8 @@ import operator
 from collections.abc import Iterator, Mapping
 
 from .errors import ResourceLimitError, TooManyVariablesError, UniverseTooSmallError
-from .formulas import Formula, PartitionAssignment, _compile, _evaluate, _partition_algebra
-from .formulas import _variables, eval_partition
+from .formulas import Formula, PartitionAssignment, _compile, _evaluate, _pair_columns
+from .formulas import _pair_text, _partition_algebra, _variables, eval_partition
 from .limits import DEFAULT_LIMITS, Limits
 from .partitions import (
     Partition, _bell_numbers, _canonical_rgs, _check_lattice_n, _dit_mask, _rgs,
@@ -107,13 +106,8 @@ def _check_budget(
             )
 
 
-# rows per chunk, doubling from the first to the last; the last also caps a prefix's rows
-_FIRST_CHUNK, _LAST_CHUNK = 1 << 10, 1 << 16
-
-
-def _columns(texts: list[str], pairs: int) -> list[tuple[int, ...]]:
-    """Each text's value: one int per pair e, whose bit t is character e of row t."""
-    return [tuple([int(t[e::pairs][::-1], 2) for e in range(pairs)]) for t in texts]
+# rows per chunk; it also caps a prefix's rows
+_CHUNK = 1 << 16
 
 
 def _first_failure(program, names, n: int) -> tuple[int, dict[str, tuple] | None]:
@@ -122,21 +116,21 @@ def _first_failure(program, names, n: int) -> tuple[int, dict[str, tuple] | None
     tuples evaluated up to the first failure and it by name, or all and None."""
     pool = list(_rgs(n)) if names else []  # a formula without variables needs none
     pairs, head = n * (n - 1) // 2, min(len(names), 2)
-    text = {x: format(_dit_mask(x), f"0{pairs}b")[::-1] for x in pool}  # character e is pair e
-    while len(pool) ** (len(names) - head) > _LAST_CHUNK:
+    text = {x: _pair_text(_dit_mask(x), pairs) for x in pool}
+    while len(pool) ** (len(names) - head) > _CHUNK:
         head += 1
     later, prefixes = len(names) - head, _orbit_representatives(pool, head)
-    rows, checked, size, tails = len(pool) ** later, 0, _FIRST_CHUNK, {}
+    rows, checked, tails = len(pool) ** later, 0, {}
     # bit s*k + j of a chunk of k prefixes is row s of prefix j, so a head variable's
     # k bits repeat once per row, and a later one's values depend on k alone
-    while chunk := list(itertools.islice(prefixes, max(1, size // rows))):
+    while chunk := list(itertools.islice(prefixes, max(1, _CHUNK // rows))):
         k, width = len(chunk), len(chunk) * rows
         if k not in tails:
             fixed = ["".join([t * k * len(pool) ** (later - 1 - i) for t in text.values()])
                      * len(pool) ** i for i in range(later)]
-            tails[k] = int("1".rjust(k, "0") * rows, 2), _columns(fixed, pairs)
+            tails[k] = int("1".rjust(k, "0") * rows, 2), _pair_columns(fixed, pairs)
         repeat, fixed = tails[k]
-        heads = _columns(["".join([text[x] for x in values]) for values in zip(*chunk)], pairs)
+        heads = _pair_columns(["".join([text[x] for x in values]) for values in zip(*chunk)], pairs)
         env = dict(zip(names, [tuple([m * repeat for m in value]) for value in heads] + fixed))
         root = _evaluate(program, _partition_algebra(n, width), env)
         failing = ((1 << width) - 1) ^ functools.reduce(operator.and_, root)
@@ -147,7 +141,6 @@ def _first_failure(program, names, n: int) -> tuple[int, dict[str, tuple] | None
             tail = [pool[s // len(pool) ** (later - 1 - i) % len(pool)] for i in range(later)]
             return checked + j * rows + s + 1, dict(zip(names, (*chunk[j], *tail)))
         checked += width
-        size = min(2 * size, _LAST_CHUNK)
     return checked, None
 
 
