@@ -15,11 +15,12 @@ build_parser makes from the same table, so argparse alone prints help
 and usage errors, and a plain call never imports it.
 
 Each handler imports the modules its subcommand needs, so a call loads
-no other: taut never loads mechanisms, compare and sim never load
-formulas or validity, and lattice loads partitions alone. json only
-reads a config file: lattice writes its JSON itself, without _json, and
-the rest goes through textio's JSON writer (taut --json, sim, compare,
-error lines); taut prints a counterexample with str(), without textio.
+no other: taut never loads mechanisms, compare and sim load neither
+formulas nor validity, nor partitions but for sim identify, and lattice
+loads partitions alone. json only reads a config file: lattice writes
+its JSON itself, without _json, and the rest goes through textio's JSON
+writer (taut --json, sim, compare, error lines); taut prints a
+counterexample with str(), without textio.
 """
 from __future__ import annotations
 
@@ -276,33 +277,33 @@ def cmd_lattice(args: SimpleNamespace, limits: Limits) -> int:
     from .partitions import _lattice
 
     labels, covers = _lattice(args.kind, args.n, limits)
+    rows = covers(list(map(str, range(len(labels)))))  # each cover as its position's text
+    del covers  # so the level below goes with the last row, before the nodes are joined
     if args.dot:
-        _emit(_dot_chunks(labels, covers))
+        _emit(_dot_chunks(labels, rows))
     else:
-        _emit(_lattice_json_chunks(args.kind, args.n, labels, covers))
+        _emit(_lattice_json_chunks(args.kind, args.n, labels, rows))
     return 0
 
 
-def _dot_chunks(labels: list[str], covers: Iterator[list[int]]) -> Iterator[str]:
+def _dot_chunks(labels: list[str], rows: Iterator[list[str]]) -> Iterator[str]:
     yield "digraph lattice {\n  rankdir=BT;\n"
     for i, text in enumerate(labels):
         yield f'  n{i} [label="{text}"];\n'
-    names = list(map(str, range(len(labels))))
-    for x, ys in enumerate(covers):
+    for x, ys in enumerate(rows):
         if ys:
-            yield f"  n{x} -> n" + f";\n  n{x} -> n".join(map(names.__getitem__, ys)) + ";\n"
+            yield f"  n{x} -> n" + f";\n  n{x} -> n".join(ys) + ";\n"
     yield "}\n"
 
 
 def _lattice_json_chunks(
-    kind: str, n: int, labels: list[str], covers: Iterator[list[int]]
+    kind: str, n: int, labels: list[str], rows: Iterator[list[str]]
 ) -> Iterator[str]:
     yield '{"edges": ['
-    names = list(map(str, range(len(labels))))
     separator = ""
-    for x, ys in enumerate(covers):
+    for x, ys in enumerate(rows):
         if ys:
-            yield f"{separator}[{x}, " + f"], [{x}, ".join(map(names.__getitem__, ys)) + "]"
+            yield f"{separator}[{x}, " + f"], [{x}, ".join(ys) + "]"
             separator = ", "
     # kind is a choices word and labels hold digits, ',', '|' and braces; json escapes none
     nodes = '", "'.join(labels)

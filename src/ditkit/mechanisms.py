@@ -38,7 +38,6 @@ from .errors import (
     SwitchIndexError,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .partitions import Partition
 from .relations import _check_element, _check_n, _components, _is_int, _Record
 from .textio import _PIECE, _pieces, _to_json, _variant_number, format_variant
 
@@ -85,7 +84,7 @@ def _agreeing(k: int, mask: int, want: int) -> list[int]:
     block = [want]
     for i in range(k):
         if not mask >> i & 1:
-            block += [v | 1 << i for v in block]
+            block += [*map((1 << i).__or__, block)]
     return block
 
 
@@ -193,6 +192,8 @@ def consistent_block(bank: SwitchBank) -> frozenset[int]:
 
 def switch_partition(k: int, i: int, limits: Limits = DEFAULT_LIMITS) -> Partition:
     """Binary partition of the 2**k variants by digit b_i."""
+    from .partitions import Partition
+
     _check_k(k)
     _check_switch(i, k)
     _check_switch_bits(k, limits)
@@ -504,7 +505,7 @@ def run_generative(
     def snapshot() -> dict:
         return {
             "switches": [state.value for state in bank.states],
-            "block": [labels[v] for v in _bank_block(bank)],
+            "block": list(map(labels.__getitem__, _bank_block(bank))),
         }
 
     steps = [TraceStep(0, None, snapshot())]
@@ -530,6 +531,8 @@ def generative_block(trace: Trace) -> frozenset[int]:
 def identify(n: int, pairs: Iterable[tuple[int, int]]) -> Partition:
     """Start from all singletons and glue the given pairs together:
     the partition whose blocks are the connected components."""
+    from .partitions import Partition
+
     _check_n(n)
     pairs = list(pairs)
     for u, v in pairs:

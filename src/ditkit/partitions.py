@@ -24,12 +24,13 @@ the node at rank x has rank off[x] + c, off summing block count + 1 over
 the ranks before x. Every cover edge of the longer sequences is then
 arithmetic on the ranks of an edge one level down, plus the edges that
 merge u's own block into an earlier one; no partition is built, merged
-or looked up per edge, and the edges come out in order.
+or looked up per edge, and the edges come out in order. The last level
+does no arithmetic per edge: its covers are slices of the caller's list.
 """
 from __future__ import annotations
 
 import itertools
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from enum import Enum
 
 from .errors import (
@@ -381,16 +382,17 @@ def hasse_cover_edges(kind: str, n: int, limits: Limits = DEFAULT_LIMITS) -> lis
     order with the one-block partition at the bottom. Edges come back
     sorted by enumeration position of their endpoints.
     """
-    _, covers = _lattice(kind, n, limits)
+    _, covers = _lattice(kind, n, limits)  # refuses kind and n before a node is built
     make = enumerate_partitions if kind == "partition" else subset_lattice_nodes
     nodes: list = list(make(n, limits))
-    return [(nodes[x], nodes[y]) for x, ys in enumerate(covers) for y in ys]
+    return [(x, y) for x, ys in zip(nodes, covers(nodes)) for y in ys]
 
 
-def _lattice(kind: str, n: int, limits: Limits) -> tuple[list[str], Iterator[list[int]]]:
-    """The lattice's node labels in enumeration order, and an iterator
-    that gives each node in turn the ascending positions of the nodes
-    covering it.
+def _lattice(kind: str, n: int, limits: Limits) -> tuple[list[str], Callable]:
+    """The lattice's node labels in enumeration order, and covers(at), a
+    generator that gives each node in turn the ascending positions of the
+    nodes covering it, each read as its entry in the list at: so
+    covers(nodes) gives nodes, and covers(names) names.
 
     Each label is its node's str(). The size checks run before anything
     is built; the covers of the last level are computed as they are read.
@@ -401,25 +403,64 @@ def _lattice(kind: str, n: int, limits: Limits) -> tuple[list[str], Iterator[lis
     if kind == "partition":
         return _partition_lattice(n)
     labels = [_subset_text([u for u in range(n) if m >> u & 1]) for m in range(2**n)]
-    return labels, ([m | 1 << u for u in range(n) if not m >> u & 1] for m in range(2**n))
+    return labels, lambda at: ([at[m | 1 << u] for u in range(n) if not m >> u & 1]
+                               for m in range(2**n))
 
 
-def _partition_lattice(n: int) -> tuple[list[str], Iterator[list[int]]]:
+def _partition_lattice(n: int) -> tuple[list[str], Callable]:
     """The partition lattice grown from n = 1 one element at a time.
 
-    A level holds each partition's blocks as text and its upper covers'
-    ascending positions. The pairs bi < bj of blocks they split are
-    grown one level behind, so the last level streams positions alone.
+    A level holds each partition's blocks as text, its upper covers'
+    ascending positions and the pairs bi < bj of blocks they split.
+    Levels to n - 1 are grown as lists. Level n, with most of the nodes
+    and edges, is cut from level n - 1 by _last_labels and _last_covers.
     """
-    blocks: Iterable[tuple[str, ...]] = [("0",)]
-    positions: Iterable[list[int]] = [[]]
-    pairs: Iterable[list[tuple[int, int]]] = [[]]
-    for u in range(1, n):
-        blocks, positions, pairs = list(blocks), list(positions), list(pairs)
+    if n == 1:
+        return ["0"], lambda at: iter([[]])
+    blocks, positions, pairs = [("0",)], [[]], [[]]
+    for u in range(1, n - 1):
         ks = [len(b) for b in blocks]
-        positions, pairs = _grown_positions(ks, positions, pairs), _grown_pairs(ks, pairs)
-        blocks = _grown_blocks(blocks, u)
-    return ["|".join(b) for b in blocks], iter(positions)
+        positions = list(_grown_positions(ks, positions, pairs))
+        pairs = list(_grown_pairs(ks, pairs))
+        blocks = list(_grown_blocks(blocks, u))
+    ks = [len(b) for b in blocks]
+    return _last_labels(blocks, n - 1), lambda at: _last_covers(ks, positions, pairs, at)
+
+
+def _last_labels(blocks: list[tuple[str, ...]], u: int) -> list[str]:
+    """The labels of _grown_blocks' children, each cut from its parent's
+    label: u goes in at the end of each block in turn, then after a "|"."""
+    tail, new = f",{u}", f"|{u}"
+    labels: list[str] = []
+    for b in blocks:
+        label, end = "|".join(b), -1
+        for block in b:
+            end += len(block) + 1
+            labels.append(label[:end] + tail + label[end:])
+        labels.append(label + new)
+    return labels
+
+
+def _last_covers(ks: list[int], positions: list, pairs: list, at: list) -> Iterator[list]:
+    """_grown_positions' rows with each position y read as at[y], taken
+    in slices. A cover of x that merges bi < bj, whose children start at
+    s, gives child d of x the entry at[s + d + (d >= bj)]: over d = 0..k,
+    the column at[s : s + k + 2] without its entry bj, which row bi takes
+    as well, after the column's own. Each row opens with at[off[x] + k],
+    the new singleton's child, except that child's own row.
+    """
+    off = list(itertools.accumulate([k + 1 for k in ks], initial=0))
+    for x, k in enumerate(ks):
+        columns, merged = [], []
+        for j, (y, (bi, bj)) in enumerate(zip(positions[x], pairs[x]), 2):
+            column = at[off[y] : off[y] + k + 2]
+            merged.append((bi, j, column.pop(bj)))  # j: after the column in its row
+            columns.append(column)
+        rows = list(map(list, zip(itertools.repeat(at[off[x] + k], k + 1), *columns)))
+        for bi, j, entry in reversed(merged):  # from the last column, so each j holds
+            rows[bi].insert(j, entry)
+        del rows[k][0]
+        yield from rows
 
 
 def _grown_blocks(blocks: list[tuple[str, ...]], u: int) -> Iterator[tuple[str, ...]]:

@@ -19,7 +19,6 @@ from _json import encode_basestring_ascii  # the str encoder of json.dumps
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import TextFormatError
-from .partitions import Partition, _partition_text, partition_from_blocks
 from .relations import Subset, _subset_text
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -58,6 +57,8 @@ def _check_names(names: tuple[str, ...] | None, n: int) -> None:
 
 
 def format_partition(p: Partition, names: tuple[str, ...] | None = None) -> str:
+    from .partitions import _partition_text
+
     _check_names(names, p.n)
     return _partition_text(p, names)
 
@@ -65,6 +66,8 @@ def format_partition(p: Partition, names: tuple[str, ...] | None = None) -> str:
 def parse_partition(
     text: str, n: int, names: tuple[str, ...] | None = None
 ) -> Partition:
+    from .partitions import Partition, partition_from_blocks
+
     _check_names(names, n)
     body = text.strip()
     if not body:

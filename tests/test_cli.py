@@ -986,11 +986,13 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
          {"ditkit.mechanisms", "ditkit.textio", "json", "_json"}),
         (["taut", "p &", "--logic", "truth"], 2, {"ditkit.mechanisms", "json"}),
         (["compare", "--k", "3", "--target", "010"], 0,
-         {"ditkit.formulas", "ditkit.validity", "json"}),
+         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json"}),
         (["sim", "generate", "--k", "3", "--events", "1=0"], 0,
-         {"ditkit.formulas", "ditkit.validity", "json"}),
+         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json"}),
         (["sim", "twentyq", "--k", "3", "--answers", "0,1"], 0,
-         {"ditkit.formulas", "ditkit.validity", "json"}),
+         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json"}),
+        (["sim", "select", "--k", "3", "--fitness", "peak@010"], 0,
+         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json"}),
         (["lattice", "--kind", "partition", "--n", "4"], 0,
          {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio", "json",
           "_json"}),
@@ -998,7 +1000,7 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
          {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio", "json"}),
     ],
     ids=["taut", "taut invalid", "taut invalid plain", "taut invalid subset", "taut refused",
-         "compare", "sim generate", "sim twentyq", "lattice", "lattice dot"],
+         "compare", "sim generate", "sim twentyq", "sim select", "lattice", "lattice dot"],
 )
 def test_subcommand_loads_only_its_modules(argv, status, absent):
     # what a CLI call adds to sys.modules, not what the interpreter preloads;

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -41,6 +42,7 @@ from ditkit import (
     rst_closure,
     subset_lattice_nodes,
 )
+from ditkit import cli
 from ditkit import partitions as partitions_module
 from ditkit.limits import DEFAULT_LIMITS, Limits
 from ditkit.partitions import CONNECTIVE_ARITY, _blocks_of, _dit_mask, _lattice, _rgs
@@ -463,6 +465,18 @@ class TestHasse:
         with pytest.raises(ValueError):
             hasse_cover_edges("poset", 3)
 
+    @pytest.mark.parametrize("kind, n, error", [
+        ("poset", 3, ValueError), ("partition", 11, ResourceLimitError),
+    ])
+    def test_refused_before_any_node_is_built(self, monkeypatch, kind, n, error):
+        def refuse(*args):
+            raise AssertionError("a node was built before the check")
+
+        monkeypatch.setattr(partitions_module, "enumerate_partitions", refuse)
+        monkeypatch.setattr(partitions_module, "subset_lattice_nodes", refuse)
+        with pytest.raises(error):
+            hasse_cover_edges(kind, n)
+
 
 class TestLatticeGrowth:
     @pytest.mark.parametrize("n", range(1, 10))
@@ -472,7 +486,21 @@ class TestLatticeGrowth:
         partitions = list(enumerate_partitions(n))
         assert [p.assignment for p in partitions] == nodes
         assert labels == [str(p) for p in partitions]
-        assert [(x, y) for x, ys in enumerate(covers) for y in ys] == edges
+        rows = covers(list(range(len(labels))))
+        assert [(x, y) for x, ys in enumerate(rows) for y in ys] == edges
+
+    @pytest.mark.parametrize("kind", ["partition", "subset"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_covers_read_any_list_by_position(self, kind, n):
+        labels, covers = _lattice(kind, n, DEFAULT_LIMITS)
+        rows = list(covers(list(range(len(labels)))))
+        assert all(ys == sorted(set(ys)) for ys in rows)
+        names = [str(i) for i in range(len(labels))]
+        assert list(covers(names)) == [[str(y) for y in ys] for ys in rows]
+        nodes = list(enumerate_partitions(n) if kind == "partition" else subset_lattice_nodes(n))
+        pairs = [(x, y) for x, ys in zip(nodes, covers(nodes)) for y in ys]
+        assert pairs == hasse_cover_edges(kind, n)
+        assert pairs == [(nodes[x], nodes[y]) for x, ys in enumerate(rows) for y in ys]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_subset_labels_are_str(self, n):
@@ -481,16 +509,44 @@ class TestLatticeGrowth:
 
     def test_growth_holds_no_merge_data_per_edge(self):
         # growing and draining n = 9 peaked at 5.15-5.36 MiB while the
-        # last level kept a (position, bi, bj) tuple per edge
+        # last level kept a (position, bi, bj) tuple per edge; the list
+        # the covers are read from is the caller's, as the CLI's names are
+        at = list(range(bell_number(9)))
         tracemalloc.start()
         try:
             _, covers = _lattice("partition", 9, DEFAULT_LIMITS)
-            for _ in covers:
+            for _ in covers(at):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4.75 * 2**20
+
+    @pytest.mark.parametrize("style, tail", [("--json", 4.0), ("--dot", 2.5)])
+    def test_cli_at_nine_holds_each_level_no_longer_than_needed(self, monkeypatch, style, tail):
+        # the peak holds the names, the labels, the level below and one
+        # batch: 5.47-5.52 MiB. By the last write the names and the level
+        # below are gone: 3.3 MiB as JSON and 1.6 as DOT, where a covers
+        # callable kept alive by the CLI held them (5.4 and 3.7 MiB)
+        class NullSink:
+            def write(self, text):
+                self.traced = tracemalloc.get_traced_memory()[0]
+                return len(text)
+
+            def flush(self):
+                pass
+
+        sink = NullSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli.main(["lattice", "--kind", "partition", "--n", "9", style])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 5.75 * 2**20
+        assert sink.traced < tail * 2**20
 
     def test_cap_fires_before_growth(self, monkeypatch):
         def refuse(*args):
