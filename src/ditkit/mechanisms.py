@@ -41,6 +41,10 @@ from .limits import DEFAULT_LIMITS, Limits
 from .relations import _check_element, _check_n, _components, _is_int, _Record
 from .textio import _PIECE, _pieces, _to_json, _variant_number, format_variant
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations; only switch_partition and identify import it
+    from .partitions import Partition
+
 
 def _check_k(k) -> None:
     if not _is_int(k) or k < 1:
@@ -84,7 +88,7 @@ def _agreeing(k: int, mask: int, want: int) -> list[int]:
     block = [want]
     for i in range(k):
         if not mask >> i & 1:
-            block += [*map((1 << i).__or__, block)]
+            block += [v | 1 << i for v in block]
     return block
 
 
@@ -505,7 +509,7 @@ def run_generative(
     def snapshot() -> dict:
         return {
             "switches": [state.value for state in bank.states],
-            "block": list(map(labels.__getitem__, _bank_block(bank))),
+            "block": [labels[v] for v in _bank_block(bank)],
         }
 
     steps = [TraceStep(0, None, snapshot())]

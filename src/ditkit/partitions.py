@@ -412,19 +412,23 @@ def _partition_lattice(n: int) -> tuple[list[str], Callable]:
 
     A level holds each partition's blocks as text, its upper covers'
     ascending positions and the pairs bi < bj of blocks they split.
-    Levels to n - 1 are grown as lists. Level n, with most of the nodes
-    and edges, is cut from level n - 1 by _last_labels and _last_covers.
+    _grown_covers gives every level's covers. Levels to n - 1 are grown
+    as lists, their covers read from a list of their own positions.
+    Level n, with most of the nodes and edges, is cut from level n - 1:
+    _last_labels gives its labels, and its covers are read from the
+    caller's list.
     """
     if n == 1:
         return ["0"], lambda at: iter([[]])
     blocks, positions, pairs = [("0",)], [[]], [[]]
     for u in range(1, n - 1):
         ks = [len(b) for b in blocks]
-        positions = list(_grown_positions(ks, positions, pairs))
+        at = list(range(len(blocks) + sum(ks)))
+        positions = list(_grown_covers(ks, positions, pairs, at))
         pairs = list(_grown_pairs(ks, pairs))
         blocks = list(_grown_blocks(blocks, u))
     ks = [len(b) for b in blocks]
-    return _last_labels(blocks, n - 1), lambda at: _last_covers(ks, positions, pairs, at)
+    return _last_labels(blocks, n - 1), lambda at: _grown_covers(ks, positions, pairs, at)
 
 
 def _last_labels(blocks: list[tuple[str, ...]], u: int) -> list[str]:
@@ -441,13 +445,24 @@ def _last_labels(blocks: list[tuple[str, ...]], u: int) -> list[str]:
     return labels
 
 
-def _last_covers(ks: list[int], positions: list, pairs: list, at: list) -> Iterator[list]:
-    """_grown_positions' rows with each position y read as at[y], taken
-    in slices. A cover of x that merges bi < bj, whose children start at
-    s, gives child d of x the entry at[s + d + (d >= bj)]: over d = 0..k,
-    the column at[s : s + k + 2] without its entry bj, which row bi takes
-    as well, after the column's own. Each row opens with at[off[x] + k],
-    the new singleton's child, except that child's own row.
+def _grown_covers(
+    ks: list[int], positions: list[list[int]], pairs: list[list[tuple[int, int]]], at: list
+) -> Iterator[list]:
+    """Upper covers one level up, for each child in enumeration order,
+    from the block counts ks and the level below's covers, each cover's
+    position y read as at[y].
+
+    The children (x, c) of x sit at off[x] + c, where off sums k + 1
+    over the nodes before x. So a cover y of x that merges bi < bj gives
+    the cover (y, c) of (x, relabel(c)) for each c in 0..k(y), with
+    relabel(c) = bi if c == bj else c - (c > bj). Read by source, child
+    d of x gets (y, bi) and (y, bj) when d == bi and (y, d + (d >= bj))
+    otherwise: over d = 0..k, the column at[s : s + k + 2], s = off[y],
+    without its entry bj, which row bi takes as well, after the column's
+    own. The new singleton block k of (x, k) also merges into each
+    earlier block d, covering (x, d): each row opens with at[off[x] + k],
+    except that child's own row. Rows come out in ascending position, as
+    (x, k) precedes every child of a y > x.
     """
     off = list(itertools.accumulate([k + 1 for k in ks], initial=0))
     for x, k in enumerate(ks):
@@ -473,37 +488,8 @@ def _grown_blocks(blocks: list[tuple[str, ...]], u: int) -> Iterator[tuple[str, 
         yield b + (new,)
 
 
-def _grown_positions(
-    ks: list[int], positions: list[list[int]], pairs: list[list[tuple[int, int]]]
-) -> Iterator[list[int]]:
-    """Upper cover positions one level up, for each child in enumeration
-    order, from the block counts ks and the level below's covers.
-
-    The children (x, c) of x sit at off[x] + c, where off sums k + 1
-    over the nodes before x. So a cover y of x that merges bi < bj gives
-    the cover (y, c) of (x, relabel(c)) for each c in 0..k(y), with
-    relabel(c) = bi if c == bj else c - (c > bj). Read by source, child
-    d of x gets (y, bi) and (y, bj) when d == bi and (y, d + (d >= bj))
-    otherwise. The new singleton block k(x) of (x, k(x)) also merges
-    into each earlier block d, covering (x, d). Both kinds come out in
-    ascending position: (x, k(x)) precedes every child of a y > x.
-    """
-    off = list(itertools.accumulate([k + 1 for k in ks], initial=0))
-    for x, k in enumerate(ks):
-        base = off[x]
-        lifted = [(off[y], bi, bj) for y, (bi, bj) in zip(positions[x], pairs[x])]
-        for d in range(k + 1):
-            row = [base + k] if d < k else []
-            for start, bi, bj in lifted:
-                if d == bi:
-                    row += (start + bi, start + bj)
-                else:
-                    row.append(start + d + (d >= bj))
-            yield row
-
-
 def _grown_pairs(ks: list[int], pairs: list[list[tuple[int, int]]]) -> Iterator[list]:
-    """The pairs aligned with _grown_positions' rows; only (d, k) is a new tuple."""
+    """The pairs aligned with _grown_covers' rows; only (d, k) is a new tuple."""
     for k, above in zip(ks, pairs):
         for d in range(k + 1):
             row = [(d, k)] if d < k else []

@@ -21,6 +21,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from .errors import TextFormatError
 from .relations import Subset, _subset_text
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations; only the partition formats import it
+    from .partitions import Partition
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 

@@ -508,8 +508,8 @@ class TestLatticeGrowth:
         assert labels == [str(s) for s in subset_lattice_nodes(n)]
 
     def test_growth_holds_no_merge_data_per_edge(self):
-        # growing and draining n = 9 peaked at 5.15-5.36 MiB while the
-        # last level kept a (position, bi, bj) tuple per edge; the list
+        # growing and draining n = 9 peaks at 3.58 MiB; a (position, bi,
+        # bj) tuple per edge in the last level read 5.15-5.36. The list
         # the covers are read from is the caller's, as the CLI's names are
         at = list(range(bell_number(9)))
         tracemalloc.start()
@@ -525,8 +525,9 @@ class TestLatticeGrowth:
     @pytest.mark.parametrize("style, tail", [("--json", 4.0), ("--dot", 2.5)])
     def test_cli_at_nine_holds_each_level_no_longer_than_needed(self, monkeypatch, style, tail):
         # the peak holds the names, the labels, the level below and one
-        # batch: 5.47-5.52 MiB. By the last write the names and the level
-        # below are gone: 3.3 MiB as JSON and 1.6 as DOT, where a covers
+        # batch: 4.32-4.33 MiB on Python 3.11, and 4.30-4.39 on 3.10 run
+        # outside pytest. By the last write the names and the level below
+        # are gone: 2.9 MiB as JSON and 1.6 as DOT, where a covers
         # callable kept alive by the CLI held them (5.4 and 3.7 MiB)
         class NullSink:
             def write(self, text):
