@@ -23,10 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from collections import Counter, deque
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
-from operator import itemgetter, ne
 
 from .errors import (
     AlreadySetError,
@@ -366,6 +364,41 @@ class Trace(_Record):
     to_json = _to_json
 
 
+_ULPS = 2**53  # the multiples of a float's ulp below 2**53 ulps are floats
+
+
+def _repeated_sum(total: float, w: float, m: int) -> float:
+    """What m >= 1 successive total += w give, for total and w not
+    negative, in O(binades crossed) steps instead of m.
+
+    While total is under 2**53 of its own ulps u, every sum is a multiple
+    q * u of u, and adding w rounds q + w/u to an integer, half to even.
+    That raises q by round(w/u) at every add, unless w/u is a tie; then
+    it does so at every even q, and keeps q even. So the adds that stay
+    under 2**53 u are made at once, in integers, and one plain add (or
+    one at an odd q before a tie) moves on. The bound holds for a
+    subnormal total too, as the normals below 2**-1021 share its ulp.
+    """
+    if not (0.0 < w < math.inf and 0.0 <= total < math.inf):
+        return total + w  # adding 0.0 changes nothing; inf and nan stay
+    while m:
+        u = math.ulp(total)
+        q, r = int(total / u), w / u  # both exact, or r < 2**-1022 rounds to 0
+        if r < _ULPS and not (q & 1 and r % 1.0 == 0.5):
+            d = round(r)
+            if not d:
+                return total
+            n = min(m, (_ULPS - 1 - q) // d)  # each sum before rounding is under 2**53 u
+            total, m = (q + n * d) * u, m - n
+            if not m:
+                break
+        total += w
+        m -= 1
+        if total == math.inf:
+            break
+    return total
+
+
 class _WeightMap(dict):
     """A selectionist snapshot's weights by variant label, read-only: a
     dict that keeps its run's pieces and class weights, from which
@@ -421,32 +454,43 @@ def run_selectionist(
     _check_steps(max_steps, limits)
     labels = _labels(k)  # labels[v] is the text of variant v
     # Amplification sees only fitness, so variants of equal fitness keep
-    # equal weights: the run keeps one weight per fitness class. normalised
-    # folds the class weights of all the variants left to right in variant
-    # order, as sum() did before Python 3.12 made it compensated, so every
-    # weight is that of a run with one weight per variant, bit for bit.
+    # equal weights: one weight is kept per fitness class, and the variants
+    # are laid out as runs, each a stretch of consecutive variants of one
+    # class. normalised folds the weights of all the variants left to right
+    # in variant order, as sum() did before Python 3.12 made it compensated,
+    # a run at a time, so every weight is the one that a weight per variant
+    # gives, bit for bit.
     size = 2**k
-    scores = fitness.scores
-    distinct = list(dict.fromkeys(scores))  # class c holds the variants scoring distinct[c]
-    of = list(map({s: c for c, s in enumerate(distinct)}.__getitem__, scores))
-    per_variant = itemgetter(*of)  # 2**k >= 2 items, so always a tuple
+    classes: dict[float, int] = {}  # each score's class, numbered by first appearance
+    runs = [  # each run's class and length
+        (classes.setdefault(score, len(classes)), len(list(run)))
+        for score, run in itertools.groupby(fitness.scores)
+    ]
+    distinct = list(classes)  # class c holds the variants scoring distinct[c]
+    run_of, lengths = zip(*runs)
+    ends = list(itertools.accumulate(lengths))
+    run_labels = [labels[a:b] for a, b in zip([0, *ends], ends)]
+    counts = [0] * len(distinct)
+    for c, m in runs:
+        counts[c] += m
+    top = distinct.index(max(distinct))
     # A map's keys in pieces of at most _PIECE consecutive variants of one
     # class: each is its class and a slice of the labels that ends in "",
     # but for the map's last piece. The separator '": w, "' of its class's
     # weight text w joins a piece into its chunk; a label is a bitstring,
-    # which JSON writes as it is. Every map of the run shares them.
-    changes = itertools.compress(range(1, size), map(ne, of, of[1:]))
-    starts = sorted({*range(0, size, _PIECE), *changes})  # each piece's first variant
-    pieces = list(zip(map(of.__getitem__, starts), _pieces(labels, starts)))
-    counts = Counter(of)
-    top = distinct.index(max(distinct))
+    # which JSON writes as it is. Every map of the trace shares them.
+    starts = sorted({0, *ends[:-1], *range(0, size, _PIECE)})  # a run's start, or a multiple
+    pieces = [(classes[fitness.scores[a]], piece)
+              for a, piece in zip(starts, _pieces(labels, starts))]
     # a snapshot fills every label with the weight of the largest class,
     # then the other labels with their own; fromkeys over a dict presizes
     # the map and reuses the labels' hashes
     keys = dict.fromkeys(labels)
-    major = max(counts, key=counts.__getitem__)  # the first largest, as most_common(1)
-    minor_labels = list(itertools.compress(labels, map(major.__ne__, of)))
-    minor_of = list(filter(major.__ne__, of))
+    major = counts.index(max(counts))  # the first largest class
+    minor_labels = list(itertools.chain.from_iterable(
+        itertools.compress(run_labels, map(major.__ne__, run_of))
+    ))
+    minor_of = [c for c, m in runs if c != major for _ in range(m)]
     weights = [1.0 / size] * len(distinct)
     extinct: set[int] = set()
     extinct_labels: list[str] = []
@@ -458,7 +502,12 @@ def run_selectionist(
         return {"weights": weight_map, "extinct": extinct_labels.copy()}
 
     def normalised(weights: list[float]) -> list[float]:
-        total = deque(itertools.accumulate(per_variant(weights)), maxlen=1)[0]
+        total = 0.0  # 0.0 + w is w, so the fold starts at the first weight
+        for c, m in runs:
+            if m == 1:
+                total += weights[c]
+            else:
+                total = _repeated_sum(total, weights[c], m)
         return [w / total for w in weights]
 
     steps = [TraceStep(0, None, snapshot())]
@@ -466,12 +515,16 @@ def run_selectionist(
     while len(extinct_labels) + counts[top] < size and t < max_steps:
         t += 1
         weights = normalised([w * s for w, s in zip(weights, distinct)])
-        # extinct weights stay 0.0, so below holds them and any new ones
-        below = {c for c, w in enumerate(weights) if w < extinction_threshold}
-        if below != extinct:
-            extinct = below
-            weights = normalised([0.0 if c in extinct else w for c, w in enumerate(weights)])
-            extinct_labels = list(itertools.compress(labels, map(extinct.__contains__, of)))
+        # runs keeps the runs of the living classes: an extinct weight
+        # stays 0.0, which adds nothing to a total
+        culled = {c for c, _ in runs if weights[c] < extinction_threshold}
+        if culled:
+            extinct = extinct | culled
+            runs = [(c, m) for c, m in runs if c not in culled]
+            weights = normalised([0.0 if w < extinction_threshold else w for w in weights])
+            extinct_labels = list(itertools.chain.from_iterable(
+                itertools.compress(run_labels, map(extinct.__contains__, run_of))
+            ))
         steps.append(TraceStep(t, {"kind": "amplify"}, snapshot()))
     return Trace(
         "selectionist",

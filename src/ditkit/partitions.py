@@ -321,7 +321,10 @@ def bell_number(n: int) -> int:
 
 
 def _check_lattice_n(kind: str, n: int, limits: Limits) -> None:
-    """Refuse a lattice universe before anything of its size is built."""
+    """Refuse a lattice kind, then a universe, before anything of its
+    size is built."""
+    if kind not in ("partition", "subset"):
+        raise ValueError(f"kind must be 'subset' or 'partition', got {kind!r}")
     _check_n(n)
     if n > limits.max_lattice_n:
         if kind == "subset":
@@ -382,9 +385,11 @@ def hasse_cover_edges(kind: str, n: int, limits: Limits = DEFAULT_LIMITS) -> lis
     order with the one-block partition at the bottom. Edges come back
     sorted by enumeration position of their endpoints.
     """
-    _, covers = _lattice(kind, n, limits)  # refuses kind and n before a node is built
-    make = enumerate_partitions if kind == "partition" else subset_lattice_nodes
-    nodes: list = list(make(n, limits))
+    _check_lattice_n(kind, n, limits)  # before a node is built
+    if kind == "partition":
+        covers, nodes = _partition_lattice(n)[1], list(enumerate_partitions(n, limits))
+    else:
+        covers, nodes = _subset_covers(n), subset_lattice_nodes(n, limits)
     return [(x, y) for x, ys in zip(nodes, covers(nodes)) for y in ys]
 
 
@@ -397,44 +402,49 @@ def _lattice(kind: str, n: int, limits: Limits) -> tuple[list[str], Callable]:
     Each label is its node's str(). The size checks run before anything
     is built; the covers of the last level are computed as they are read.
     """
-    if kind not in ("partition", "subset"):
-        raise ValueError(f"kind must be 'subset' or 'partition', got {kind!r}")
     _check_lattice_n(kind, n, limits)
-    if kind == "partition":
-        return _partition_lattice(n)
-    labels = [_subset_text([u for u in range(n) if m >> u & 1]) for m in range(2**n)]
-    return labels, lambda at: ([at[m | 1 << u] for u in range(n) if not m >> u & 1]
-                               for m in range(2**n))
+    if kind == "subset":
+        labels = [_subset_text([u for u in range(n) if m >> u & 1]) for m in range(2**n)]
+        return labels, _subset_covers(n)
+    blocks, covers = _partition_lattice(n)
+    return _last_labels(blocks, n - 1), covers
 
 
-def _partition_lattice(n: int) -> tuple[list[str], Callable]:
-    """The partition lattice grown from n = 1 one element at a time.
+def _subset_covers(n: int) -> Callable:
+    """covers(at) of the subset lattice: each bitmask m in turn, with the
+    bits it lacks added one at a time."""
+    return lambda at: ([at[m | 1 << u] for u in range(n) if not m >> u & 1]
+                       for m in range(2**n))
+
+
+def _partition_lattice(n: int) -> tuple[list[tuple[str, ...]], Callable]:
+    """The partition lattice grown from n = 0 one element at a time: the
+    blocks of the partitions of n - 1 elements, from which _last_labels
+    cuts the labels, and covers(at) of the lattice of n.
 
     A level holds each partition's blocks as text, its upper covers'
     ascending positions and the pairs bi < bj of blocks they split.
     _grown_covers gives every level's covers. Levels to n - 1 are grown
     as lists, their covers read from a list of their own positions.
-    Level n, with most of the nodes and edges, is cut from level n - 1:
-    _last_labels gives its labels, and its covers are read from the
-    caller's list.
+    Level n, with most of the nodes and edges, is not built: its covers
+    are read from the caller's list.
     """
-    if n == 1:
-        return ["0"], lambda at: iter([[]])
-    blocks, positions, pairs = [("0",)], [[]], [[]]
-    for u in range(1, n - 1):
+    blocks, positions, pairs = [()], [[]], [[]]  # the one partition of no elements
+    for u in range(n - 1):
         ks = [len(b) for b in blocks]
         at = list(range(len(blocks) + sum(ks)))
         positions = list(_grown_covers(ks, positions, pairs, at))
         pairs = list(_grown_pairs(ks, pairs))
         blocks = list(_grown_blocks(blocks, u))
     ks = [len(b) for b in blocks]
-    return _last_labels(blocks, n - 1), lambda at: _grown_covers(ks, positions, pairs, at)
+    return blocks, lambda at: _grown_covers(ks, positions, pairs, at)
 
 
 def _last_labels(blocks: list[tuple[str, ...]], u: int) -> list[str]:
     """The labels of _grown_blocks' children, each cut from its parent's
-    label: u goes in at the end of each block in turn, then after a "|"."""
-    tail, new = f",{u}", f"|{u}"
+    label: u goes in at the end of each block in turn, then after a "|",
+    or alone for u = 0, whose one parent has no blocks."""
+    tail, new = f",{u}", f"|{u}" if u else "0"
     labels: list[str] = []
     for b in blocks:
         label, end = "|".join(b), -1

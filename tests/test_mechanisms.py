@@ -10,7 +10,7 @@ import tracemalloc
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import strategies
@@ -334,6 +334,42 @@ def selection_cases(draw):
     return k, fitness, threshold, draw(st.integers(min_value=1, max_value=60))
 
 
+@st.composite
+def repeated_sums(draw):
+    """(total, w, m) for mechanisms._repeated_sum, m up to 2**13: total a
+    multiple q of u = 2**e, often near the binade's end, and w = i/4 * u,
+    a tie when i/4 is; w a small fraction of total, so that the sums
+    cross binades; a subnormal total with a subnormal w or a weight up to
+    1.0, as a fold starts from 0.0; a total of at least 2**1023; or w of
+    0.0, inf or nan."""
+    kind = draw(st.sampled_from(["grid", "crossing", "subnormal", "huge", "special"]))
+    m = draw(st.integers(min_value=1, max_value=2**13))
+    if kind == "grid":
+        e = draw(st.integers(min_value=-1072, max_value=971))
+        q = draw(st.one_of(
+            st.integers(min_value=2**52, max_value=2**53 - 1),
+            st.integers(min_value=1, max_value=2**13).map(lambda j: 2**53 - j),
+        ))
+        i = draw(st.integers(min_value=1, max_value=2**6) | st.integers(min_value=1, max_value=2**14))
+        return math.ldexp(q, e), math.ldexp(i, e - 2), m
+    if kind == "crossing":
+        total = draw(st.floats(min_value=2.0**-1000, max_value=2.0**1000))
+        shrink = draw(st.floats(min_value=0.5, max_value=1.0))
+        return total, total * shrink * 2.0 ** -draw(st.integers(0, 60)), m
+    if kind == "subnormal":
+        total = draw(st.integers(min_value=0, max_value=2**53 - 1)) * 5e-324
+        w = draw(st.one_of(
+            st.integers(min_value=1, max_value=2**20).map(lambda j: j * 5e-324),
+            st.floats(min_value=0.0, max_value=1.0),
+        ))
+        return total, w, m
+    if kind == "huge":
+        total = draw(st.floats(min_value=2.0**1023, max_value=1.7976931348623157e308))
+        return total, draw(st.floats(min_value=0.0, max_value=2.0**1023)), m
+    total = draw(st.one_of(st.floats(min_value=0.0), st.just(math.inf), st.just(math.nan)))
+    return total, draw(st.sampled_from([0.0, math.inf, math.nan])), m
+
+
 def _outcome(run, *args):
     try:
         trace = run(*args)
@@ -348,6 +384,41 @@ class TestSelectionist:
         # one weight per fitness class gives the weights, snapshots and
         # bytes of one weight per variant
         assert _outcome(run_selectionist, *case) == _outcome(oracles.selection_trace, *case)
+
+    @settings(max_examples=1000)
+    @given(repeated_sums())
+    def test_repeated_sum_is_the_plain_loop(self, case):
+        total, w, m = case
+        want = total
+        for _ in range(m):
+            want += w
+        assert repr(mechanisms._repeated_sum(total, w, m)) == repr(want)
+
+    @pytest.mark.parametrize("k, seed", [(9, 1), (10, 2), (11, 3), (12, 4), (12, 5)])
+    def test_runs_across_pieces_match_per_variant_run(self, k, seed):
+        # runs of 60 to 400 variants, so that runs straddle the multiples
+        # of _PIECE at which the maps' pieces are cut, and culls within a
+        # few steps
+        rng = random.Random(seed)
+        scores = []
+        while len(scores) < 2**k:
+            choices = [s for s in (0.5, 0.75, 1.0, 1.5, 3.0) if not scores or s != scores[-1]]
+            scores += [rng.choice(choices)] * rng.randint(60, 400)
+        del scores[2**k :]
+        ends = [v + 1 for v in range(2**k - 1) if scores[v] != scores[v + 1]]
+        assert any(a // textio._PIECE != (b - 1) // textio._PIECE
+                   for a, b in zip([0, *ends], [*ends, 2**k]))
+        case = (k, Fitness(k, tuple(scores)), 0.5 / 2**k, 8)
+        trace, text = _outcome(run_selectionist, *case)
+        assert (trace, text) == _outcome(oracles.selection_trace, *case)
+        assert trace.final["extinct"] and len(trace.steps) > 2
+
+    def test_all_distinct_scores_match_per_variant_run(self):
+        rng = random.Random(9)
+        case = (9, Fitness(9, tuple(rng.uniform(0.5, 2.0) for _ in range(2**9))), 0.5 / 2**9, 30)
+        trace, text = _outcome(run_selectionist, *case)
+        assert (trace, text) == _outcome(oracles.selection_trace, *case)
+        assert len(trace.final["extinct"]) > 2**8
 
     def test_snapshots_share_no_list_or_map(self):
         # editing one snapshot leaves the others as they were
