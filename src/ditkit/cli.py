@@ -277,34 +277,46 @@ def cmd_lattice(args: SimpleNamespace, limits: Limits) -> int:
     from .partitions import _lattice
 
     labels, covers = _lattice(args.kind, args.n, limits)
-    rows = covers(list(map(str, range(len(labels)))))  # each cover as its position's text
-    del covers  # so the level below goes with the last row, before the nodes are joined
+    names = list(map(str, range(len(labels))))  # each node's position as text
+    rows = covers(names)  # each cover as its name
     if args.dot:
-        _emit(_dot_chunks(labels, rows))
+        chunks = _dot_chunks(names, labels, rows)
     else:
-        _emit(_lattice_json_chunks(args.kind, args.n, labels, rows))
+        chunks = _lattice_json_chunks(args.kind, args.n, names, labels, rows)
+    # the writer alone holds them, so the level below goes with the last
+    # row and the names with the writer's last use, before the nodes are joined
+    del covers, names, rows
+    _emit(chunks)
     return 0
 
 
-def _dot_chunks(labels: list[str], rows: Iterator[list[str]]) -> Iterator[str]:
+_NODES = 256  # DOT node lines per chunk
+
+
+def _dot_chunks(
+    names: list[str], labels: list[str], rows: Iterator[list[str]]
+) -> Iterator[str]:
     yield "digraph lattice {\n  rankdir=BT;\n"
-    for i, text in enumerate(labels):
-        yield f'  n{i} [label="{text}"];\n'
-    for x, ys in enumerate(rows):
+    for a in range(0, len(labels), _NODES):
+        nodes = map(' [label="'.join, zip(names[a:a + _NODES], labels[a:a + _NODES]))
+        yield '  n' + '"];\n  n'.join(nodes) + '"];\n'
+    for ys, name in zip(rows, names):  # rows first, so zip runs the covers out
         if ys:
-            yield f"  n{x} -> n" + f";\n  n{x} -> n".join(ys) + ";\n"
+            edge = f"  n{name} -> n"
+            yield edge + f";\n{edge}".join(ys) + ";\n"
     yield "}\n"
 
 
 def _lattice_json_chunks(
-    kind: str, n: int, labels: list[str], rows: Iterator[list[str]]
+    kind: str, n: int, names: list[str], labels: list[str], rows: Iterator[list[str]]
 ) -> Iterator[str]:
     yield '{"edges": ['
     separator = ""
-    for x, ys in enumerate(rows):
+    for ys, name in zip(rows, names):  # rows first, so zip runs the covers out
         if ys:
-            yield f"{separator}[{x}, " + f"], [{x}, ".join(ys) + "]"
+            yield f"{separator}[{name}, " + f"], [{name}, ".join(ys) + "]"
             separator = ", "
+    del names  # not held while the nodes are joined
     # kind is a choices word and labels hold digits, ',', '|' and braces; json escapes none
     nodes = '", "'.join(labels)
     yield f'], "kind": "{kind}", "n": {n}, "nodes": ["{nodes}"]}}\n'

@@ -90,6 +90,35 @@ def _agreeing(k: int, mask: int, want: int) -> list[int]:
     return block
 
 
+def _select(seq: list, mask: int, want: int) -> list:
+    """The entries of seq, a list of 2**k, at the variants v with
+    v & mask == want, in order, where want & ~mask == 0: always a fresh
+    list, seq itself never. One filter per set switch, lowest first, each
+    C-level slicing: a switch with f free switches below it keeps, from
+    every run of 2 * 2**f entries, the half on its value's side. That is
+    seq[value::2] for f = 0, and otherwise 2**f strided slices zipped
+    together or one slice per run chained, whichever is fewer slices."""
+    if not mask:
+        return seq[:]
+    block, f, i = seq, 0, 0
+    while mask >> i:
+        if mask >> i & 1:
+            half = 1 << f
+            start, step = (want >> i & 1) * half, 2 * half
+            if f == 0:
+                block = block[start::2]
+            elif half * step <= len(block):  # 2**f slices, no more than the runs
+                slices = [block[start + j::step] for j in range(half)]
+                block = list(itertools.chain.from_iterable(zip(*slices)))
+            else:
+                runs = range(start, len(block), step)
+                block = list(itertools.chain.from_iterable(block[a:a + half] for a in runs))
+        else:
+            f += 1
+        i += 1
+    return block
+
+
 class VariantSpace(_Record):
     """All 2**k bitstrings b_k..b_1; switch i controls digit b_i, with
     i = 1 the rightmost (least significant) digit."""
@@ -179,11 +208,16 @@ def set_switch(bank: SwitchBank, i: int, value, overwrite: bool = False) -> Swit
     return SwitchBank(bank.k, tuple(states))
 
 
-def _bank_block(bank: SwitchBank) -> list[int]:
+def _bank_bits(bank: SwitchBank) -> tuple[int, int]:
+    """mask and want of a bank, as _agreeing and _select read them."""
     states = list(enumerate(bank.states))
     mask = sum(1 << i for i, s in states if s is not SwitchState.NEUTRAL)
     want = sum(1 << i for i, s in states if s is SwitchState.ONE)
-    return _agreeing(bank.k, mask, want)
+    return mask, want
+
+
+def _bank_block(bank: SwitchBank) -> list[int]:
+    return _agreeing(bank.k, *_bank_bits(bank))
 
 
 def consistent_block(bank: SwitchBank) -> frozenset[int]:
@@ -556,13 +590,13 @@ def run_generative(
     """
     bank = SwitchBank.neutral(k)  # checks k before the 2**k labels are built
     labels = _labels(k)  # labels[v] is the text of variant v
-    # each snapshot's block is built from its bank's free switches, so a
-    # fresh setting and an overwrite take the same path
+    # each snapshot's block is sliced from the label table by its bank's
+    # set switches, so a fresh setting and an overwrite take the same path
 
     def snapshot() -> dict:
         return {
             "switches": [state.value for state in bank.states],
-            "block": [labels[v] for v in _bank_block(bank)],
+            "block": _select(labels, *_bank_bits(bank)),
         }
 
     steps = [TraceStep(0, None, snapshot())]
@@ -691,10 +725,14 @@ def compare_mechanisms(
     selection = run_selectionist(k, fitness, extinction_threshold, max_steps, limits)
     experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
     generation = run_generative(k, experience)
+    # the survivors are the target alone when every other label is extinct
+    # and the target's is not: an extinct weight is 0.0, a living one at
+    # least the threshold
+    label, final = labels[target], selection.final
     agreement = (
-        selection_survivors(selection)
-        == generative_block(generation)
-        == frozenset({target})
+        len(final["extinct"]) == len(labels) - 1
+        and final["weights"][label] != 0.0
+        and generation.final["block"] == [label]
     )
     return MechanismComparison(k, target, selection, generation, agreement)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from _json import encode_basestring_ascii  # the str encoder of json.dumps
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import TextFormatError
@@ -25,12 +24,15 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:  # for annotations; only the partition formats import it
     from .partitions import Partition
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME_RE = None  # compiled on first use; only eval and sim identify read names
 
 
 def parse_names(text: str) -> tuple[str, ...]:
     """Parse a comma-separated element name list; names must be
     identifier-like and unique."""
+    global _NAME_RE
+    if _NAME_RE is None:
+        _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
     names = tuple(tok.strip() for tok in text.split(","))
     for name in names:
         if not _NAME_RE.match(name):
@@ -208,9 +210,20 @@ def _float_text(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
+def _str_text(s: str) -> str:
+    """s as json's encoder writes it: in quotes as it is when it is
+    printable ASCII without a quote or backslash, else through _json's
+    encoder, which is imported on first use."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    from _json import encode_basestring_ascii
+
+    return encode_basestring_ascii(s)
+
+
 # a leaf's text by exact type, as json's encoder writes it
 _LEAVES = {
-    str: encode_basestring_ascii,
+    str: _str_text,
     int: int.__repr__,
     float: _float_text,
     bool: ("false", "true").__getitem__,
@@ -229,7 +242,7 @@ def _walk(obj, path: set[int]) -> Iterator[str]:
         yield from chunks or _members(obj, "[", zip(_separators(), obj), "]", path)
     elif kind is dict and set(map(type, obj)) <= {str}:
         keys = sorted(obj)
-        prefixes = map("{}{}: ".format, _separators(), map(encode_basestring_ascii, keys))
+        prefixes = map("{}{}: ".format, _separators(), map(_str_text, keys))
         yield from _members(obj, "{", zip(prefixes, map(obj.__getitem__, keys)), "}", path)
     else:  # a value that writes itself, or else json.dumps writes it
         yield from obj._chunks() if hasattr(kind, "_chunks") else (_encode(obj),)
@@ -268,8 +281,8 @@ def _pieces(labels: list[str], starts: Sequence[int]) -> list[list[str]]:
     return pieces
 
 
-# the ASCII characters that json's encoder escapes, read from the encoder
-_ESCAPED = bytes(b for b in range(128) if encode_basestring_ascii(chr(b)) != f'"{chr(b)}"')
+# the ASCII characters that json's encoder escapes: the controls, '"', '\\' and DEL
+_ESCAPED = bytes(range(0x20)) + b'"\\\x7f'
 
 
 def _label_chunks(items: list) -> list[str] | None:

@@ -9,7 +9,8 @@ permutation of the universe, a distinction-set evaluator that composes
 raw set operations with the fixpoint interior at every node, and recursive
 two-valued and frozenset evaluators with the truth-table, subset and
 partition scans built on them, the block of switch settings by a
-per-switch scan of every variant, the selectionist run with one
+per-switch scan of every variant, a comparison's agreement as a test
+on the sets of its final states, the selectionist run with one
 weight per variant, and the formula lexer as a character loop. The
 three verdict scans also come in a bottom-up form for many formulas at
 once, which builds each subformula's values from its children's over
@@ -29,7 +30,7 @@ import operator
 from ditkit import formulas, validity
 from ditkit.errors import FormulaSyntaxError
 from ditkit.formulas import And, Const, Iff, Implies, Not, Or, Var
-from ditkit.mechanisms import Trace, TraceStep
+from ditkit.mechanisms import Trace, TraceStep, generative_block, selection_survivors
 from ditkit.partitions import _BOOLEAN, Partition, _blocks_of, _dit_mask
 
 Pair = tuple[int, int]
@@ -465,6 +466,14 @@ def switch_block(k: int, settings: dict[int, int]) -> frozenset[int]:
         else:
             block.append(v)
     return frozenset(block)
+
+
+def comparison_agrees(result) -> bool:
+    """A comparison's agreement as a set test on both final states: the
+    selectionist survivors and the generative block are each the target
+    alone."""
+    target = frozenset({result.target})
+    return selection_survivors(result.selectionist) == generative_block(result.generative) == target
 
 
 def selection_trace(k: int, fitness, extinction_threshold: float, max_steps: int) -> Trace:

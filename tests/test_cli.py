@@ -986,13 +986,13 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
          {"ditkit.mechanisms", "ditkit.textio", "json", "_json"}),
         (["taut", "p &", "--logic", "truth"], 2, {"ditkit.mechanisms", "json"}),
         (["compare", "--k", "3", "--target", "010"], 0,
-         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json"}),
+         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json", "_json"}),
         (["sim", "generate", "--k", "3", "--events", "1=0"], 0,
-         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json"}),
+         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json", "_json"}),
         (["sim", "twentyq", "--k", "3", "--answers", "0,1"], 0,
-         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json"}),
+         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json", "_json"}),
         (["sim", "select", "--k", "3", "--fitness", "peak@010"], 0,
-         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json"}),
+         {"ditkit.formulas", "ditkit.validity", "ditkit.partitions", "json", "_json"}),
         (["lattice", "--kind", "partition", "--n", "4"], 0,
          {"ditkit.mechanisms", "ditkit.formulas", "ditkit.validity", "ditkit.textio", "json",
           "_json"}),

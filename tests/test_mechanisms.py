@@ -234,6 +234,61 @@ class TestSwitches:
         assert consistent_block(SwitchBank(30, tuple(states))) == frozenset({target})
 
 
+def _settings_bits(settings: dict[int, int]) -> tuple[int, int]:
+    mask = sum(1 << (i - 1) for i in settings)
+    want = sum(value << (i - 1) for i, value in settings.items())
+    return mask, want
+
+
+class TestSelect:
+    """mechanisms._select slices the entries of a bank's block out of a
+    table of all 2**k, strided for switches with few free ones below
+    them and by runs otherwise."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_every_bank_on_ints_and_labels(self, k):
+        # every bank of k three-state switches: 3**k of them
+        ints, labels = list(range(2**k)), mechanisms._labels(k)
+        for states in itertools.product((None, 0, 1), repeat=k):
+            settings = {i: s for i, s in enumerate(states, start=1) if s is not None}
+            expected = sorted(oracles.switch_block(k, settings))
+            mask, want = _settings_bits(settings)
+            assert mechanisms._select(ints, mask, want) == expected, settings
+            assert mechanisms._select(labels, mask, want) == [labels[v] for v in expected]
+
+    @pytest.mark.parametrize("overwrite", [False, True], ids=["set once", "overwrite"])
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_seeded_event_sequences(self, k, overwrite):
+        rng = random.Random(f"select {k} {overwrite}")
+        for _ in range(3):
+            if overwrite:  # switches may repeat, so settings are overwritten
+                switches = [rng.randint(1, k) for _ in range(k + 4)]
+            else:
+                switches = rng.sample(range(1, k + 1), rng.randint(1, k))
+            experience = [(i, rng.randint(0, 1)) for i in switches]
+            trace = run_generative(k, experience, overwrite=overwrite)
+            settings: dict[int, int] = {}
+            for step, event in zip(trace.steps, [None, *experience]):
+                if event is not None:
+                    settings[event[0]] = event[1]
+                expected = sorted(oracles.switch_block(k, settings))
+                assert step.state["block"] == [format(v, f"0{k}b") for v in expected]
+
+    def test_blocks_are_fresh_lists(self):
+        k = 4
+        labels = mechanisms._labels(k)  # held, so the table lives through the run
+        before = list(labels)
+        assert mechanisms._select(labels, 0, 0) is not labels
+        trace = run_generative(k, [(3, 1), (1, 0), (2, 1), (4, 0)])
+        for step in trace.steps:
+            block = step.state["block"]
+            assert block is not labels
+            block[0] = "x"
+            block.append("y")
+        assert mechanisms._labels(k) is labels
+        assert labels == before
+
+
 class TestFitness:
     def test_uniform_and_peaked(self):
         f = Fitness.uniform(2)
@@ -716,6 +771,20 @@ class TestCompare:
             assert selection_survivors(result.selectionist) == frozenset({target})
             assert generative_block(result.generative) == frozenset({target})
 
+    @pytest.mark.parametrize("max_steps", [1, 2, None], ids=["1 step", "2 steps", "default"])
+    @pytest.mark.parametrize("margin", [1.0, 1e-3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_agreement_is_the_set_test(self, k, margin, max_steps):
+        # read off the final states, agreement is the set test it replaced,
+        # on runs that converge and on runs stopped short of it
+        agreements = set()
+        for target in range(2**k):
+            result = compare_mechanisms(k, target, margin, max_steps=max_steps)
+            assert result.agreement is oracles.comparison_agrees(result), target
+            agreements.add(result.agreement)
+        if max_steps is None:
+            assert agreements == {True}
+
     def test_margin_must_be_positive(self):
         with pytest.raises(InvalidFitnessError):
             compare_mechanisms(2, 1, 0.0)
@@ -834,6 +903,25 @@ class TestJsonBytes:
     @given(strategies.json_documents())
     def test_any_document(self, document):
         _assert_chunks_match_dumps(document)
+
+    def test_escaped_bytes_are_the_encoders(self):
+        # textio states them without loading _json; they must be the ones it escapes
+        from _json import encode_basestring_ascii
+
+        ascii_chars = map(chr, range(128))
+        escaped = bytes(ord(c) for c in ascii_chars if encode_basestring_ascii(c) != f'"{c}"')
+        assert textio._ESCAPED == escaped
+
+    # any code point, lone surrogates among them, and the characters
+    # json escapes or writes as \u sequences
+    @given(st.text(alphabet=st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('"\\\x00\x1f\x7f\x80\u00e9\ud800\udfff\U0001f600 0'),
+    )))
+    def test_str_text_is_the_encoders(self, text):
+        from _json import encode_basestring_ascii
+
+        assert textio._str_text(text) == encode_basestring_ascii(text)
 
     @pytest.mark.parametrize(
         "document",
