@@ -96,22 +96,18 @@ def _select(seq: list, mask: int, want: int) -> list:
     list, seq itself never. One filter per set switch, lowest first, each
     C-level slicing: a switch with f free switches below it keeps, from
     every run of 2 * 2**f entries, the half on its value's side. That is
-    seq[value::2] for f = 0, and otherwise 2**f strided slices zipped
-    together or one slice per run chained, whichever is fewer slices."""
+    seq[value::2] for f = 0, and otherwise one slice per run, chained."""
     if not mask:
         return seq[:]
     block, f, i = seq, 0, 0
     while mask >> i:
         if mask >> i & 1:
             half = 1 << f
-            start, step = (want >> i & 1) * half, 2 * half
+            start = (want >> i & 1) * half
             if f == 0:
                 block = block[start::2]
-            elif half * step <= len(block):  # 2**f slices, no more than the runs
-                slices = [block[start + j::step] for j in range(half)]
-                block = list(itertools.chain.from_iterable(zip(*slices)))
             else:
-                runs = range(start, len(block), step)
+                runs = range(start, len(block), 2 * half)
                 block = list(itertools.chain.from_iterable(block[a:a + half] for a in runs))
         else:
             f += 1

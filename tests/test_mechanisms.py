@@ -242,8 +242,8 @@ def _settings_bits(settings: dict[int, int]) -> tuple[int, int]:
 
 class TestSelect:
     """mechanisms._select slices the entries of a bank's block out of a
-    table of all 2**k, strided for switches with few free ones below
-    them and by runs otherwise."""
+    table of all 2**k: strided for a switch with no free one below it,
+    by runs otherwise."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_every_bank_on_ints_and_labels(self, k):
@@ -904,13 +904,17 @@ class TestJsonBytes:
     def test_any_document(self, document):
         _assert_chunks_match_dumps(document)
 
-    def test_escaped_bytes_are_the_encoders(self):
-        # textio states them without loading _json; they must be the ones it escapes
+    def test_ascii_escapes_are_the_encoders(self):
+        # textio decides without loading _json which characters need an
+        # escape, for a str leaf and for a list of labels alike
         from _json import encode_basestring_ascii
 
-        ascii_chars = map(chr, range(128))
-        escaped = bytes(ord(c) for c in ascii_chars if encode_basestring_ascii(c) != f'"{c}"')
-        assert textio._ESCAPED == escaped
+        for c in map(chr, range(128)):
+            text = encode_basestring_ascii(c)
+            assert textio._str_text(c) == text
+            items = ["0", c + "1", "1" + c]
+            assert (textio._label_chunks(items) is None) == (text != f'"{c}"'), repr(c)
+            assert "".join(textio._json_chunks(items)) == json.dumps(items)
 
     # any code point, lone surrogates among them, and the characters
     # json escapes or writes as \u sequences
