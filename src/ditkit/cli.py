@@ -349,7 +349,7 @@ def _write_json(document: dict) -> None:
 
 
 def cmd_sim_select(args: SimpleNamespace, limits: Limits) -> int:
-    from .mechanisms import Fitness, _check_switch_bits, _labels, run_selectionist
+    from .mechanisms import Fitness, _check_switch_bits, _labels, _selection
     from .textio import parse_variant
 
     _check_switch_bits(args.k, limits)
@@ -365,8 +365,8 @@ def cmd_sim_select(args: SimpleNamespace, limits: Limits) -> int:
         except (OSError, UnicodeError) as exc:
             raise TextFormatError(f"cannot read fitness file: {exc}") from None
     threshold = args.threshold if args.threshold is not None else 0.5 / 2**args.k
-    trace = run_selectionist(args.k, fitness, threshold, args.max_steps, limits)
-    _write_json(trace.to_json_dict())
+    trace, _ = _selection(args.k, fitness, threshold, args.max_steps, limits)
+    _write_json(trace.to_json_dict())  # each map is written from its compact state
     return 0
 
 
@@ -414,20 +414,13 @@ def cmd_sim_twentyq(args: SimpleNamespace, limits: Limits) -> int:
 
 
 def cmd_compare(args: SimpleNamespace, limits: Limits) -> int:
-    from .mechanisms import _check_switch_bits, compare_mechanisms
+    from .mechanisms import _check_switch_bits, _comparison
     from .textio import parse_variant
 
     _check_switch_bits(args.k, limits)
     target = parse_variant(args.target, args.k)
-    result = compare_mechanisms(
-        args.k,
-        target,
-        args.margin,
-        extinction_threshold=args.threshold,
-        max_steps=args.max_steps,
-        limits=limits,
-    )
-    _write_json(result.to_json_dict())
+    result, _ = _comparison(args.k, target, args.margin, args.threshold, args.max_steps, limits)
+    _write_json(result.to_json_dict())  # each map is written from its compact state
     return 0
 
 

@@ -429,14 +429,34 @@ def _repeated_sum(total: float, w: float, m: int) -> float:
     return total
 
 
-class _WeightMap(dict):
-    """A selectionist snapshot's weights by variant label, read-only: a
-    dict that keeps its run's pieces and class weights, from which
-    textio's JSON writer takes its _chunks(). Edits go to a copy:
-    m.copy(), dict(m), and a copy, deep copy or pickle of it are plain
-    dicts."""
+class _Weights:
+    """A selectionist snapshot's weights by variant label, compact: its
+    run's pieces, which every snapshot of the run shares, and the weight
+    of each fitness class. textio's JSON writer takes its _chunks(), and
+    run_selectionist fills a read-only dict from it."""
 
     __slots__ = ("_pieces", "_weights")
+
+    def __init__(self, pieces: list[tuple[int, list[str]]], weights: list[float]) -> None:
+        self._pieces, self._weights = pieces, weights
+
+    def _chunks(self) -> list[str]:
+        """The text of json.dumps of its map, sort_keys=True: '{"', one
+        chunk per piece of its run, and the last weight with "}"; each
+        class weight is rendered once."""
+        weights = self._weights
+        separators = [f'": {w!r}, "' for w in weights]  # a run's weights are finite
+        body = [separators[c].join(piece) for c, piece in self._pieces]
+        return ['{"', *body, f'": {weights[self._pieces[-1][0]]!r}}}']
+
+
+class _WeightMap(dict):
+    """A selectionist snapshot's weights by variant label, read-only: a
+    dict filled from its compact _Weights, which writes it. Edits go to
+    a copy: m.copy(), dict(m), and a copy, deep copy or pickle of it are
+    plain dicts."""
+
+    __slots__ = ("_compact",)
 
     def __reduce__(self):
         return dict, (dict(self),)
@@ -448,35 +468,17 @@ class _WeightMap(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
     def _chunks(self) -> list[str]:
-        """The text of json.dumps(self, sort_keys=True): '{"', one chunk
-        per piece of its run, and the last weight with "}"; each class
-        weight is rendered once."""
-        weights = self._weights
-        separators = [f'": {w!r}, "' for w in weights]  # a run's weights are finite
-        body = [separators[c].join(piece) for c, piece in self._pieces]
-        return ['{"', *body, f'": {weights[self._pieces[-1][0]]!r}}}']
+        return self._compact._chunks()
 
 
-def run_selectionist(
-    k: int,
-    fitness: Fitness,
-    extinction_threshold: float,
-    max_steps: int,
-    limits: Limits = DEFAULT_LIMITS,
-) -> Trace:
-    """Differential amplification over all 2**k variants.
-
-    Weights start uniform. Each step multiplies every surviving weight
-    by its fitness, renormalizes, extinguishes variants whose weight
-    fell below the threshold (permanently: their weight stays 0), and
-    renormalizes the survivors. The run stops when the survivors are
-    exactly the argmax set of the fitness, or after max_steps.
-
-    The threshold must lie strictly between 0 and the uniform initial
-    weight 1/2**k, so nothing is extinct at the start and the top
-    weight can never be culled. max_steps is an int from 1 to the
-    limits' max_selection_steps.
-    """
+def _selection(
+    k: int, fitness: Fitness, extinction_threshold: float, max_steps: int, limits: Limits
+) -> tuple[Trace, list[tuple[int, list[str]]]]:
+    """run_selectionist without its dicts. Returns the trace with each
+    step's compact state, {"weights": a _Weights, "extinct": the extinct
+    labels}, where steps with the same extinct variants share one list;
+    and the runs of the variant space in order, each a fitness class and
+    the labels of its run, from which _filled fills the maps."""
     _check_k(k)
     if fitness.k != k:
         raise InvalidFitnessError(f"fitness is for k={fitness.k}, expected {k}")
@@ -512,24 +514,9 @@ def run_selectionist(
     starts = sorted({0, *ends[:-1], *range(0, size, _PIECE)})  # a run's start, or a multiple
     pieces = [(classes[fitness.scores[a]], piece)
               for a, piece in zip(starts, _pieces(labels, starts))]
-    # a snapshot fills every label with the weight of the largest class,
-    # then the other labels with their own; fromkeys over a dict presizes
-    # the map and reuses the labels' hashes
-    keys = dict.fromkeys(labels)
-    major = counts.index(max(counts))  # the first largest class
-    minor_labels = list(itertools.chain.from_iterable(
-        itertools.compress(run_labels, map(major.__ne__, run_of))
-    ))
-    minor_of = [c for c, m in runs if c != major for _ in range(m)]
     weights = [1.0 / size] * len(distinct)
     extinct: set[int] = set()
     extinct_labels: list[str] = []
-
-    def snapshot() -> dict:
-        weight_map = _WeightMap(dict.fromkeys(keys, weights[major]))
-        dict.update(weight_map, zip(minor_labels, map(weights.__getitem__, minor_of)))
-        weight_map._pieces, weight_map._weights = pieces, weights
-        return {"weights": weight_map, "extinct": extinct_labels.copy()}
 
     def normalised(weights: list[float]) -> list[float]:
         total = 0.0  # 0.0 + w is w, so the fold starts at the first weight
@@ -540,7 +527,7 @@ def run_selectionist(
                 total = _repeated_sum(total, weights[c], m)
         return [w / total for w in weights]
 
-    steps = [TraceStep(0, None, snapshot())]
+    steps = [TraceStep(0, None, {"weights": _Weights(pieces, weights), "extinct": extinct_labels})]
     t = 0
     while len(extinct_labels) + counts[top] < size and t < max_steps:
         t += 1
@@ -555,17 +542,67 @@ def run_selectionist(
             extinct_labels = list(itertools.chain.from_iterable(
                 itertools.compress(run_labels, map(extinct.__contains__, run_of))
             ))
-        steps.append(TraceStep(t, {"kind": "amplify"}, snapshot()))
-    return Trace(
-        "selectionist",
-        k,
-        tuple(steps),
-        params={
-            "fitness": fitness,
-            "extinction_threshold": extinction_threshold,
-            "max_steps": max_steps,
-        },
-    )
+        state = {"weights": _Weights(pieces, weights), "extinct": extinct_labels}
+        steps.append(TraceStep(t, {"kind": "amplify"}, state))
+    params = {"fitness": fitness, "extinction_threshold": extinction_threshold,
+              "max_steps": max_steps}
+    return Trace("selectionist", k, tuple(steps), params), list(zip(run_of, run_labels))
+
+
+def _filled(trace: Trace, runs: list[tuple[int, list[str]]]) -> Trace:
+    """A compact selectionist trace, as _selection gives it with its
+    runs, with each step's weights filled into a read-only dict keyed in
+    variant order and a list of extinct labels of its own."""
+    counts: dict[int, int] = {}  # by class, in class order
+    for c, run in runs:
+        counts[c] = counts.get(c, 0) + len(run)
+    major = max(counts, key=counts.__getitem__)  # the first largest class
+    # a map fills every label with the weight of the largest class, then
+    # the other labels with their own; fromkeys over a dict presizes the
+    # map and reuses the labels' hashes
+    keys = dict.fromkeys(itertools.chain.from_iterable(run for _, run in runs))
+    minor = [(c, run) for c, run in runs if c != major]
+    minor_labels = list(itertools.chain.from_iterable(run for _, run in minor))
+    minor_of = [c for c, run in minor for _ in run]
+
+    def filled(state: dict) -> dict:
+        compact = state["weights"]
+        weights = compact._weights
+        weight_map = _WeightMap(dict.fromkeys(keys, weights[major]))
+        dict.update(weight_map, zip(minor_labels, map(weights.__getitem__, minor_of)))
+        weight_map._compact = compact
+        return {"weights": weight_map, "extinct": state["extinct"].copy()}
+
+    steps = tuple(TraceStep(s.index, s.event, filled(s.state)) for s in trace.steps)
+    return Trace(trace.mechanism, trace.k, steps, trace.params)
+
+
+def run_selectionist(
+    k: int,
+    fitness: Fitness,
+    extinction_threshold: float,
+    max_steps: int,
+    limits: Limits = DEFAULT_LIMITS,
+) -> Trace:
+    """Differential amplification over all 2**k variants.
+
+    Weights start uniform. Each step multiplies every surviving weight
+    by its fitness, renormalizes, extinguishes variants whose weight
+    fell below the threshold (permanently: their weight stays 0), and
+    renormalizes the survivors. The run stops when the survivors are
+    exactly the argmax set of the fitness, or after max_steps.
+
+    The threshold must lie strictly between 0 and the uniform initial
+    weight 1/2**k, so nothing is extinct at the start and the top
+    weight can never be culled. max_steps is an int from 1 to the
+    limits' max_selection_steps.
+
+    Each step's state holds its weights as a read-only dict from every
+    variant's label, in variant order, and its extinct labels as a list
+    of its own. The run itself keeps one weight per fitness class; the
+    dicts are filled from it at the end.
+    """
+    return _filled(*_selection(k, fitness, extinction_threshold, max_steps, limits))
 
 
 def selection_survivors(trace: Trace) -> frozenset[int]:
@@ -689,6 +726,40 @@ class MechanismComparison(_Record):
     to_json = _to_json
 
 
+def _comparison(
+    k: int, target: int, fitness_margin: float, extinction_threshold: float | None,
+    max_steps: int | None, limits: Limits,
+) -> tuple[MechanismComparison, list[tuple[int, list[str]]]]:
+    """compare_mechanisms with its selectionist trace compact, as
+    _selection gives it, and the runs that fill it."""
+    fitness = Fitness.peaked(k, target, fitness_margin)
+    if extinction_threshold is None:
+        extinction_threshold = 0.5 / 2**k
+    _check_threshold(k, extinction_threshold)  # before the step count, which needs it
+    if max_steps is None:
+        steps = math.log(1.0 / extinction_threshold) / math.log1p(fitness_margin)
+        # a subnormal margin or threshold overflows steps to inf, which the cap refuses
+        max_steps = math.ceil(steps) + 2 if math.isfinite(steps) else steps
+    _check_steps(max_steps, limits)  # before the label table is built
+    labels = _labels(k)  # held, so that both runs read one table
+    selection, runs = _selection(k, fitness, extinction_threshold, max_steps, limits)
+    experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
+    generation = run_generative(k, experience)
+    # the survivors are the target alone when every other label is extinct
+    # and the target's is not: an extinct weight is 0.0, a living one at
+    # least the threshold. The target's weight is that of the class of the
+    # run that holds it.
+    ends = itertools.accumulate(len(run) for _, run in runs)
+    target_class = next(c for (c, _), end in zip(runs, ends) if target < end)
+    final = selection.final
+    agreement = (
+        len(final["extinct"]) == len(labels) - 1
+        and final["weights"]._weights[target_class] != 0.0
+        and generation.final["block"] == [labels[target]]
+    )
+    return MechanismComparison(k, target, selection, generation, agreement), runs
+
+
 def compare_mechanisms(
     k: int,
     target: int,
@@ -707,30 +778,14 @@ def compare_mechanisms(
     as many steps as the target needs to push every other variant below
     the threshold; like a given max_steps, that may not exceed the
     limits' max_selection_steps.
+
+    The selectionist trace is run_selectionist's, read-only weight dicts
+    and all: agreement is decided on the run's compact final state, and
+    the dicts are filled from its states after.
     """
-    fitness = Fitness.peaked(k, target, fitness_margin)
-    if extinction_threshold is None:
-        extinction_threshold = 0.5 / 2**k
-    _check_threshold(k, extinction_threshold)  # before the step count, which needs it
-    if max_steps is None:
-        steps = math.log(1.0 / extinction_threshold) / math.log1p(fitness_margin)
-        # a subnormal margin or threshold overflows steps to inf, which the cap refuses
-        max_steps = math.ceil(steps) + 2 if math.isfinite(steps) else steps
-    _check_steps(max_steps, limits)  # before the label table is built
-    labels = _labels(k)  # held, so that both runs read one table
-    selection = run_selectionist(k, fitness, extinction_threshold, max_steps, limits)
-    experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
-    generation = run_generative(k, experience)
-    # the survivors are the target alone when every other label is extinct
-    # and the target's is not: an extinct weight is 0.0, a living one at
-    # least the threshold
-    label, final = labels[target], selection.final
-    agreement = (
-        len(final["extinct"]) == len(labels) - 1
-        and final["weights"][label] != 0.0
-        and generation.final["block"] == [label]
-    )
-    return MechanismComparison(k, target, selection, generation, agreement)
+    result, runs = _comparison(k, target, fitness_margin, extinction_threshold, max_steps, limits)
+    selection = _filled(result.selectionist, runs)
+    return MechanismComparison(k, target, selection, result.generative, result.agreement)
 
 
 def replay(trace: Trace, limits: Limits = DEFAULT_LIMITS) -> Trace:

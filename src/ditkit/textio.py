@@ -184,12 +184,13 @@ def _json_chunks(obj) -> Iterator[str]:
     int, float, bool and None items are written as json's encoder writes
     them. A list of strings that need no escapes is joined in pieces of
     at most _PIECE strings. A value whose type defines _chunks() writes
-    itself, as a selectionist run's read-only weight map does from its
-    run's pieces. Anything else (a dict with a key that is not a str, an
-    instance of another subclass) goes to json.dumps whole. The walk
-    keeps only the ids of the containers on its path, as json's markers
-    do, so a cycle raises json's ValueError. It holds no chunk once it
-    is yielded: a value that appears twice is written twice."""
+    itself, as a selectionist snapshot's weights do from its run's
+    pieces, compact or filled into a read-only dict. Anything else (a
+    dict with a key that is not a str, an instance of another subclass)
+    goes to json.dumps whole. The walk keeps only the ids of the
+    containers on its path, as json's markers do, so a cycle raises
+    json's ValueError. It holds no chunk once it is yielded: a value
+    that appears twice is written twice."""
     return _walk(obj, set())
 
 

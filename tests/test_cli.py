@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ditkit
-from ditkit import Limits, cli, mechanisms, textio, validity
+from ditkit import Fitness, Limits, cli, mechanisms, textio, validity
 from ditkit.cli import main
 from ditkit.partitions import _lattice
 
@@ -518,6 +519,131 @@ class TestMechanismGolden:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[case]
+
+
+class _Discard:
+    """A stdout that drops what is written to it."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+_SELECT_K12 = [
+    "--max-switch-bits", "12", "sim", "select", "--k", "12", "--fitness", "peak@010110100101",
+]
+
+
+class TestCompactTraces:
+    """compare and sim select write each selectionist map from its run's
+    compact state, where the library fills a read-only dict: the bytes
+    are the library's to_json() and a newline all the same."""
+
+    @staticmethod
+    def _assert_library_bytes(capsys, argv: list[str], document) -> None:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, document.to_json() + "\n", ""), argv
+
+    @pytest.mark.parametrize("max_steps", [1, 2, None], ids=["1 step", "2 steps", "default"])
+    @pytest.mark.parametrize("margin", [1.0, 1e-3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_compare_every_target(self, capsys, k, margin, max_steps):
+        steps = [] if max_steps is None else ["--max-steps", str(max_steps)]
+        for target in range(2**k):
+            argv = ["compare", "--k", str(k), "--target", format(target, f"0{k}b"),
+                    "--margin", repr(margin), *steps]
+            result = mechanisms.compare_mechanisms(k, target, margin, max_steps=max_steps)
+            self._assert_library_bytes(capsys, argv, result)
+
+    @pytest.mark.parametrize(
+        "k, target, margin, threshold, max_steps",
+        [(4, 0b0110, 0.25, 0.01, None), (3, 0b101, 1e-300, None, 5)],
+        ids=["threshold", "margin lost in rounding"],  # 1 + 1e-300 == 1: one fitness class
+    )
+    def test_compare_options(self, capsys, k, target, margin, threshold, max_steps):
+        argv = ["compare", "--k", str(k), "--target", format(target, f"0{k}b"),
+                "--margin", repr(margin)]
+        argv += [] if threshold is None else ["--threshold", repr(threshold)]
+        argv += [] if max_steps is None else ["--max-steps", str(max_steps)]
+        result = mechanisms.compare_mechanisms(
+            k, target, margin, extinction_threshold=threshold, max_steps=max_steps
+        )
+        self._assert_library_bytes(capsys, argv, result)
+
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_compare_seeded_targets(self, capsys, k):
+        limits = Limits().replaced(max_switch_bits=12)
+        for target in random.Random(k).sample(range(2**k), 3):
+            argv = ["--max-switch-bits", "12", "compare", "--k", str(k),
+                    "--target", format(target, f"0{k}b")]
+            result = mechanisms.compare_mechanisms(k, target, 1.0, limits=limits)
+            self._assert_library_bytes(capsys, argv, result)
+
+    @pytest.mark.parametrize("fitness", ["peak", "uniform file", "random file"])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_select(self, capsys, tmp_path, k, fitness):
+        rng = random.Random(k)
+        threshold = 0.5 / 2**k
+        if fitness == "peak":
+            target = rng.randrange(2**k)
+            argv = ["--fitness", f"peak@{target:0{k}b}", "--margin", "0.5"]
+            scores = Fitness.peaked(k, target, 0.5)
+        else:
+            if fitness == "uniform file":
+                scores = Fitness.uniform(k)
+            else:  # repeated scores, so that runs of a class and ties for the top occur
+                scores = Fitness(k, tuple(rng.choice([0.5, 1.0, 1.5, 3.0]) for _ in range(2**k)))
+            path = tmp_path / "fitness.txt"
+            path.write_text("".join(f"{v:0{k}b} {s!r}\n" for v, s in enumerate(scores.scores)))
+            argv = ["--fitness", str(path)]
+        trace = mechanisms.run_selectionist(k, scores, threshold, 1000)
+        self._assert_library_bytes(capsys, ["sim", "select", "--k", str(k), *argv], trace)
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (_MECHANISM_CASES["compare k=12"], TestMechanismGolden.GOLDEN["compare k=12"]),
+            (_SELECT_K12, "40842d84737868b747565c15ff183376dc4c80e4a1f9fe545e57f3403fa1a487"),
+        ],
+        ids=["compare", "select"],
+    )
+    def test_cli_fills_no_dict(self, monkeypatch, argv, digest):
+        def refuse(*args):
+            raise AssertionError("the CLI filled a weight dict")
+
+        rendered = []
+        chunks = mechanisms._Weights._chunks
+        monkeypatch.setattr(mechanisms, "_WeightMap", refuse)
+        monkeypatch.setattr(mechanisms._Weights, "_chunks",
+                            lambda m: rendered.append(m) or chunks(m))
+        stdout = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(argv)
+        monkeypatch.undo()
+        assert code == 0
+        assert hashlib.sha256("".join(stdout.writes).encode()).hexdigest() == digest
+        # one render per step and one for "final", each of a compact state
+        steps = json.loads("".join(stdout.writes))
+        steps = steps.get("selectionist", steps)["steps"]
+        assert len(rendered) == len(steps) + 1
+        assert {type(m) for m in rendered} == {mechanisms._Weights}
+
+    def test_compare_at_twelve_holds_no_dicts(self, monkeypatch):
+        # 14 filled 4096-entry dicts took the traced peak of this call to
+        # 2.0 MiB; from compact states it is about 0.62 MiB
+        argv = _MECHANISM_CASES["compare k=12"]
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        assert main(argv) == 0  # imports and first-use caches are not counted
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20
 
 
 class TestArgHandling:

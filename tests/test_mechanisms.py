@@ -475,6 +475,27 @@ class TestSelectionist:
         assert (trace, text) == _outcome(oracles.selection_trace, *case)
         assert len(trace.final["extinct"]) > 2**8
 
+    @pytest.mark.parametrize("fitness", ["peaked", "scattered"])
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    def test_filled_maps_are_the_per_variant_maps(self, k, fitness):
+        # each step's read-only dict, filled from its compact state, holds
+        # the per-variant run's {labels[v]: weight}, key for key in variant
+        # order
+        rng = random.Random(k)
+        if fitness == "peaked":
+            scores = Fitness.peaked(k, rng.randrange(2**k), 1.0)
+        else:
+            scores = Fitness(k, tuple(rng.choice([0.5, 1.0, 1.5, 3.0]) for _ in range(2**k)))
+        case = (k, scores, 0.5 / 2**k, 40)
+        trace, oracle = run_selectionist(*case), oracles.selection_trace(*case)
+        assert len(trace.steps) == len(oracle.steps) > 1
+        for step, want in zip(trace.steps, oracle.steps):
+            weights = step.state["weights"]
+            assert type(weights) is mechanisms._WeightMap
+            assert type(weights._compact) is mechanisms._Weights
+            assert list(weights.items()) == list(want.state["weights"].items())
+            assert step.state["extinct"] == want.state["extinct"]
+
     def test_snapshots_share_no_list_or_map(self):
         # editing one snapshot leaves the others as they were
         trace = run_selectionist(2, Fitness(2, (4.0, 2.0, 1.0, 1.0)), 0.2, 20)
@@ -500,8 +521,8 @@ class TestSelectionist:
         }[fitness]
         labels = mechanisms._labels(k)
         trace = run_selectionist(k, Fitness(k, tuple(scores)), 0.5 / 2**k, 1)
-        pieces = trace.final["weights"]._pieces
-        assert all(step.state["weights"]._pieces is pieces for step in trace.steps)
+        pieces = trace.final["weights"]._compact._pieces
+        assert all(step.state["weights"]._compact._pieces is pieces for step in trace.steps)
         assert all(piece[-1] == "" for _, piece in pieces[:-1])
         assert pieces[-1][1][-1] != ""
         body = [piece[:-1] for _, piece in pieces[:-1]] + [pieces[-1][1]]
@@ -1070,37 +1091,39 @@ class TestJsonBytes:
         assert trace.to_json() == _dumped(trace)
 
     def test_snapshots_render_from_the_run_pieces(self, monkeypatch):
-        # every weight map of a peaked run renders from the pieces that its
-        # run built once, and nothing falls back to json.dumps
+        # every weight map of a peaked run renders from its compact state,
+        # which holds the pieces that its run built once, and nothing falls
+        # back to json.dumps
         limits = Limits().replaced(max_switch_bits=12)
         trace = compare_mechanisms(12, 1234, 1.0, limits=limits).selectionist
         maps = [step.state["weights"] for step in trace.steps]
-        pieces = maps[0]._pieces
-        assert all(m._pieces is pieces for m in maps)
+        compacts = [m._compact for m in maps]
+        pieces = compacts[0]._pieces
+        assert all(type(c) is mechanisms._Weights and c._pieces is pieces for c in compacts)
         encoded = []
         encode = textio._encode
         monkeypatch.setattr(textio, "_encode", lambda obj: encoded.append(obj) or encode(obj))
-        for m in maps:
-            assert "".join(m._chunks()) == json.dumps(m, sort_keys=True)
+        for m, c in zip(maps, compacts):
+            assert "".join(c._chunks()) == "".join(m._chunks()) == json.dumps(m, sort_keys=True)
         assert trace.to_json() == _dumped(trace)
         assert encoded == []
 
     def test_each_appearance_renders(self, monkeypatch):
         # the final map is the last step's, and the writer keeps no text
         # between values: that map is written under "final" and again at
-        # the last step, one _chunks() call each
+        # the last step, one _chunks() call each of its compact state
         limits = Limits().replaced(max_switch_bits=12)
         result = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits)
         steps = result.selectionist.steps
         assert result.selectionist.final["weights"] is steps[-1].state["weights"]
         rendered = []
-        chunks = mechanisms._WeightMap._chunks
+        chunks = mechanisms._Weights._chunks
         monkeypatch.setattr(
-            mechanisms._WeightMap, "_chunks", lambda m: rendered.append(m) or chunks(m)
+            mechanisms._Weights, "_chunks", lambda m: rendered.append(m) or chunks(m)
         )
         assert result.to_json() == _dumped(result)
         order = [steps[-1], *steps]  # "final" sorts before "steps"
-        assert [id(m) for m in rendered] == [id(step.state["weights"]) for step in order]
+        assert [id(m) for m in rendered] == [id(step.state["weights"]._compact) for step in order]
 
     @staticmethod
     def _run() -> Trace:
