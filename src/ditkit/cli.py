@@ -276,29 +276,31 @@ def cmd_lattice(args: SimpleNamespace, limits: Limits) -> int:
     "edges", or of the DOT listing with one line per node and edge."""
     from .partitions import _lattice
 
-    labels, covers = _lattice(args.kind, args.n, limits)
-    names = list(map(str, range(len(labels))))  # each node's position as text
+    count, labels, covers = _lattice(args.kind, args.n, limits)
+    names = list(map(str, range(count)))  # each node's position as text
     rows = covers(names)  # each cover as its name
     if args.dot:
         chunks = _dot_chunks(names, labels, rows)
     else:
         chunks = _lattice_json_chunks(args.kind, args.n, names, labels, rows)
     # the writer alone holds them, so the level below goes with the last
-    # row and the names with the writer's last use, before the nodes are joined
-    del covers, names, rows
+    # row, the names with the writer's last use, and the blocks the labels
+    # are cut from with the writer, as the DOT one stops at the last label
+    del covers, names, rows, labels
     _emit(chunks)
     return 0
 
 
-_NODES = 256  # DOT node lines per chunk
+_NODES = 256  # node lines or labels per chunk
 
 
 def _dot_chunks(
-    names: list[str], labels: list[str], rows: Iterator[list[str]]
+    names: list[str], labels: Iterator[str], rows: Iterator[list[str]]
 ) -> Iterator[str]:
     yield "digraph lattice {\n  rankdir=BT;\n"
-    for a in range(0, len(labels), _NODES):
-        nodes = map(' [label="'.join, zip(names[a:a + _NODES], labels[a:a + _NODES]))
+    for a in range(0, len(names), _NODES):
+        # names first, so zip takes no label past the slice
+        nodes = map(' [label="'.join, zip(names[a:a + _NODES], labels))
         yield '  n' + '"];\n  n'.join(nodes) + '"];\n'
     for ys, name in zip(rows, names):  # rows first, so zip runs the covers out
         if ys:
@@ -308,7 +310,7 @@ def _dot_chunks(
 
 
 def _lattice_json_chunks(
-    kind: str, n: int, names: list[str], labels: list[str], rows: Iterator[list[str]]
+    kind: str, n: int, names: list[str], labels: Iterator[str], rows: Iterator[list[str]]
 ) -> Iterator[str]:
     yield '{"edges": ['
     separator = ""
@@ -316,10 +318,14 @@ def _lattice_json_chunks(
         if ys:
             yield f"{separator}[{name}, " + f"], [{name}, ".join(ys) + "]"
             separator = ", "
-    del names  # not held while the nodes are joined
-    # kind is a choices word and labels hold digits, ',', '|' and braces; json escapes none
-    nodes = '", "'.join(labels)
-    yield f'], "kind": "{kind}", "n": {n}, "nodes": ["{nodes}"]}}\n'
+    del names  # not held while the nodes are written
+    # kind is a choices word and labels hold digits, ',', '|' and braces; json escapes none.
+    # No label is empty, so a chunk is empty only once the labels have run out
+    separator = f'], "kind": "{kind}", "n": {n}, "nodes": ["'
+    for nodes in iter(lambda: '", "'.join(itertools.islice(labels, _NODES)), ""):
+        yield separator + nodes
+        separator = '", "'
+    yield '"]}\n'
 
 
 def _emit(chunks: Iterable[str]) -> None:

@@ -188,6 +188,8 @@ def parse(text: str) -> Formula:
 def _compile(f: Formula) -> tuple[Formula, ...]:
     """The nodes of f in postfix order: every child before its parent,
     left subtree before right."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"expected a Formula, got {type(f).__name__}")
     preorder = []
     stack = [f]
     while stack:

@@ -25,7 +25,8 @@ the ranks before x. Every cover edge of the longer sequences is then
 arithmetic on the ranks of an edge one level down, plus the edges that
 merge u's own block into an earlier one; no partition is built, merged
 or looked up per edge, and the edges come out in order. The last level
-does no arithmetic per edge: its covers are slices of the caller's list.
+does no arithmetic per edge: its covers are slices of the caller's list,
+and its labels are cut from the level below's blocks as they are read.
 """
 from __future__ import annotations
 
@@ -393,21 +394,21 @@ def hasse_cover_edges(kind: str, n: int, limits: Limits = DEFAULT_LIMITS) -> lis
     return [(x, y) for x, ys in zip(nodes, covers(nodes)) for y in ys]
 
 
-def _lattice(kind: str, n: int, limits: Limits) -> tuple[list[str], Callable]:
-    """The lattice's node labels in enumeration order, and covers(at), a
-    generator that gives each node in turn the ascending positions of the
-    nodes covering it, each read as its entry in the list at: so
-    covers(nodes) gives nodes, and covers(names) names.
+def _lattice(kind: str, n: int, limits: Limits) -> tuple[int, Iterator[str], Callable]:
+    """The lattice's node count, its node labels in enumeration order, and
+    covers(at), a generator that gives each node in turn the ascending
+    positions of the nodes covering it, each read as its entry in the
+    list at: so covers(nodes) gives nodes, and covers(names) names.
 
     Each label is its node's str(). The size checks run before anything
-    is built; the covers of the last level are computed as they are read.
+    is built; the last level's labels and covers are made as they are read.
     """
     _check_lattice_n(kind, n, limits)
     if kind == "subset":
         labels = [_subset_text([u for u in range(n) if m >> u & 1]) for m in range(2**n)]
-        return labels, _subset_covers(n)
+        return len(labels), iter(labels), _subset_covers(n)
     blocks, covers = _partition_lattice(n)
-    return _last_labels(blocks, n - 1), covers
+    return bell_number(n), _last_labels(blocks, n - 1), covers
 
 
 def _subset_covers(n: int) -> Callable:
@@ -420,7 +421,7 @@ def _subset_covers(n: int) -> Callable:
 def _partition_lattice(n: int) -> tuple[list[tuple[str, ...]], Callable]:
     """The partition lattice grown from n = 0 one element at a time: the
     blocks of the partitions of n - 1 elements, from which _last_labels
-    cuts the labels, and covers(at) of the lattice of n.
+    cuts the labels as they are read, and covers(at) of the lattice of n.
 
     A level holds each partition's blocks as text, its upper covers'
     ascending positions and the pairs bi < bj of blocks they split.
@@ -440,19 +441,17 @@ def _partition_lattice(n: int) -> tuple[list[tuple[str, ...]], Callable]:
     return blocks, lambda at: _grown_covers(ks, positions, pairs, at)
 
 
-def _last_labels(blocks: list[tuple[str, ...]], u: int) -> list[str]:
+def _last_labels(blocks: list[tuple[str, ...]], u: int) -> Iterator[str]:
     """The labels of _grown_blocks' children, each cut from its parent's
-    label: u goes in at the end of each block in turn, then after a "|",
-    or alone for u = 0, whose one parent has no blocks."""
+    label as it is read: u goes in at the end of each block in turn, then
+    after a "|", or alone for u = 0, whose one parent has no blocks."""
     tail, new = f",{u}", f"|{u}" if u else "0"
-    labels: list[str] = []
     for b in blocks:
         label, end = "|".join(b), -1
         for block in b:
             end += len(block) + 1
-            labels.append(label[:end] + tail + label[end:])
-        labels.append(label + new)
-    return labels
+            yield label[:end] + tail + label[end:]
+        yield label + new
 
 
 def _grown_covers(
@@ -499,10 +498,12 @@ def _grown_blocks(blocks: list[tuple[str, ...]], u: int) -> Iterator[tuple[str, 
 
 
 def _grown_pairs(ks: list[int], pairs: list[list[tuple[int, int]]]) -> Iterator[list]:
-    """The pairs aligned with _grown_covers' rows; only (d, k) is a new tuple."""
+    """The pairs aligned with _grown_covers' rows; only (d, k) is new, and
+    each (d, k) is one tuple, shared[k][d], for the whole level."""
+    shared = [[(d, k) for d in range(k)] for k in range(max(ks) + 1)]
     for k, above in zip(ks, pairs):
         for d in range(k + 1):
-            row = [(d, k)] if d < k else []
+            row = [shared[k][d]] if d < k else []
             for pair in above:
                 row += (pair, pair) if pair[0] == d else (pair,)
             yield row

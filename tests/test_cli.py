@@ -212,7 +212,7 @@ class TestLattice:
     def test_labels_need_no_json_escaping(self, kind):
         # the JSON writer puts labels between plain quotes, as the DOT writer does
         for n in range(1, 7):
-            labels, _ = _lattice(kind, n, Limits())
+            _, labels, _ = _lattice(kind, n, Limits())
             assert all(json.dumps(label) == f'"{label}"' for label in labels)
 
     # sha256 of stdout, recorded with `ditkit lattice` at commit dffb393,

@@ -33,7 +33,10 @@ from ditkit import (
     free_variables,
     interior,
     parse,
+    partition_tautology,
     random_formula,
+    subset_valid,
+    truth_table_tautology,
 )
 from ditkit.formulas import _tokenize
 from strategies import formulas, random_partition
@@ -318,3 +321,22 @@ class TestRandomFormula:
         for _ in range(50):
             f = random_formula(rng, variables=("x", "y"))
             assert set(free_variables(f)) <= {"x", "y"}
+
+
+class TestFormulaOperands:
+    def test_text_is_refused_as_a_formula(self):
+        # formula text is no Formula: each public function taking one
+        # refuses it, where the evaluator used to read its characters
+        takers = [
+            format_formula,
+            formula_to_json,
+            free_variables,
+            lambda f: eval_subset(f, SubsetAssignment(2, {"p": Subset.full(2)})),
+            lambda f: eval_partition(f, PartitionAssignment(2, {"p": Partition(2, (0, 1))})),
+            truth_table_tautology,
+            lambda f: subset_valid(f, 2),
+            lambda f: partition_tautology(f, 3),
+        ]
+        for take in takers:
+            with pytest.raises(TypeError, match="^expected a Formula, got str$"):
+                take("p -> p")

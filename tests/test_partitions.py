@@ -481,21 +481,22 @@ class TestHasse:
 class TestLatticeGrowth:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_merge_and_dict_reference(self, n):
-        labels, covers = _lattice("partition", n, DEFAULT_LIMITS)
+        count, labels, covers = _lattice("partition", n, DEFAULT_LIMITS)
         nodes, edges = oracles.lattice_by_merging(n)
         partitions = list(enumerate_partitions(n))
         assert [p.assignment for p in partitions] == nodes
-        assert labels == [str(p) for p in partitions]
-        rows = covers(list(range(len(labels))))
+        assert count == len(partitions)
+        assert list(labels) == [str(p) for p in partitions]
+        rows = covers(list(range(count)))
         assert [(x, y) for x, ys in enumerate(rows) for y in ys] == edges
 
     @pytest.mark.parametrize("kind", ["partition", "subset"])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_covers_read_any_list_by_position(self, kind, n):
-        labels, covers = _lattice(kind, n, DEFAULT_LIMITS)
-        rows = list(covers(list(range(len(labels)))))
+        count, _, covers = _lattice(kind, n, DEFAULT_LIMITS)
+        rows = list(covers(list(range(count))))
         assert all(ys == sorted(set(ys)) for ys in rows)
-        names = [str(i) for i in range(len(labels))]
+        names = [str(i) for i in range(count)]
         assert list(covers(names)) == [[str(y) for y in ys] for ys in rows]
         nodes = list(enumerate_partitions(n) if kind == "partition" else subset_lattice_nodes(n))
         pairs = [(x, y) for x, ys in zip(nodes, covers(nodes)) for y in ys]
@@ -504,8 +505,9 @@ class TestLatticeGrowth:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_subset_labels_are_str(self, n):
-        labels, _ = _lattice("subset", n, DEFAULT_LIMITS)
-        assert labels == [str(s) for s in subset_lattice_nodes(n)]
+        count, labels, _ = _lattice("subset", n, DEFAULT_LIMITS)
+        assert count == 2**n
+        assert list(labels) == [str(s) for s in subset_lattice_nodes(n)]
 
     def test_growth_holds_no_merge_data_per_edge(self):
         # growing and draining n = 9 peaks at 3.58 MiB; a (position, bi,
@@ -514,7 +516,7 @@ class TestLatticeGrowth:
         at = list(range(bell_number(9)))
         tracemalloc.start()
         try:
-            _, covers = _lattice("partition", 9, DEFAULT_LIMITS)
+            _, _, covers = _lattice("partition", 9, DEFAULT_LIMITS)
             for _ in covers(at):
                 pass
             _, peak = tracemalloc.get_traced_memory()
@@ -524,11 +526,15 @@ class TestLatticeGrowth:
 
     @pytest.mark.parametrize("style, tail", [("--json", 4.0), ("--dot", 2.5)])
     def test_cli_at_nine_holds_each_level_no_longer_than_needed(self, monkeypatch, style, tail):
-        # the peak holds the names, the labels, the level below and one
-        # batch: 4.32-4.33 MiB on Python 3.11, and 4.30-4.39 on 3.10 run
-        # outside pytest. By the last write the names and the level below
-        # are gone: 2.9 MiB as JSON and 1.6 as DOT, where a covers
-        # callable kept alive by the CLI held them (5.4 and 3.7 MiB)
+        # the peak holds the names, the level below with its blocks, from
+        # which the labels are cut a chunk at a time, and one batch, but no
+        # list of labels: 2.95 MiB on Python 3.11 and 2.92 on 3.10, and
+        # 3.34-3.37 in a fresh process, whose first call also loads
+        # modules; a list of all the labels read 4.32-4.33. By the last
+        # write the names and the level below are gone: under 0.05 MiB,
+        # 0.43 in a fresh process, where a list of labels read 2.9 MiB as
+        # JSON and 1.6 as DOT, and a covers callable kept alive by the CLI
+        # held the rest too (5.4 and 3.7 MiB)
         class NullSink:
             def write(self, text):
                 self.traced = tracemalloc.get_traced_memory()[0]
@@ -546,8 +552,23 @@ class TestLatticeGrowth:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 5.75 * 2**20
+        assert peak < 3.75 * 2**20
         assert sink.traced < tail * 2**20
+
+    def test_first_labels_cut_only_their_parents(self, monkeypatch):
+        # reading the first _NODES labels at n = 9 reads the level below
+        # only as far as their parents, and cuts no label past them
+        grown, read = partitions_module._partition_lattice, []
+
+        def counted(n):
+            blocks, covers = grown(n)
+            return (read.append(b) or b for b in blocks), covers
+
+        monkeypatch.setattr(partitions_module, "_partition_lattice", counted)
+        _, labels, _ = _lattice("partition", 9, DEFAULT_LIMITS)
+        first = list(itertools.islice(labels, cli._NODES))
+        assert first == [str(p) for p in itertools.islice(enumerate_partitions(9), cli._NODES)]
+        assert sum(len(b) + 1 for b in read[:-1]) < cli._NODES <= sum(len(b) + 1 for b in read)
 
     def test_cap_fires_before_growth(self, monkeypatch):
         def refuse(*args):
