@@ -355,7 +355,7 @@ def _write_json(document: dict) -> None:
 
 
 def cmd_sim_select(args: SimpleNamespace, limits: Limits) -> int:
-    from .mechanisms import Fitness, _check_switch_bits, _labels, _selection
+    from .mechanisms import Fitness, _check_switch_bits, _selection
     from .textio import parse_variant
 
     _check_switch_bits(args.k, limits)
@@ -364,7 +364,6 @@ def cmd_sim_select(args: SimpleNamespace, limits: Limits) -> int:
         target = parse_variant(source[len("peak@"):], args.k)
         fitness = Fitness.peaked(args.k, target, args.margin)
     else:
-        labels = _labels(args.k)  # held, so that the fitness and the run build one table
         try:
             with open(source, encoding="utf-8") as handle:
                 fitness = Fitness.from_text(args.k, handle.read())
@@ -372,18 +371,18 @@ def cmd_sim_select(args: SimpleNamespace, limits: Limits) -> int:
             raise TextFormatError(f"cannot read fitness file: {exc}") from None
     threshold = args.threshold if args.threshold is not None else 0.5 / 2**args.k
     trace, _ = _selection(args.k, fitness, threshold, args.max_steps, limits)
-    _write_json(trace.to_json_dict())  # each map is written from its compact state
+    _write_json(trace.to_json_dict())  # each state is written from its compact form
     return 0
 
 
 def cmd_sim_generate(args: SimpleNamespace, limits: Limits) -> int:
-    from .mechanisms import _check_switch_bits, run_generative
+    from .mechanisms import _check_switch_bits, _generation
     from .textio import parse_events
 
     _check_switch_bits(args.k, limits)
     events = parse_events(args.events)
-    trace = run_generative(args.k, events, overwrite=args.overwrite)
-    _write_json(trace.to_json_dict())
+    trace = _generation(args.k, events, args.overwrite)
+    _write_json(trace.to_json_dict())  # each block is written from its bank's settings
     return 0
 
 
@@ -426,7 +425,7 @@ def cmd_compare(args: SimpleNamespace, limits: Limits) -> int:
     _check_switch_bits(args.k, limits)
     target = parse_variant(args.target, args.k)
     result, _ = _comparison(args.k, target, args.margin, args.threshold, args.max_steps, limits)
-    _write_json(result.to_json_dict())  # each map is written from its compact state
+    _write_json(result.to_json_dict())  # each state is written from its compact form
     return 0
 
 

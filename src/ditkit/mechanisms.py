@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 
 from .errors import (
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .relations import _check_element, _check_n, _components, _is_int, _Record
-from .textio import _PIECE, _pieces, _to_json, _variant_number, format_variant
+from .textio import _PIECE, _to_json, _variant_number, format_variant
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # for annotations; only switch_partition and identify import it
@@ -68,14 +68,22 @@ _TABLES = weakref.WeakValueDictionary()  # k -> its table, until nothing holds i
 
 def _labels(k: int) -> list[str]:
     """The text of every variant, indexed by variant number: one read-only
-    table per k, shared while a run, compare_mechanisms or sim select
-    holds it. A trace does not hold it."""
+    table per k, shared while a run or compare_mechanisms holds it. Only
+    the library's fills and a fitness table build it; the CLI writes every
+    label from _halves. A trace does not hold it."""
     table = _TABLES.get(k)
     if table is None:
-        low = list(map("".join, itertools.product("01", repeat=k // 2)))
-        high = map("".join, itertools.product("01", repeat=k - k // 2))
-        _TABLES[k] = table = _Table([h + l for h in high for l in low])
+        _, highs, lows = _halves(k)
+        _TABLES[k] = table = _Table([high + low for high in highs for low in lows])
     return table
+
+
+def _halves(k: int) -> tuple[int, list[str], list[str]]:
+    """h = min(8, k) and two tables that spell every variant: v is
+    highs[v >> h] + lows[v & (2**h - 1)], and lows holds _PIECE at most."""
+    h = min(k, _PIECE.bit_length() - 1)
+    highs, lows = (list(map("".join, itertools.product("01", repeat=r))) for r in (k - h, h))
+    return h, highs, lows
 
 
 def _agreeing(k: int, mask: int, want: int) -> list[int]:
@@ -437,17 +445,43 @@ class _Weights:
 
     __slots__ = ("_pieces", "_weights")
 
-    def __init__(self, pieces: list[tuple[int, list[str]]], weights: list[float]) -> None:
+    def __init__(self, pieces: list[tuple[int, str, list[str]]], weights: list[float]) -> None:
         self._pieces, self._weights = pieces, weights
 
-    def _chunks(self) -> list[str]:
-        """The text of json.dumps of its map, sort_keys=True: '{"', one
-        chunk per piece of its run, and the last weight with "}"; each
-        class weight is rendered once."""
+    def _chunks(self) -> Iterator[str]:
+        """The text of json.dumps of its map, sort_keys=True, a piece of its
+        run at a time; each class weight is rendered once."""
         weights = self._weights
         separators = [f'": {w!r}, "' for w in weights]  # a run's weights are finite
-        body = [separators[c].join(piece) for c, piece in self._pieces]
-        return ['{"', *body, f'": {weights[self._pieces[-1][0]]!r}}}']
+        opening = '{"'
+        for c, prefix, lows in self._pieces:
+            yield opening + prefix
+            yield (separators[c] + prefix).join(lows)
+            opening = separators[c]
+        yield f'": {weights[c]!r}}}'
+
+
+class _Labels:
+    """A snapshot's list of labels, compact: its parts, each a prefix and
+    the lows it goes before, which textio's JSON writer takes as _chunks(),
+    and _of, a run's extinct classes or a bank's (mask, want), to fill it."""
+
+    __slots__ = ("_parts", "_of")
+
+    def __init__(self, parts: list[tuple[str, list[str]]], of) -> None:
+        self._parts, self._of = parts, of
+
+    def __len__(self) -> int:
+        return sum(len(lows) for _, lows in self._parts)
+
+    def _chunks(self) -> Iterator[str]:
+        """The text of json.dumps of the list, a part at a time."""
+        opening = '["'
+        for prefix, lows in self._parts:
+            yield opening + prefix
+            yield ('", "' + prefix).join(lows)
+            opening = '", "'
+        yield "[]" if opening == '["' else '"]'
 
 
 class _WeightMap(dict):
@@ -467,24 +501,24 @@ class _WeightMap(dict):
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
 
-    def _chunks(self) -> list[str]:
+    def _chunks(self) -> Iterator[str]:
         return self._compact._chunks()
 
 
 def _selection(
     k: int, fitness: Fitness, extinction_threshold: float, max_steps: int, limits: Limits
-) -> tuple[Trace, list[tuple[int, list[str]]]]:
-    """run_selectionist without its dicts. Returns the trace with each
-    step's compact state, {"weights": a _Weights, "extinct": the extinct
-    labels}, where steps with the same extinct variants share one list;
-    and the runs of the variant space in order, each a fitness class and
-    the labels of its run, from which _filled fills the maps."""
+) -> tuple[Trace, list[tuple[int, int, int]]]:
+    """run_selectionist without its dicts and lists. Returns the trace
+    with each step's compact state, {"weights": a _Weights, "extinct": a
+    _Labels}, where steps with the same extinct variants share one; and
+    the runs of the variant space in order, each a fitness class and the
+    bounds a, b of its variants a..b-1, from which _filled fills them."""
     _check_k(k)
     if fitness.k != k:
         raise InvalidFitnessError(f"fitness is for k={fitness.k}, expected {k}")
     _check_threshold(k, extinction_threshold)
     _check_steps(max_steps, limits)
-    labels = _labels(k)  # labels[v] is the text of variant v
+    h, highs, lows = _halves(k)
     # Amplification sees only fitness, so variants of equal fitness keep
     # equal weights: one weight is kept per fitness class, and the variants
     # are laid out as runs, each a stretch of consecutive variants of one
@@ -501,22 +535,21 @@ def _selection(
     distinct = list(classes)  # class c holds the variants scoring distinct[c]
     run_of, lengths = zip(*runs)
     ends = list(itertools.accumulate(lengths))
-    run_labels = [labels[a:b] for a, b in zip([0, *ends], ends)]
+    spans = list(zip(run_of, [0, *ends[:-1]], ends))
     counts = [0] * len(distinct)
     for c, m in runs:
         counts[c] += m
     top = distinct.index(max(distinct))
-    # A map's keys in pieces of at most _PIECE consecutive variants of one
-    # class: each is its class and a slice of the labels that ends in "",
-    # but for the map's last piece. The separator '": w, "' of its class's
-    # weight text w joins a piece into its chunk; a label is a bitstring,
-    # which JSON writes as it is. Every map of the trace shares them.
-    starts = sorted({0, *ends[:-1], *range(0, size, _PIECE)})  # a run's start, or a multiple
-    pieces = [(classes[fitness.scores[a]], piece)
-              for a, piece in zip(starts, _pieces(labels, starts))]
+    # A map's keys in pieces of variants of one run and one aligned block
+    # of 2**h: its class, the block's prefix and a slice of lows. The
+    # separator '": w, "' of its class's weight text w and the prefix join
+    # the lows; a label is a bitstring, which JSON writes as it is.
+    starts = sorted({0, *ends[:-1], *range(0, size, len(lows))})  # a run's or a block's start
+    pieces = [(classes[fitness.scores[a]], highs[a >> h], lows[a % len(lows):][:b - a])
+              for a, b in zip(starts, [*starts[1:], size])]
     weights = [1.0 / size] * len(distinct)
     extinct: set[int] = set()
-    extinct_labels: list[str] = []
+    dead, gone = _Labels([], extinct), 0  # the extinct labels, and their number
 
     def normalised(weights: list[float]) -> list[float]:
         total = 0.0  # 0.0 + w is w, so the fold starts at the first weight
@@ -527,9 +560,9 @@ def _selection(
                 total = _repeated_sum(total, weights[c], m)
         return [w / total for w in weights]
 
-    steps = [TraceStep(0, None, {"weights": _Weights(pieces, weights), "extinct": extinct_labels})]
+    steps = [TraceStep(0, None, {"weights": _Weights(pieces, weights), "extinct": dead})]
     t = 0
-    while len(extinct_labels) + counts[top] < size and t < max_steps:
+    while gone + counts[top] < size and t < max_steps:
         t += 1
         weights = normalised([w * s for w, s in zip(weights, distinct)])
         # runs keeps the runs of the living classes: an extinct weight
@@ -539,31 +572,31 @@ def _selection(
             extinct = extinct | culled
             runs = [(c, m) for c, m in runs if c not in culled]
             weights = normalised([0.0 if w < extinction_threshold else w for w in weights])
-            extinct_labels = list(itertools.chain.from_iterable(
-                itertools.compress(run_labels, map(extinct.__contains__, run_of))
-            ))
-        state = {"weights": _Weights(pieces, weights), "extinct": extinct_labels}
+            dead = _Labels([piece[1:] for piece in pieces if piece[0] in extinct], extinct)
+            gone += sum(map(counts.__getitem__, culled))
+        state = {"weights": _Weights(pieces, weights), "extinct": dead}
         steps.append(TraceStep(t, {"kind": "amplify"}, state))
     params = {"fitness": fitness, "extinction_threshold": extinction_threshold,
               "max_steps": max_steps}
-    return Trace("selectionist", k, tuple(steps), params), list(zip(run_of, run_labels))
+    return Trace("selectionist", k, tuple(steps), params), spans
 
 
-def _filled(trace: Trace, runs: list[tuple[int, list[str]]]) -> Trace:
+def _filled(trace: Trace, runs: list[tuple[int, int, int]], labels: list[str]) -> Trace:
     """A compact selectionist trace, as _selection gives it with its
-    runs, with each step's weights filled into a read-only dict keyed in
-    variant order and a list of extinct labels of its own."""
+    runs, with each step's weights filled from the label table into a
+    read-only dict keyed in variant order, and its extinct labels into a
+    list of its own."""
     counts: dict[int, int] = {}  # by class, in class order
-    for c, run in runs:
-        counts[c] = counts.get(c, 0) + len(run)
+    for c, a, b in runs:
+        counts[c] = counts.get(c, 0) + b - a
     major = max(counts, key=counts.__getitem__)  # the first largest class
     # a map fills every label with the weight of the largest class, then
     # the other labels with their own; fromkeys over a dict presizes the
     # map and reuses the labels' hashes
-    keys = dict.fromkeys(itertools.chain.from_iterable(run for _, run in runs))
-    minor = [(c, run) for c, run in runs if c != major]
-    minor_labels = list(itertools.chain.from_iterable(run for _, run in minor))
-    minor_of = [c for c, run in minor for _ in run]
+    keys = dict.fromkeys(labels)
+    minor = [(c, a, b) for c, a, b in runs if c != major]
+    minor_labels = list(itertools.chain.from_iterable(labels[a:b] for _, a, b in minor))
+    minor_of = [c for c, a, b in minor for _ in range(a, b)]
 
     def filled(state: dict) -> dict:
         compact = state["weights"]
@@ -571,7 +604,9 @@ def _filled(trace: Trace, runs: list[tuple[int, list[str]]]) -> Trace:
         weight_map = _WeightMap(dict.fromkeys(keys, weights[major]))
         dict.update(weight_map, zip(minor_labels, map(weights.__getitem__, minor_of)))
         weight_map._compact = compact
-        return {"weights": weight_map, "extinct": state["extinct"].copy()}
+        dead = state["extinct"]._of
+        extinct = itertools.chain.from_iterable(labels[a:b] for c, a, b in runs if c in dead)
+        return {"weights": weight_map, "extinct": list(extinct)}
 
     steps = tuple(TraceStep(s.index, s.event, filled(s.state)) for s in trace.steps)
     return Trace(trace.mechanism, trace.k, steps, trace.params)
@@ -602,7 +637,7 @@ def run_selectionist(
     of its own. The run itself keeps one weight per fitness class; the
     dicts are filled from it at the end.
     """
-    return _filled(*_selection(k, fitness, extinction_threshold, max_steps, limits))
+    return _filled(*_selection(k, fitness, extinction_threshold, max_steps, limits), _labels(k))
 
 
 def selection_survivors(trace: Trace) -> frozenset[int]:
@@ -621,16 +656,20 @@ def run_generative(
     variants consistent with the settings so far, which halves while
     fresh switches are set.
     """
-    bank = SwitchBank.neutral(k)  # checks k before the 2**k labels are built
-    labels = _labels(k)  # labels[v] is the text of variant v
-    # each snapshot's block is sliced from the label table by its bank's
-    # set switches, so a fresh setting and an overwrite take the same path
+    return _listed(_generation(k, experience, overwrite), _labels(k))
+
+
+def _generation(k: int, experience: Iterable[tuple[int, int]], overwrite: bool) -> Trace:
+    """run_generative with each step's block a _Labels of the blocks of
+    its bank's high and low settings, which an overwrite changes alike."""
+    bank = SwitchBank.neutral(k)  # checks k before anything is built
+    h, highs, lows = _halves(k)
 
     def snapshot() -> dict:
-        return {
-            "switches": [state.value for state in bank.states],
-            "block": _select(labels, *_bank_bits(bank)),
-        }
+        mask, want = bits = _bank_bits(bank)
+        low_block = _select(lows, mask % len(lows), want % len(lows))
+        parts = [(high, low_block) for high in _select(highs, mask >> h, want >> h)]
+        return {"switches": [s.value for s in bank.states], "block": _Labels(parts, bits)}
 
     steps = [TraceStep(0, None, snapshot())]
     events = []
@@ -645,6 +684,14 @@ def run_generative(
         tuple(steps),
         params={"experience": tuple(events), "overwrite": overwrite},
     )
+
+
+def _listed(trace: Trace, labels: list[str]) -> Trace:
+    """A compact generative trace with each block sliced from the label table."""
+    blocks = [_select(labels, *s.state["block"]._of) for s in trace.steps]
+    steps = (TraceStep(s.index, s.event, {**s.state, "block": b})
+             for s, b in zip(trace.steps, blocks))
+    return Trace(trace.mechanism, trace.k, tuple(steps), trace.params)
 
 
 def generative_block(trace: Trace) -> frozenset[int]:
@@ -729,9 +776,9 @@ class MechanismComparison(_Record):
 def _comparison(
     k: int, target: int, fitness_margin: float, extinction_threshold: float | None,
     max_steps: int | None, limits: Limits,
-) -> tuple[MechanismComparison, list[tuple[int, list[str]]]]:
-    """compare_mechanisms with its selectionist trace compact, as
-    _selection gives it, and the runs that fill it."""
+) -> tuple[MechanismComparison, list[tuple[int, int, int]]]:
+    """compare_mechanisms with both traces compact, as _selection and
+    _generation give them, and the selectionist runs that fill it."""
     fitness = Fitness.peaked(k, target, fitness_margin)
     if extinction_threshold is None:
         extinction_threshold = 0.5 / 2**k
@@ -740,22 +787,20 @@ def _comparison(
         steps = math.log(1.0 / extinction_threshold) / math.log1p(fitness_margin)
         # a subnormal margin or threshold overflows steps to inf, which the cap refuses
         max_steps = math.ceil(steps) + 2 if math.isfinite(steps) else steps
-    _check_steps(max_steps, limits)  # before the label table is built
-    labels = _labels(k)  # held, so that both runs read one table
+    _check_steps(max_steps, limits)  # before either run builds anything
     selection, runs = _selection(k, fitness, extinction_threshold, max_steps, limits)
     experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
-    generation = run_generative(k, experience)
+    generation = _generation(k, experience, False)
     # the survivors are the target alone when every other label is extinct
     # and the target's is not: an extinct weight is 0.0, a living one at
     # least the threshold. The target's weight is that of the class of the
     # run that holds it.
-    ends = itertools.accumulate(len(run) for _, run in runs)
-    target_class = next(c for (c, _), end in zip(runs, ends) if target < end)
+    target_class = next(c for c, _, end in runs if target < end)
     final = selection.final
     agreement = (
-        len(final["extinct"]) == len(labels) - 1
+        len(final["extinct"]) == 2**k - 1
         and final["weights"]._weights[target_class] != 0.0
-        and generation.final["block"] == [labels[target]]
+        and generation.final["block"]._of == (2**k - 1, target)
     )
     return MechanismComparison(k, target, selection, generation, agreement), runs
 
@@ -779,13 +824,15 @@ def compare_mechanisms(
     the threshold; like a given max_steps, that may not exceed the
     limits' max_selection_steps.
 
-    The selectionist trace is run_selectionist's, read-only weight dicts
-    and all: agreement is decided on the run's compact final state, and
-    the dicts are filled from its states after.
+    The traces are run_selectionist's and run_generative's, read-only
+    weight dicts and all: agreement is decided on the runs' compact final
+    states, and both are filled from one label table after.
     """
     result, runs = _comparison(k, target, fitness_margin, extinction_threshold, max_steps, limits)
-    selection = _filled(result.selectionist, runs)
-    return MechanismComparison(k, target, selection, result.generative, result.agreement)
+    labels = _labels(k)  # held, so that both traces are filled from one table
+    selection = _filled(result.selectionist, runs, labels)
+    generation = _listed(result.generative, labels)
+    return MechanismComparison(k, target, selection, generation, result.agreement)
 
 
 def replay(trace: Trace, limits: Limits = DEFAULT_LIMITS) -> Trace:

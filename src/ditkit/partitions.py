@@ -154,6 +154,7 @@ def indiscrete(n: int) -> Partition:
 
 def dit(p: Partition) -> PairRelation:
     """Ordered pairs whose endpoints lie in different blocks."""
+    _check_operands(p)
     a = p.assignment
     return PairRelation(
         p.n,

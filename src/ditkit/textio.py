@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 from .errors import TextFormatError
 from .relations import Subset, _subset_text
@@ -57,8 +57,9 @@ def _check_names(names: tuple[str, ...] | None, n: int) -> None:
 
 
 def format_partition(p: Partition, names: tuple[str, ...] | None = None) -> str:
-    from .partitions import _partition_text
+    from .partitions import _check_operands, _partition_text
 
+    _check_operands(p)
     _check_names(names, p.n)
     return _partition_text(p, names)
 
@@ -277,22 +278,14 @@ def _members(
 _PIECE = 256  # labels per piece, so that no chunk of labels passes about 10 KB
 
 
-def _pieces(labels: list[str], starts: Sequence[int]) -> list[list[str]]:
-    """labels cut before each of the ascending starts (the first 0), each
-    slice but the last ending in "": joined with one separator, they write
-    the labels in turn."""
-    pieces = [labels[a:b] for a, b in zip(starts, [*starts[1:], len(labels)])]
-    for piece in pieces[:-1]:
-        piece.append("")
-    return pieces
-
-
 def _label_chunks(items: list) -> list[str] | None:
     """The text of a list of strings in chunks, each of at most _PIECE
     items joined by '", "'; None if an item is not a str or needs an
     escape. A chunk of m items needs none when it is ASCII and json
     escapes nothing in it but the 2 * (m - 1) quotes of its separators."""
-    pieces = _pieces(items, range(0, len(items), _PIECE))
+    # each piece but the last ends in "", so that the chunks write the items in turn
+    pieces = [items[a:a + _PIECE] + [""] for a in range(0, len(items), _PIECE)]
+    pieces[-1].pop()
     try:
         chunks = list(map('", "'.join, pieces))
     except TypeError:  # an item that is not a str

@@ -366,8 +366,21 @@ class TestSim:
             " in position 0: invalid start byte",
         }
 
-    @pytest.mark.parametrize("source", ["peak", "file"])
-    def test_select_builds_one_label_table(self, capsys, monkeypatch, tmp_path, source):
+    @pytest.mark.parametrize(
+        "argv, tables",
+        [
+            (["compare", "--k", "4", "--target", "0101"], []),
+            (["sim", "select", "--k", "4", "--fitness", "peak@0101"], []),
+            (["sim", "generate", "--k", "4", "--events", "4=1,1=0"], []),
+            (["sim", "select", "--k", "4", "--fitness", "FILE"], [16]),
+        ],
+        ids=["compare", "select peak", "generate", "select file"],
+    )
+    def test_label_table_only_for_a_fitness_file(
+        self, capsys, monkeypatch, tmp_path, argv, tables
+    ):
+        # the CLI writes every label from two half-width tables; only
+        # reading a fitness file builds the table of all 2**k labels
         built = []
 
         class Counted(mechanisms._Table):
@@ -379,13 +392,11 @@ class TestSim:
 
         monkeypatch.setattr(mechanisms, "_Table", Counted)
         monkeypatch.setattr(mechanisms, "_TABLES", weakref.WeakValueDictionary())
-        fitness = "peak@0101"
-        if source == "file":
-            fitness = tmp_path / "fitness.txt"
-            fitness.write_text("".join(f"{v:04b} {v % 3 + 1}\n" for v in range(16)))
-        code, out, _ = run(capsys, "sim", "select", "--k", "4", "--fitness", str(fitness))
+        fitness = tmp_path / "fitness.txt"
+        fitness.write_text("".join(f"{v:04b} {v % 3 + 1}\n" for v in range(16)))
+        code, out, _ = run(capsys, *[str(fitness) if a == "FILE" else a for a in argv])
         assert code == 0 and json.loads(out)["k"] == 4
-        assert built == [16]
+        assert built == tables
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     @pytest.mark.parametrize(
@@ -572,17 +583,21 @@ class TestCompactTraces:
         )
         self._assert_library_bytes(capsys, argv, result)
 
-    @pytest.mark.parametrize("k", [10, 12])
+    @pytest.mark.parametrize("k", [8, 9, 10, 12])
     def test_compare_seeded_targets(self, capsys, k):
+        # k = 8 and 9 lie either side of the low table's width of 8 switches;
+        # the first and last variants and 256 (000100000000 at k = 12) end
+        # or start an aligned block of 256
         limits = Limits().replaced(max_switch_bits=12)
-        for target in random.Random(k).sample(range(2**k), 3):
+        targets = [*random.Random(k).sample(range(2**k), 3), 0, 2**k - 1, 256 % 2**k]
+        for target in dict.fromkeys(targets):
             argv = ["--max-switch-bits", "12", "compare", "--k", str(k),
                     "--target", format(target, f"0{k}b")]
             result = mechanisms.compare_mechanisms(k, target, 1.0, limits=limits)
             self._assert_library_bytes(capsys, argv, result)
 
     @pytest.mark.parametrize("fitness", ["peak", "uniform file", "random file"])
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8, 9])
     def test_select(self, capsys, tmp_path, k, fitness):
         rng = random.Random(k)
         threshold = 0.5 / 2**k
@@ -600,6 +615,23 @@ class TestCompactTraces:
             argv = ["--fitness", str(path)]
         trace = mechanisms.run_selectionist(k, scores, threshold, 1000)
         self._assert_library_bytes(capsys, ["sim", "select", "--k", str(k), *argv], trace)
+
+    @pytest.mark.parametrize("overwrite", [False, True], ids=["set once", "overwrite"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 12])
+    def test_generate(self, capsys, k, overwrite):
+        # each block is written from the blocks of its bank's high and low
+        # switches, where the library slices it from the label table
+        rng = random.Random(f"generate {k} {overwrite}")
+        for _ in range(3):
+            count = rng.randint(1, k + 3) if overwrite else rng.randint(1, k)
+            switches = ([rng.randint(1, k) for _ in range(count)] if overwrite
+                        else rng.sample(range(1, k + 1), count))
+            events = [(i, rng.randint(0, 1)) for i in switches]
+            argv = ["--max-switch-bits", "12", "sim", "generate", "--k", str(k),
+                    "--events", ",".join(f"{i}={v}" for i, v in events)]
+            argv += ["--overwrite"] if overwrite else []
+            trace = mechanisms.run_generative(k, events, overwrite=overwrite)
+            self._assert_library_bytes(capsys, argv, trace)
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -632,7 +664,9 @@ class TestCompactTraces:
 
     def test_compare_at_twelve_holds_no_dicts(self, monkeypatch):
         # 14 filled 4096-entry dicts took the traced peak of this call to
-        # 2.0 MiB; from compact states it is about 0.62 MiB
+        # 2.0 MiB, and compact states that held the table of all 4096
+        # labels to 0.62 MiB; written from two half-width tables, with each
+        # weight map streamed a piece at a time, it is about 0.15 MiB
         argv = _MECHANISM_CASES["compare k=12"]
         monkeypatch.setattr(sys, "stdout", _Discard())
         assert main(argv) == 0  # imports and first-use caches are not counted
@@ -643,7 +677,7 @@ class TestCompactTraces:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 2**20
+        assert peak < 0.3 * 2**20
 
 
 class TestArgHandling:

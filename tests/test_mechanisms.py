@@ -511,9 +511,10 @@ class TestSelectionist:
     @pytest.mark.parametrize("fitness", ["uniform", "peaked", "all distinct"])
     @pytest.mark.parametrize("k", range(1, 13))
     def test_run_pieces(self, k, fitness):
-        # every map of a run shares one list of pieces: slices of the label
-        # table of at most _PIECE labels of one class, each ending in "" but
-        # the map's last, and each with the number of its class
+        # every map of a run shares one list of pieces: each the number of
+        # its class, the prefix of one aligned block of 2**min(8, k)
+        # variants and a slice of the run's one low table, of at most
+        # _PIECE labels of that class; prefixes and lows spell the labels
         scores = {
             "uniform": [1.0] * 2**k,
             "peaked": [1.0 + (v == 2**k // 3) for v in range(2**k)],
@@ -523,15 +524,14 @@ class TestSelectionist:
         trace = run_selectionist(k, Fitness(k, tuple(scores)), 0.5 / 2**k, 1)
         pieces = trace.final["weights"]._compact._pieces
         assert all(step.state["weights"]._compact._pieces is pieces for step in trace.steps)
-        assert all(piece[-1] == "" for _, piece in pieces[:-1])
-        assert pieces[-1][1][-1] != ""
-        body = [piece[:-1] for _, piece in pieces[:-1]] + [pieces[-1][1]]
-        assert all(1 <= len(piece) <= textio._PIECE for piece in body)
-        assert list(itertools.chain.from_iterable(body)) == labels
+        assert all(1 <= len(lows) <= textio._PIECE for _, _, lows in pieces)
+        assert [prefix + low for _, prefix, lows in pieces for low in lows] == labels
+        h = min(8, k)
+        assert len({id(low) for _, _, lows in pieces for low in lows}) == 2**h
         of = {s: c for c, s in enumerate(dict.fromkeys(scores))}  # each score's class
-        for (c, _), piece in zip(pieces, body):
-            assert {of[scores[int(label, 2)]] for label in piece} == {c}
-            assert all(map(operator.is_, piece, labels[int(piece[0], 2):]))
+        for c, prefix, lows in pieces:
+            assert len(prefix) == k - h and all(len(low) == h for low in lows)
+            assert {of[scores[int(prefix + low, 2)]] for low in lows} == {c}
 
     def test_peak_survives_alone(self):
         trace = run_selectionist(3, Fitness.peaked(3, 0b010, 1.0), 0.0625, 100)
