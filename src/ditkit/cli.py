@@ -370,7 +370,7 @@ def cmd_sim_select(args: SimpleNamespace, limits: Limits) -> int:
         except (OSError, UnicodeError) as exc:
             raise TextFormatError(f"cannot read fitness file: {exc}") from None
     threshold = args.threshold if args.threshold is not None else 0.5 / 2**args.k
-    trace, _ = _selection(args.k, fitness, threshold, args.max_steps, limits)
+    trace = _selection(args.k, fitness, threshold, args.max_steps, limits)
     _write_json(trace.to_json_dict())  # each state is written from its compact form
     return 0
 
@@ -424,7 +424,7 @@ def cmd_compare(args: SimpleNamespace, limits: Limits) -> int:
 
     _check_switch_bits(args.k, limits)
     target = parse_variant(args.target, args.k)
-    result, _ = _comparison(args.k, target, args.margin, args.threshold, args.max_steps, limits)
+    result = _comparison(args.k, target, args.margin, args.threshold, args.max_steps, limits)
     _write_json(result.to_json_dict())  # each state is written from its compact form
     return 0
 

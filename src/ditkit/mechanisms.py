@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 
@@ -59,23 +58,12 @@ def _check_variant(v, k: int, noun: str = "variant") -> None:
         raise ElementOutOfRangeError(f"{noun} {v!r} outside the {2**k}-variant space")
 
 
-class _Table(list):
-    __slots__ = ("__weakref__",)  # a list that a weak reference can hold
-
-
-_TABLES = weakref.WeakValueDictionary()  # k -> its table, until nothing holds it
-
-
 def _labels(k: int) -> list[str]:
-    """The text of every variant, indexed by variant number: one read-only
-    table per k, shared while a run or compare_mechanisms holds it. Only
-    the library's fills and a fitness table build it; the CLI writes every
-    label from _halves. A trace does not hold it."""
-    table = _TABLES.get(k)
-    if table is None:
-        _, highs, lows = _halves(k)
-        _TABLES[k] = table = _Table([high + low for high in highs for low in lows])
-    return table
+    """The text of every variant, indexed by variant number. Only the
+    library's fills and a fitness table build it; the CLI writes every
+    label from _halves."""
+    _, highs, lows = _halves(k)
+    return [high + low for high in highs for low in lows]
 
 
 def _halves(k: int) -> tuple[int, list[str], list[str]]:
@@ -212,22 +200,18 @@ def set_switch(bank: SwitchBank, i: int, value, overwrite: bool = False) -> Swit
     return SwitchBank(bank.k, tuple(states))
 
 
-def _bank_bits(bank: SwitchBank) -> tuple[int, int]:
-    """mask and want of a bank, as _agreeing and _select read them."""
-    states = list(enumerate(bank.states))
-    mask = sum(1 << i for i, s in states if s is not SwitchState.NEUTRAL)
-    want = sum(1 << i for i, s in states if s is SwitchState.ONE)
+def _bank_bits(switches: Sequence[str]) -> tuple[int, int]:
+    """mask and want of a bank, as _agreeing and _select read them, from
+    the values of its switches, as a generative state lists them."""
+    mask = sum(1 << i for i, s in enumerate(switches) if s != "neutral")
+    want = sum(1 << i for i, s in enumerate(switches) if s == "1")
     return mask, want
-
-
-def _bank_block(bank: SwitchBank) -> list[int]:
-    return _agreeing(bank.k, *_bank_bits(bank))
 
 
 def consistent_block(bank: SwitchBank) -> frozenset[int]:
     """Variants agreeing with every set switch; all of them when every
     switch is neutral, a singleton when all k are set."""
-    return frozenset(_bank_block(bank))
+    return frozenset(_agreeing(bank.k, *_bank_bits([s.value for s in bank.states])))
 
 
 def switch_partition(k: int, i: int, limits: Limits = DEFAULT_LIMITS) -> Partition:
@@ -448,6 +432,12 @@ class _Weights:
     def __init__(self, pieces: list[tuple[int, str, list[str]]], weights: list[float]) -> None:
         self._pieces, self._weights = pieces, weights
 
+    def _spans(self) -> Iterator[tuple[int, int, int]]:
+        """The run's layout, in variant order: each piece's class and the
+        bounds a, b of its variants a..b-1."""
+        ends = itertools.accumulate(len(lows) for _, _, lows in self._pieces)
+        return ((c, b - len(lows), b) for (c, _, lows), b in zip(self._pieces, ends))
+
     def _chunks(self) -> Iterator[str]:
         """The text of json.dumps of its map, sort_keys=True, a piece of its
         run at a time; each class weight is rendered once."""
@@ -463,13 +453,12 @@ class _Weights:
 
 class _Labels:
     """A snapshot's list of labels, compact: its parts, each a prefix and
-    the lows it goes before, which textio's JSON writer takes as _chunks(),
-    and _of, a run's extinct classes or a bank's (mask, want), to fill it."""
+    the lows it goes before, which textio's JSON writer takes as _chunks()."""
 
-    __slots__ = ("_parts", "_of")
+    __slots__ = ("_parts",)
 
-    def __init__(self, parts: list[tuple[str, list[str]]], of) -> None:
-        self._parts, self._of = parts, of
+    def __init__(self, parts: list[tuple[str, list[str]]]) -> None:
+        self._parts = parts
 
     def __len__(self) -> int:
         return sum(len(lows) for _, lows in self._parts)
@@ -507,12 +496,10 @@ class _WeightMap(dict):
 
 def _selection(
     k: int, fitness: Fitness, extinction_threshold: float, max_steps: int, limits: Limits
-) -> tuple[Trace, list[tuple[int, int, int]]]:
-    """run_selectionist without its dicts and lists. Returns the trace
-    with each step's compact state, {"weights": a _Weights, "extinct": a
-    _Labels}, where steps with the same extinct variants share one; and
-    the runs of the variant space in order, each a fitness class and the
-    bounds a, b of its variants a..b-1, from which _filled fills them."""
+) -> Trace:
+    """run_selectionist without its dicts and lists: the trace with each
+    step's compact state, {"weights": a _Weights, "extinct": a _Labels},
+    where steps with the same extinct variants share one."""
     _check_k(k)
     if fitness.k != k:
         raise InvalidFitnessError(f"fitness is for k={fitness.k}, expected {k}")
@@ -533,9 +520,7 @@ def _selection(
         for score, run in itertools.groupby(fitness.scores)
     ]
     distinct = list(classes)  # class c holds the variants scoring distinct[c]
-    run_of, lengths = zip(*runs)
-    ends = list(itertools.accumulate(lengths))
-    spans = list(zip(run_of, [0, *ends[:-1]], ends))
+    ends = list(itertools.accumulate(m for _, m in runs))
     counts = [0] * len(distinct)
     for c, m in runs:
         counts[c] += m
@@ -548,8 +533,7 @@ def _selection(
     pieces = [(classes[fitness.scores[a]], highs[a >> h], lows[a % len(lows):][:b - a])
               for a, b in zip(starts, [*starts[1:], size])]
     weights = [1.0 / size] * len(distinct)
-    extinct: set[int] = set()
-    dead, gone = _Labels([], extinct), 0  # the extinct labels, and their number
+    dead, gone = _Labels([]), 0  # the extinct labels, and their number
 
     def normalised(weights: list[float]) -> list[float]:
         total = 0.0  # 0.0 + w is w, so the fold starts at the first weight
@@ -566,37 +550,38 @@ def _selection(
         t += 1
         weights = normalised([w * s for w, s in zip(weights, distinct)])
         # runs keeps the runs of the living classes: an extinct weight
-        # stays 0.0, which adds nothing to a total
+        # stays 0.0, which adds nothing to a total, and a living one is at
+        # least the threshold, so the extinct classes are those of weight 0.0
         culled = {c for c, _ in runs if weights[c] < extinction_threshold}
         if culled:
-            extinct = extinct | culled
             runs = [(c, m) for c, m in runs if c not in culled]
             weights = normalised([0.0 if w < extinction_threshold else w for w in weights])
-            dead = _Labels([piece[1:] for piece in pieces if piece[0] in extinct], extinct)
+            dead = _Labels([(prefix, lows) for c, prefix, lows in pieces if weights[c] == 0.0])
             gone += sum(map(counts.__getitem__, culled))
         state = {"weights": _Weights(pieces, weights), "extinct": dead}
         steps.append(TraceStep(t, {"kind": "amplify"}, state))
     params = {"fitness": fitness, "extinction_threshold": extinction_threshold,
               "max_steps": max_steps}
-    return Trace("selectionist", k, tuple(steps), params), spans
+    return Trace("selectionist", k, tuple(steps), params)
 
 
-def _filled(trace: Trace, runs: list[tuple[int, int, int]], labels: list[str]) -> Trace:
-    """A compact selectionist trace, as _selection gives it with its
-    runs, with each step's weights filled from the label table into a
-    read-only dict keyed in variant order, and its extinct labels into a
-    list of its own."""
+def _filled(trace: Trace, labels: list[str]) -> Trace:
+    """A compact selectionist trace, as _selection gives it, with each
+    step's weights filled from the label table into a read-only dict keyed
+    in variant order, and its extinct labels, those of the classes of
+    weight 0.0, into a list of its own."""
+    parts = [(c, labels[a:b]) for c, a, b in trace.final["weights"]._spans()]
     counts: dict[int, int] = {}  # by class, in class order
-    for c, a, b in runs:
-        counts[c] = counts.get(c, 0) + b - a
+    for c, part in parts:
+        counts[c] = counts.get(c, 0) + len(part)
     major = max(counts, key=counts.__getitem__)  # the first largest class
     # a map fills every label with the weight of the largest class, then
     # the other labels with their own; fromkeys over a dict presizes the
     # map and reuses the labels' hashes
     keys = dict.fromkeys(labels)
-    minor = [(c, a, b) for c, a, b in runs if c != major]
-    minor_labels = list(itertools.chain.from_iterable(labels[a:b] for _, a, b in minor))
-    minor_of = [c for c, a, b in minor for _ in range(a, b)]
+    minor = [(c, part) for c, part in parts if c != major]
+    minor_labels = list(itertools.chain.from_iterable(part for _, part in minor))
+    minor_of = [c for c, part in minor for _ in part]
 
     def filled(state: dict) -> dict:
         compact = state["weights"]
@@ -604,8 +589,7 @@ def _filled(trace: Trace, runs: list[tuple[int, int, int]], labels: list[str]) -
         weight_map = _WeightMap(dict.fromkeys(keys, weights[major]))
         dict.update(weight_map, zip(minor_labels, map(weights.__getitem__, minor_of)))
         weight_map._compact = compact
-        dead = state["extinct"]._of
-        extinct = itertools.chain.from_iterable(labels[a:b] for c, a, b in runs if c in dead)
+        extinct = itertools.chain.from_iterable(part for c, part in parts if weights[c] == 0.0)
         return {"weights": weight_map, "extinct": list(extinct)}
 
     steps = tuple(TraceStep(s.index, s.event, filled(s.state)) for s in trace.steps)
@@ -637,7 +621,7 @@ def run_selectionist(
     of its own. The run itself keeps one weight per fitness class; the
     dicts are filled from it at the end.
     """
-    return _filled(*_selection(k, fitness, extinction_threshold, max_steps, limits), _labels(k))
+    return _filled(_selection(k, fitness, extinction_threshold, max_steps, limits), _labels(k))
 
 
 def selection_survivors(trace: Trace) -> frozenset[int]:
@@ -666,10 +650,11 @@ def _generation(k: int, experience: Iterable[tuple[int, int]], overwrite: bool) 
     h, highs, lows = _halves(k)
 
     def snapshot() -> dict:
-        mask, want = bits = _bank_bits(bank)
+        switches = [s.value for s in bank.states]
+        mask, want = _bank_bits(switches)
         low_block = _select(lows, mask % len(lows), want % len(lows))
         parts = [(high, low_block) for high in _select(highs, mask >> h, want >> h)]
-        return {"switches": [s.value for s in bank.states], "block": _Labels(parts, bits)}
+        return {"switches": switches, "block": _Labels(parts)}
 
     steps = [TraceStep(0, None, snapshot())]
     events = []
@@ -688,7 +673,7 @@ def _generation(k: int, experience: Iterable[tuple[int, int]], overwrite: bool) 
 
 def _listed(trace: Trace, labels: list[str]) -> Trace:
     """A compact generative trace with each block sliced from the label table."""
-    blocks = [_select(labels, *s.state["block"]._of) for s in trace.steps]
+    blocks = [_select(labels, *_bank_bits(s.state["switches"])) for s in trace.steps]
     steps = (TraceStep(s.index, s.event, {**s.state, "block": b})
              for s, b in zip(trace.steps, blocks))
     return Trace(trace.mechanism, trace.k, tuple(steps), trace.params)
@@ -776,9 +761,9 @@ class MechanismComparison(_Record):
 def _comparison(
     k: int, target: int, fitness_margin: float, extinction_threshold: float | None,
     max_steps: int | None, limits: Limits,
-) -> tuple[MechanismComparison, list[tuple[int, int, int]]]:
+) -> MechanismComparison:
     """compare_mechanisms with both traces compact, as _selection and
-    _generation give them, and the selectionist runs that fill it."""
+    _generation give them."""
     fitness = Fitness.peaked(k, target, fitness_margin)
     if extinction_threshold is None:
         extinction_threshold = 0.5 / 2**k
@@ -788,21 +773,21 @@ def _comparison(
         # a subnormal margin or threshold overflows steps to inf, which the cap refuses
         max_steps = math.ceil(steps) + 2 if math.isfinite(steps) else steps
     _check_steps(max_steps, limits)  # before either run builds anything
-    selection, runs = _selection(k, fitness, extinction_threshold, max_steps, limits)
+    selection = _selection(k, fitness, extinction_threshold, max_steps, limits)
     experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
     generation = _generation(k, experience, False)
     # the survivors are the target alone when every other label is extinct
     # and the target's is not: an extinct weight is 0.0, a living one at
     # least the threshold. The target's weight is that of the class of the
-    # run that holds it.
-    target_class = next(c for c, _, end in runs if target < end)
+    # piece that holds it.
     final = selection.final
+    target_class = next(c for c, _, end in final["weights"]._spans() if target < end)
     agreement = (
         len(final["extinct"]) == 2**k - 1
         and final["weights"]._weights[target_class] != 0.0
-        and generation.final["block"]._of == (2**k - 1, target)
+        and _bank_bits(generation.final["switches"]) == (2**k - 1, target)
     )
-    return MechanismComparison(k, target, selection, generation, agreement), runs
+    return MechanismComparison(k, target, selection, generation, agreement)
 
 
 def compare_mechanisms(
@@ -828,9 +813,9 @@ def compare_mechanisms(
     weight dicts and all: agreement is decided on the runs' compact final
     states, and both are filled from one label table after.
     """
-    result, runs = _comparison(k, target, fitness_margin, extinction_threshold, max_steps, limits)
-    labels = _labels(k)  # held, so that both traces are filled from one table
-    selection = _filled(result.selectionist, runs, labels)
+    result = _comparison(k, target, fitness_margin, extinction_threshold, max_steps, limits)
+    labels = _labels(k)  # both traces are filled from one table
+    selection = _filled(result.selectionist, labels)
     generation = _listed(result.generative, labels)
     return MechanismComparison(k, target, selection, generation, result.agreement)
 

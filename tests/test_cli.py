@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -377,26 +376,15 @@ class TestSim:
         ids=["compare", "select peak", "generate", "select file"],
     )
     def test_label_table_only_for_a_fitness_file(
-        self, capsys, monkeypatch, tmp_path, argv, tables
+        self, capsys, tmp_path, label_tables, argv, tables
     ):
         # the CLI writes every label from two half-width tables; only
         # reading a fitness file builds the table of all 2**k labels
-        built = []
-
-        class Counted(mechanisms._Table):
-            __slots__ = ()
-
-            def __init__(self, labels):
-                built.append(len(labels))
-                super().__init__(labels)
-
-        monkeypatch.setattr(mechanisms, "_Table", Counted)
-        monkeypatch.setattr(mechanisms, "_TABLES", weakref.WeakValueDictionary())
         fitness = tmp_path / "fitness.txt"
         fitness.write_text("".join(f"{v:04b} {v % 3 + 1}\n" for v in range(16)))
         code, out, _ = run(capsys, *[str(fitness) if a == "FILE" else a for a in argv])
         assert code == 0 and json.loads(out)["k"] == 4
-        assert built == tables
+        assert label_tables == tables
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     @pytest.mark.parametrize(
@@ -1119,7 +1107,7 @@ def test_import_loads_only_ditkit_beyond_its_stdlib_imports():
     # not preloaded.
     code = (
         "import sys, __future__, argparse, collections.abc, enum, functools, itertools,"
-        " json, math, operator, re, weakref\n"
+        " json, math, operator, re\n"
         "before = set(sys.modules)\n"
         "import ditkit\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"

@@ -7,7 +7,6 @@ import pickle
 import random
 import re
 import tracemalloc
-import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,7 +221,7 @@ class TestSwitches:
         for i, value in [(20, 1), (18, 0), (17, 1)]:
             bank = set_switch(bank, i, value)
         want = 1 << 19 | 1 << 16
-        block = mechanisms._bank_block(bank)
+        block = mechanisms._agreeing(20, 1 << 19 | 1 << 17 | 1 << 16, want)
         assert len(block) == 2**17
         assert block == [want | high | low for high in (0, 1 << 18) for low in range(2**16)]
         assert consistent_block(bank) == frozenset(block)
@@ -276,7 +275,7 @@ class TestSelect:
 
     def test_blocks_are_fresh_lists(self):
         k = 4
-        labels = mechanisms._labels(k)  # held, so the table lives through the run
+        labels = mechanisms._labels(k)
         before = list(labels)
         assert mechanisms._select(labels, 0, 0) is not labels
         trace = run_generative(k, [(3, 1), (1, 0), (2, 1), (4, 0)])
@@ -285,7 +284,6 @@ class TestSelect:
             assert block is not labels
             block[0] = "x"
             block.append("y")
-        assert mechanisms._labels(k) is labels
         assert labels == before
 
 
@@ -783,6 +781,9 @@ class TestTwentyQuestions:
         assert twenty_questions(30, answers) == frozenset({target})
 
 
+_STOPS = [(1, "1 step"), (2, "2 steps"), (None, "default")]  # max_steps and its test id
+
+
 class TestCompare:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_agreement_for_every_target(self, k):
@@ -792,12 +793,20 @@ class TestCompare:
             assert selection_survivors(result.selectionist) == frozenset({target})
             assert generative_block(result.generative) == frozenset({target})
 
-    @pytest.mark.parametrize("max_steps", [1, 2, None], ids=["1 step", "2 steps", "default"])
-    @pytest.mark.parametrize("margin", [1.0, 1e-3])
+    @pytest.mark.parametrize(
+        "margin, max_steps",
+        [  # at 1e-17 the derived step count is over the cap
+            pytest.param(margin, steps, id=f"{margin}-{stop}")
+            for margin, stops in [(1.0, _STOPS), (1e-3, _STOPS), (1e-17, _STOPS[:2])]
+            for steps, stop in stops
+        ],
+    )
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_agreement_is_the_set_test(self, k, margin, max_steps):
         # read off the final states, agreement is the set test it replaced,
-        # on runs that converge and on runs stopped short of it
+        # on runs that converge and on runs stopped short of it; at a margin
+        # of 1e-17, 1.0 + margin == 1.0, so the target shares one fitness
+        # class with every variant
         agreements = set()
         for target in range(2**k):
             result = compare_mechanisms(k, target, margin, max_steps=max_steps)
@@ -819,41 +828,16 @@ class TestCompare:
         assert got["selectionist"]["final"]["weights"]["11"] == 1.0
         assert got["generative"]["final"]["block"] == ["11"]
 
-    @staticmethod
-    def _counted_tables(monkeypatch) -> list[int]:
-        """The sizes of the label tables built from here on, in a fresh memo."""
-        built = []
-
-        class Counted(mechanisms._Table):
-            __slots__ = ()
-
-            def __init__(self, labels):
-                built.append(len(labels))
-                super().__init__(labels)
-
-        monkeypatch.setattr(mechanisms, "_Table", Counted)
-        monkeypatch.setattr(mechanisms, "_TABLES", weakref.WeakValueDictionary())
-        return built
-
-    def test_runs_share_one_label_table(self, monkeypatch):
-        # compare holds the table across both runs, so the generative blocks
+    def test_runs_share_one_label_table(self, label_tables):
+        # compare fills both runs from one table, so the generative blocks
         # hold the very strings that key the selectionist maps
-        built = self._counted_tables(monkeypatch)
         limits = Limits().replaced(max_switch_bits=12)
         result = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits)
-        assert built == [2**12]
+        assert label_tables == [2**12]
         keys = {label: label for label in result.selectionist.final["weights"]}
         for step in result.generative.steps:
             assert all(keys[label] is label for label in step.state["block"])
         assert len(result.generative.steps[0].state["block"]) == 2**12
-
-    def test_label_table_dropped_on_return(self, monkeypatch):
-        # a trace holds no table, so none is left once compare returns
-        built = self._counted_tables(monkeypatch)
-        limits = Limits().replaced(max_switch_bits=12)
-        result = compare_mechanisms(12, 0b010110100101, 1.0, limits=limits)
-        assert built == [2**12] and result.agreement
-        assert 12 not in mechanisms._TABLES
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_runs_are_the_public_runs(self, k):
