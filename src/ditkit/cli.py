@@ -284,8 +284,8 @@ def cmd_lattice(args: SimpleNamespace, limits: Limits) -> int:
     else:
         chunks = _lattice_json_chunks(args.kind, args.n, names, labels, rows)
     # the writer alone holds them, so the level below goes with the last
-    # row, the names with the writer's last use, and the blocks the labels
-    # are cut from with the writer, as the DOT one stops at the last label
+    # row, the names with the writer's last use, and the labels of the
+    # parents with the writer, as the DOT one stops at the last label
     del covers, names, rows, labels
     _emit(chunks)
     return 0

@@ -776,15 +776,13 @@ def _comparison(
     selection = _selection(k, fitness, extinction_threshold, max_steps, limits)
     experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
     generation = _generation(k, experience, False)
-    # the survivors are the target alone when every other label is extinct
-    # and the target's is not: an extinct weight is 0.0, a living one at
-    # least the threshold. The target's weight is that of the class of the
-    # piece that holds it.
-    final = selection.final
-    target_class = next(c for c, _, end in final["weights"]._spans() if target < end)
+    # the survivors are the target alone when every other label is extinct.
+    # The target's class is the top class, which is never culled: a cull
+    # takes the weights below the threshold, and _check_threshold keeps that
+    # below 1/2**k, which the normalised top weight never falls under. So
+    # 2**k - 1 extinct labels are all the others.
     agreement = (
-        len(final["extinct"]) == 2**k - 1
-        and final["weights"]._weights[target_class] != 0.0
+        len(selection.final["extinct"]) == 2**k - 1
         and _bank_bits(generation.final["switches"]) == (2**k - 1, target)
     )
     return MechanismComparison(k, target, selection, generation, agreement)

@@ -26,7 +26,7 @@ arithmetic on the ranks of an edge one level down, plus the edges that
 merge u's own block into an earlier one; no partition is built, merged
 or looked up per edge, and the edges come out in order. The last level
 does no arithmetic per edge: its covers are slices of the caller's list,
-and its labels are cut from the level below's blocks as they are read.
+and its labels are cut from the level below's as they are read.
 """
 from __future__ import annotations
 
@@ -408,8 +408,8 @@ def _lattice(kind: str, n: int, limits: Limits) -> tuple[int, Iterator[str], Cal
     if kind == "subset":
         labels = [_subset_text([u for u in range(n) if m >> u & 1]) for m in range(2**n)]
         return len(labels), iter(labels), _subset_covers(n)
-    blocks, covers = _partition_lattice(n)
-    return bell_number(n), _last_labels(blocks, n - 1), covers
+    labels, covers = _partition_lattice(n)
+    return bell_number(n), _grown_labels(labels, n - 1), covers
 
 
 def _subset_covers(n: int) -> Callable:
@@ -419,92 +419,100 @@ def _subset_covers(n: int) -> Callable:
                        for m in range(2**n))
 
 
-def _partition_lattice(n: int) -> tuple[list[tuple[str, ...]], Callable]:
+def _partition_lattice(n: int) -> tuple[list[str], Callable]:
     """The partition lattice grown from n = 0 one element at a time: the
-    blocks of the partitions of n - 1 elements, from which _last_labels
-    cuts the labels as they are read, and covers(at) of the lattice of n.
+    labels of the partitions of n - 1 elements, from which _grown_labels
+    cuts the last level's as they are read, and covers(at) of the lattice of n.
 
-    A level holds each partition's blocks as text, its upper covers'
-    ascending positions and the pairs bi < bj of blocks they split.
-    _grown_covers gives every level's covers. Levels to n - 1 are grown
-    as lists, their covers read from a list of their own positions.
-    Level n, with most of the nodes and edges, is not built: its covers
-    are read from the caller's list.
+    A level is held flat, with no list per node: a byte per node for its
+    k + 1 children and a count of its upper covers, then the covers of all
+    its nodes in turn, each as the position of its first child one level
+    up, and two bytes a cover for the pair bi < bj of blocks it splits (a
+    byte holds k + 2 to level 253; growing level 254, of Bell(254) nodes,
+    raises). Each node's label is one str. _grown_covers gives every level's covers: for the
+    levels to n - 1 it reads them from the list of first child positions
+    one level up, and they go straight into one flat list. Level n, with
+    most of the nodes and edges, is not built: its covers are read from
+    the caller's list.
     """
-    blocks, positions, pairs = [()], [[]], [[]]  # the one partition of no elements
+    labels, level = [""], (b"\1", [0], b"", [])  # the one partition of no elements
+    grown = [b""]  # grown[k + 1]: the children's k + 1, k times k + 1 and once k + 2
     for u in range(n - 1):
-        ks = [len(b) for b in blocks]
-        at = list(range(len(blocks) + sum(ks)))
-        positions = list(_grown_covers(ks, positions, pairs, at))
-        pairs = list(_grown_pairs(ks, pairs))
-        blocks = list(_grown_blocks(blocks, u))
-    ks = [len(b) for b in blocks]
-    return blocks, lambda at: _grown_covers(ks, positions, pairs, at)
+        grown.append(bytes([u + 1] * u + [u + 2]))  # level u has k <= u
+        sizes = b"".join(map(grown.__getitem__, level[0]))
+        rows = _grown_covers(level, list(itertools.accumulate(sizes, initial=0)))
+        level = sizes, *_grown_pairs(level), list(itertools.chain.from_iterable(rows))
+        labels = list(_grown_labels(labels, u))
+    return labels, lambda at: _grown_covers(level, at)
 
 
-def _last_labels(blocks: list[tuple[str, ...]], u: int) -> Iterator[str]:
-    """The labels of _grown_blocks' children, each cut from its parent's
-    label as it is read: u goes in at the end of each block in turn, then
-    after a "|", or alone for u = 0, whose one parent has no blocks."""
+def _grown_labels(labels: Iterable[str], u: int) -> Iterator[str]:
+    """Each partition's children in order, each label cut from its parent's
+    as it is read: u goes in at the end of each block in turn, then after
+    a "|", or alone for u = 0, whose one parent "" has no blocks."""
     tail, new = f",{u}", f"|{u}" if u else "0"
-    for b in blocks:
-        label, end = "|".join(b), -1
-        for block in b:
+    for label in labels:
+        end = -1
+        for block in label.split("|") if u else ():
             end += len(block) + 1
             yield label[:end] + tail + label[end:]
         yield label + new
 
 
-def _grown_covers(
-    ks: list[int], positions: list[list[int]], pairs: list[list[tuple[int, int]]], at: list
-) -> Iterator[list]:
+def _grown_covers(level: tuple[bytes, list[int], bytes, list[int]], at: list) -> Iterator[list]:
     """Upper covers one level up, for each child in enumeration order,
-    from the block counts ks and the level below's covers, each cover's
-    position y read as at[y].
+    from a level's flat storage, each cover's position y read as at[y].
 
     The children (x, c) of x sit at off[x] + c, where off sums k + 1
-    over the nodes before x. So a cover y of x that merges bi < bj gives
-    the cover (y, c) of (x, relabel(c)) for each c in 0..k(y), with
-    relabel(c) = bi if c == bj else c - (c > bj). Read by source, child
-    d of x gets (y, bi) and (y, bj) when d == bi and (y, d + (d >= bj))
-    otherwise: over d = 0..k, the column at[s : s + k + 2], s = off[y],
-    without its entry bj, which row bi takes as well, after the column's
-    own. The new singleton block k of (x, k) also merges into each
-    earlier block d, covering (x, d): each row opens with at[off[x] + k],
-    except that child's own row. Rows come out in ascending position, as
-    (x, k) precedes every child of a y > x.
+    over the nodes before x, and a cover y of x is kept as off[y]. So a
+    cover y of x that merges bi < bj gives the cover (y, c) of (x,
+    relabel(c)) for each c in 0..k(y), with relabel(c) = bi if c == bj
+    else c - (c > bj). Read by source, child d of x gets (y, bi) and (y,
+    bj) when d == bi and (y, d + (d >= bj)) otherwise: over d = 0..k, the
+    column at[s : s + k + 2], s = off[y], without its entry bj, which row
+    bi takes as well, after the column's own. The new singleton block k
+    of (x, k) also merges into each earlier block d, covering (x, d):
+    each row opens with at[off[x] + k], except that child's own row. Rows
+    come out in ascending position, as (x, k) precedes every child of a y > x.
     """
-    off = list(itertools.accumulate([k + 1 for k in ks], initial=0))
-    for x, k in enumerate(ks):
+    sizes, counts, codes, targets = level
+    covers, s = zip(targets, *[iter(codes)] * 2), 0  # s: off[x]
+    for size, m in zip(sizes, counts):  # size: k + 1
         columns, merged = [], []
-        for j, (y, (bi, bj)) in enumerate(zip(positions[x], pairs[x]), 2):
-            column = at[off[y] : off[y] + k + 2]
+        for j, (t, bi, bj) in zip(range(2, m + 2), covers):  # the range first: none past x's
+            column = at[t : t + size + 1]
             merged.append((bi, j, column.pop(bj)))  # j: after the column in its row
             columns.append(column)
-        rows = list(map(list, zip(itertools.repeat(at[off[x] + k], k + 1), *columns)))
+        rows = list(map(list, zip(itertools.repeat(at[s + size - 1], size), *columns)))
+        s += size
         for bi, j, entry in reversed(merged):  # from the last column, so each j holds
             rows[bi].insert(j, entry)
-        del rows[k][0]
+        del rows[-1][0]
         yield from rows
 
 
-def _grown_blocks(blocks: list[tuple[str, ...]], u: int) -> Iterator[tuple[str, ...]]:
-    """Each partition's children in order: u joins block 0, ..., block
-    k - 1, then a block of its own."""
-    new, tail = str(u), f",{u}"
-    for b in blocks:
-        for c in range(len(b)):
-            yield b[:c] + (b[c] + tail,) + b[c + 1 :]
-        yield b + (new,)
-
-
-def _grown_pairs(ks: list[int], pairs: list[list[tuple[int, int]]]) -> Iterator[list]:
-    """The pairs aligned with _grown_covers' rows; only (d, k) is new, and
-    each (d, k) is one tuple, shared[k][d], for the whole level."""
-    shared = [[(d, k) for d in range(k)] for k in range(max(ks) + 1)]
-    for k, above in zip(ks, pairs):
-        for d in range(k + 1):
-            row = [shared[k][d]] if d < k else []
-            for pair in above:
-                row += (pair, pair) if pair[0] == d else (pair,)
-            yield row
+def _grown_pairs(level: tuple[bytes, list[int], bytes, list[int]]) -> tuple[list[int], bytes]:
+    """Each child's count of covers, and their pairs aligned with
+    _grown_covers' rows: child d < k of x opens with the new pair (d, k),
+    then has x's pairs, each pair with bi == d twice; child k has x's."""
+    sizes, counts, codes, _ = level
+    heads = [[bytes((d, k)) for d in range(k)] for k in range(max(sizes))]
+    tally, pairs, c = [], bytearray(), 0
+    for size, m in zip(sizes, counts):
+        above, c = codes[c : c + 2 * m], c + 2 * m
+        bis = above[::2]
+        for d, head in enumerate(heads[size - 1]):
+            pairs += head
+            if d not in bis:
+                pairs += above
+                tally.append(m + 1)
+                continue
+            e, i = 0, bis.find(d)
+            while i >= 0:
+                pairs += above[e : 2 * i + 2]
+                e, i = 2 * i, bis.find(d, i + 1)
+            pairs += above[e:]
+            tally.append(m + 1 + bis.count(d))
+        pairs += above
+        tally.append(m)
+    return tally, bytes(pairs)

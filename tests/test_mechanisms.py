@@ -276,15 +276,19 @@ class TestSelect:
     def test_blocks_are_fresh_lists(self):
         k = 4
         labels = mechanisms._labels(k)
-        before = list(labels)
         assert mechanisms._select(labels, 0, 0) is not labels
-        trace = run_generative(k, [(3, 1), (1, 0), (2, 1), (4, 0)])
-        for step in trace.steps:
-            block = step.state["block"]
-            assert block is not labels
-            block[0] = "x"
-            block.append("y")
-        assert labels == before
+        # the second run has steps with equal blocks
+        for events, overwrite in [([(3, 1), (1, 0), (2, 1), (4, 0)], False),
+                                  ([(3, 1), (3, 1), (1, 0), (1, 0)], True)]:
+            blocks = [step.state["block"] for step in run_generative(k, events, overwrite).steps]
+            want = [list(block) for block in blocks]
+            assert len({id(block) for block in blocks}) == len(blocks) == len(events) + 1
+            for i, block in enumerate(blocks):  # each edit leaves the later blocks as they were
+                block[0] = "x"
+                block.append("y")
+                assert blocks[i + 1 :] == want[i + 1 :]
+            fresh = run_generative(k, events, overwrite)
+            assert [step.state["block"] for step in fresh.steps] == want
 
 
 class TestFitness:

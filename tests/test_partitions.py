@@ -510,9 +510,11 @@ class TestLatticeGrowth:
         assert list(labels) == [str(s) for s in subset_lattice_nodes(n)]
 
     def test_growth_holds_no_merge_data_per_edge(self):
-        # growing and draining n = 9 peaks at 3.58 MiB; a (position, bi,
-        # bj) tuple per edge in the last level read 5.15-5.36. The list
-        # the covers are read from is the caller's, as the CLI's names are
+        # growing and draining n = 9 peaks at 0.77-0.81 MiB on Python
+        # 3.10-3.13; two lists per node, of positions and of pairs, read
+        # 1.99-2.02, and a (position, bi, bj) tuple per edge in the last
+        # level 5.15-5.36. The list the covers are read from is the
+        # caller's, as the CLI's names are
         at = list(range(bell_number(9)))
         tracemalloc.start()
         try:
@@ -522,19 +524,20 @@ class TestLatticeGrowth:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.75 * 2**20
+        assert peak < 1.25 * 2**20
 
     @pytest.mark.parametrize("style", ["--json", "--dot"])
     def test_cli_at_nine_holds_each_level_no_longer_than_needed(self, monkeypatch, style):
         # after an untraced call, which loads modules and first-use caches,
-        # the peak holds the names, the level below with its blocks, from
-        # which the labels are cut a chunk at a time, and one batch, but no
-        # list of labels: 2.95 MiB on Python 3.11 and 2.92 on 3.10; a list
-        # of all the labels read 4.32-4.33. By the last write the names and
-        # the level below are gone: 0.01-0.03 MiB, where a label stream that
-        # the CLI kept held the level below (0.27 MiB), a list of labels
-        # 2.9 MiB as JSON and 1.6 as DOT, and a covers callable kept alive
-        # by the CLI the rest too (5.4 and 3.7 MiB)
+        # the peak holds the names, the level below with its labels, from
+        # which the last level's are cut a chunk at a time, and one batch,
+        # but no list of labels: 1.82-2.02 MiB on Python 3.10-3.13, where
+        # two lists per node read 2.75-2.95 and a list of all the labels
+        # 4.32-4.33. By the last write the names and the level below are
+        # gone: 0.01-0.03 MiB, where a label stream that the CLI kept held
+        # the level below (0.27 MiB), a list of labels 2.9 MiB as JSON and
+        # 1.6 as DOT, and a covers callable kept alive by the CLI the rest
+        # too (5.4 and 3.7 MiB)
         class NullSink:
             def write(self, text):
                 self.traced = tracemalloc.get_traced_memory()[0]
@@ -554,7 +557,7 @@ class TestLatticeGrowth:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 3.75 * 2**20
+        assert peak < 2.5 * 2**20
         assert sink.traced < 0.1 * 2**20
 
     def test_first_labels_cut_only_their_parents(self, monkeypatch):
@@ -563,14 +566,16 @@ class TestLatticeGrowth:
         grown, read = partitions_module._partition_lattice, []
 
         def counted(n):
-            blocks, covers = grown(n)
-            return (read.append(b) or b for b in blocks), covers
+            labels, covers = grown(n)
+            return (read.append(label) or label for label in labels), covers
 
         monkeypatch.setattr(partitions_module, "_partition_lattice", counted)
         _, labels, _ = _lattice("partition", 9, DEFAULT_LIMITS)
         first = list(itertools.islice(labels, cli._NODES))
         assert first == [str(p) for p in itertools.islice(enumerate_partitions(9), cli._NODES)]
-        assert sum(len(b) + 1 for b in read[:-1]) < cli._NODES <= sum(len(b) + 1 for b in read)
+        # a parent of k blocks, k - 1 bars, has k + 1 children
+        children = [label.count("|") + 2 for label in read]
+        assert sum(children[:-1]) < cli._NODES <= sum(children)
 
     def test_cap_fires_before_growth(self, monkeypatch):
         def refuse(*args):
