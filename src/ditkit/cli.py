@@ -21,6 +21,10 @@ loads partitions alone. json only reads a config file: lattice writes
 its JSON itself, without _json, and the rest goes through textio's JSON
 writer (taut --json, sim, compare, error lines); taut prints a
 counterexample with str(), without textio.
+
+main registers gc.freeze with atexit once per process, so the
+interpreter's last collections skip the objects alive at exit, which
+it is about to drop; nothing is frozen while a call runs.
 """
 from __future__ import annotations
 
@@ -51,8 +55,18 @@ _LIMIT_FLAGS = Limits._fields
 
 _BLOCK = io.DEFAULT_BUFFER_SIZE  # buffered stdout writes blocks of this size too
 
+_freeze_registered = False  # whether main has registered gc.freeze with atexit
+
 
 def main(argv: list[str] | None = None) -> int:
+    global _freeze_registered
+    if not _freeze_registered:
+        # once per process, by a flag: each atexit.unregister leaves a dead slot
+        import atexit
+        import gc
+
+        atexit.register(gc.freeze)
+        _freeze_registered = True
     if argv is None:
         argv = sys.argv[1:]
     args = _parse(argv)

@@ -13,8 +13,10 @@ a dict from node class to meaning, where Const means the pair (F, T).
 One algebra serves both semantics, partition logic being subset logic
 on distinction sets plus the interior: a value holds one int per pair
 u < v of the universe, each bit one assignment's distinction of that
-pair, and each connective is partitions._BOOLEAN pair by pair, then the
-interior. Subsets of n points are its one-pair case, n bits wide.
+pair. &, -> and <-> are partitions._BOOLEAN pair by pair, then the
+interior; | is the pairwise union, already a distinction set, and ~a
+splits every pair where a splits none, and none elsewhere. Subsets of
+n points are its one-pair case, n bits wide.
 Parsing, compiling, evaluating and printing all use explicit stacks, so
 no formula is too deep for them.
 """
@@ -231,8 +233,10 @@ def _evaluate(program: tuple[Formula, ...], algebra: dict, env: Mapping[str, obj
 def _partition_algebra(n: int, width: int) -> dict:
     """Partitions of n points, width assignments at once: one int per pair
     u < v, in _dit_mask order, with bit t set when assignment t splits it.
-    A connective is _BOOLEAN pair by pair, then Warshall's closure of the
-    unsplit pairs; at n = 2 there is one pair, so no closure."""
+    &, -> and <-> are _BOOLEAN pair by pair, then Warshall's closure of
+    the unsplit pairs (at n = 2 there is one pair, so no closure); | and
+    ~ have closed forms that need none (Ellerman, "The Logic of
+    Partitions", 2010)."""
     full = (1 << width) - 1
     pairs = [(u, v) for v in range(1, n) for u in range(v)]
     at = {pair: e for e, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
@@ -250,7 +254,11 @@ def _partition_algebra(n: int, width: int) -> dict:
 
     return {
         Const: ((0,) * len(pairs), (full,) * len(pairs)),
-        **{shape: lift(_BOOLEAN[shape._connective]) for shape in _CONNECTIVES},
+        **{shape: lift(_BOOLEAN[shape._connective]) for shape in (And, Implies, Iff)},
+        # a union of distinction sets is one; ~a is the discrete partition
+        # where a is the indiscrete one, and the indiscrete one elsewhere
+        Or: lambda a, b: tuple([x | y for x, y in zip(a, b)]),
+        Not: lambda a: (full ^ functools.reduce(int.__or__, a, 0),) * len(pairs),
     }
 
 

@@ -1091,11 +1091,15 @@ class TestCaps:
         assert run(capsys, "--max-search-assignments", "2704", *argv) == (0, "valid (n=2..5)\n", "")
 
 
+def _child_env(**extra: str) -> dict:
+    """The environment for a child Python that imports this ditkit."""
+    return dict(os.environ, PYTHONPATH=str(pathlib.Path(ditkit.__file__).parent.parent), **extra)
+
+
 def _child(code: str, *flags: str) -> str:
-    src = pathlib.Path(ditkit.__file__).parent.parent
     child = subprocess.run(
         [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+        env=_child_env(), check=True,
     )
     return child.stdout
 
@@ -1362,6 +1366,118 @@ class TestBlockWrites:
             outputs.append(child.stdout)
         assert outputs[0] == outputs[1]
         assert hashlib.sha256(outputs[1]).hexdigest() == digest
+
+
+# atexit runs its hooks last in, first out, so this one, registered before
+# main, runs after main's freeze and reports on stderr whether gc is frozen
+_FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+)
+
+
+class TestExitFreeze:
+    """main registers gc.freeze with atexit, so a CLI process skips the
+    interpreter's last collections; nothing is frozen while it runs, and
+    a process that never calls main freezes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["taut", "p -> p", "--logic", "partition"], 0),
+            (["taut", "p | ~p", "--logic", "partition"], 1),
+            (["taut", "p &", "--logic", "truth"], 2),
+            (["--help"], 0),
+            (["taut"], 2),
+            (["eval", "p & q", "--logic", "subset", "--n", "2", "--assign", "p={0}"], 3),
+            (["lattice", "--kind", "partition", "--n", "99"], 4),
+        ],
+        ids=["valid", "invalid", "usage", "argparse help", "argparse usage", "domain", "cap"],
+    )
+    def test_every_exit_path_freezes_at_exit(self, argv, status):
+        code = _FREEZE_PROBE + f"from ditkit.cli import main\nsys.exit(main({argv!r}))\n"
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                               env=_child_env())
+        assert child.returncode == status
+        assert child.stderr.endswith(b"frozen True\n")
+
+    def test_closed_stdout_freezes_at_exit(self):
+        code = _FREEZE_PROBE + "from ditkit.cli import main\nsys.exit(main(['lattice', "
+        code += "'--kind', 'partition', '--n', '8']))\n"
+        child = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, env=_child_env())
+        child.stdout.close()  # no reader is left, so every write fails
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 3
+        assert err == b"frozen True\n"
+
+    def test_library_calls_freeze_nothing(self):
+        code = _FREEZE_PROBE + (
+            "import ditkit, ditkit.cli\n"
+            "from ditkit import compare_mechanisms, parse, partition_tautology\n"
+            "from ditkit.partitions import _lattice\n"
+            "partition_tautology(parse('((p -> q) -> p) -> p'), 4)\n"
+            "compare_mechanisms(3, 0b010, 1.0)\n"
+            "count, labels, covers = _lattice('partition', 5, ditkit.Limits())\n"
+            "print(count, len(list(labels)), gc.get_freeze_count())\n"
+        )
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               timeout=60, env=_child_env(), check=True)
+        assert (child.stdout, child.stderr) == ("52 52 0\n", "frozen False\n")
+
+    def test_repeated_calls_register_one_freeze(self, capsys, monkeypatch):
+        import atexit
+        import gc
+
+        hooks = []
+        monkeypatch.setattr(cli, "_freeze_registered", False)  # as in a fresh process
+        monkeypatch.setattr(atexit, "register", hooks.append)
+        codes = [main(["taut", "p -> p", "--logic", "truth"]), main(["taut"]),
+                 main(["lattice", "--kind", "partition", "--n", "99"])]
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert codes == [0, 2, 4]
+        assert hooks == [gc.freeze]
+        assert gc.get_freeze_count() == 0  # frozen at exit, never during a call
+
+    @pytest.mark.skipif(not hasattr(__import__("atexit"), "_ncallbacks"),
+                        reason="atexit._ncallbacks is CPython's")
+    def test_repeated_calls_add_one_atexit_hook(self):
+        code = (
+            "import atexit, contextlib, io\n"
+            "from ditkit.cli import main\n"
+            "before = atexit._ncallbacks()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['taut', 'p', '--logic', 'truth']) for _ in range(3)]\n"
+            "print(codes, atexit._ncallbacks() - before)\n"
+        )
+        assert _child(code) == "[1, 1, 1] 1\n"
+
+    # one command per exit code; stdout and stderr are written in full
+    # before the frozen exit, byte for byte as in process
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _MECHANISM_CASES["compare k=12"],
+            ["taut", "p | ~p", "--logic", "partition", "--json"],
+            ["--help"],
+            ["taut", "p &", "--logic", "truth"],
+            ["taut"],
+            ["eval", "p & q", "--logic", "subset", "--n", "2", "--assign", "p={0}"],
+            ["lattice", "--kind", "partition", "--n", "99"],
+        ],
+        ids=["0", "1", "0 argparse", "2", "2 argparse", "3", "4"],
+    )
+    def test_module_entry_matches_in_process(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        child = subprocess.run([sys.executable, "-m", "ditkit.cli", *argv], capture_output=True,
+                               timeout=60, env=_child_env(COLUMNS="80"))
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, out.encode(), err.encode()
+        )
 
 
 _FORMULAS = ["p | ~p", "p -> q", "T", "F", "~~p", "p & q & r", "p &", "(p q)", ")"]

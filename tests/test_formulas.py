@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import random
@@ -38,7 +39,8 @@ from ditkit import (
     subset_valid,
     truth_table_tautology,
 )
-from ditkit.formulas import _tokenize
+from ditkit.formulas import _pair_columns, _pair_text, _partition_algebra, _tokenize
+from ditkit.partitions import _dit_mask
 from strategies import formulas, random_partition
 
 
@@ -308,6 +310,32 @@ class TestPartitionEvaluation:
             want = oracles.eval_ditwise(f, n, env, pairwise_interior)
             got = eval_partition(f, PartitionAssignment(n, {"p": p, "q": q}))
             assert dit(got).pairs == want, f
+
+
+def _rows(n: int, masks: list[int]) -> tuple[int, ...]:
+    """A value of _partition_algebra(n, len(masks)) whose row t is masks[t]."""
+    pairs = n * (n - 1) // 2
+    return _pair_columns(["".join([_pair_text(m, pairs) for m in masks])], pairs)[0]
+
+
+class TestClosedForms:
+    """| and ~ take no closure in the sliced algebra. Each matches the
+    generic lift, _BOOLEAN on the masks and then the interior, on every
+    pool value or pair of them one at a time, and all in one chunk."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_match_the_generic_lift(self, n):
+        masks = [_dit_mask(x) for x in oracles.rgs_lex(n)]
+        generic, one = oracles._scalar_partition_algebra(n), _partition_algebra(n, 1)
+        for a in masks:
+            assert one[Not](_rows(n, [a])) == _rows(n, [generic[Not](a)])
+            for b in masks:
+                assert one[Or](_rows(n, [a]), _rows(n, [b])) == _rows(n, [generic[Or](a, b)])
+        lefts, rights = zip(*itertools.product(masks, repeat=2))
+        chunk = _partition_algebra(n, len(lefts))
+        left, right = _rows(n, lefts), _rows(n, rights)
+        assert chunk[Not](left) == _rows(n, [generic[Not](a) for a in lefts])
+        assert chunk[Or](left, right) == _rows(n, list(map(generic[Or], lefts, rights)))
 
 
 class TestRandomFormula:
