@@ -298,8 +298,8 @@ def cmd_lattice(args: SimpleNamespace, limits: Limits) -> int:
     else:
         chunks = _lattice_json_chunks(args.kind, args.n, names, labels, rows)
     # the writer alone holds them, so the level below goes with the last
-    # row, the names with the writer's last use, and the labels of the
-    # parents with the writer, as the DOT one stops at the last label
+    # row, the names with the writer's last use, and the label chain,
+    # which holds one label a level, with the writer
     del covers, names, rows, labels
     _emit(chunks)
     return 0
@@ -313,7 +313,7 @@ def _dot_chunks(
 ) -> Iterator[str]:
     yield "digraph lattice {\n  rankdir=BT;\n"
     for a in range(0, len(names), _NODES):
-        # names first, so zip takes no label past the slice
+        # names first, so zip takes no label past the slice: it would be lost
         nodes = map(' [label="'.join, zip(names[a:a + _NODES], labels))
         yield '  n' + '"];\n  n'.join(nodes) + '"];\n'
     for ys, name in zip(rows, names):  # rows first, so zip runs the covers out

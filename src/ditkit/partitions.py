@@ -25,8 +25,8 @@ the ranks before x. Every cover edge of the longer sequences is then
 arithmetic on the ranks of an edge one level down, plus the edges that
 merge u's own block into an earlier one; no partition is built, merged
 or looked up per edge, and the edges come out in order. The last level
-does no arithmetic per edge: its covers are slices of the caller's list,
-and its labels are cut from the level below's as they are read.
+does no arithmetic per edge: its covers are slices of the caller's list.
+The labels are grown apart, each level cut from the one below as it is read.
 """
 from __future__ import annotations
 
@@ -387,11 +387,9 @@ def hasse_cover_edges(kind: str, n: int, limits: Limits = DEFAULT_LIMITS) -> lis
     order with the one-block partition at the bottom. Edges come back
     sorted by enumeration position of their endpoints.
     """
-    _check_lattice_n(kind, n, limits)  # before a node is built
-    if kind == "partition":
-        covers, nodes = _partition_lattice(n)[1], list(enumerate_partitions(n, limits))
-    else:
-        covers, nodes = _subset_covers(n), subset_lattice_nodes(n, limits)
+    _, _, covers = _lattice(kind, n, limits)  # refuses kind and n before a node is built
+    enumerated = {"partition": enumerate_partitions, "subset": subset_lattice_nodes}[kind]
+    nodes = list(enumerated(n, limits))
     return [(x, y) for x, ys in zip(nodes, covers(nodes)) for y in ys]
 
 
@@ -401,15 +399,18 @@ def _lattice(kind: str, n: int, limits: Limits) -> tuple[int, Iterator[str], Cal
     positions of the nodes covering it, each read as its entry in the
     list at: so covers(nodes) gives nodes, and covers(names) names.
 
-    Each label is its node's str(). The size checks run before anything
-    is built; the last level's labels and covers are made as they are read.
+    Each label is its node's str(), made as it is read: a partition's is
+    cut from its parent's by a chain of generators, one per level, and no
+    level is held as a list. The size checks run before anything is built.
     """
     _check_lattice_n(kind, n, limits)
     if kind == "subset":
-        labels = [_subset_text([u for u in range(n) if m >> u & 1]) for m in range(2**n)]
-        return len(labels), iter(labels), _subset_covers(n)
-    labels, covers = _partition_lattice(n)
-    return bell_number(n), _grown_labels(labels, n - 1), covers
+        labels = (_subset_text([u for u in range(n) if m >> u & 1]) for m in range(2**n))
+        return 2**n, labels, _subset_covers(n)
+    labels = iter(["0"])  # the one partition of {0}: _check_n holds n >= 1
+    for u in range(1, n):
+        labels = _grown_labels(labels, u)
+    return bell_number(n), labels, _partition_lattice(n)
 
 
 def _subset_covers(n: int) -> Callable:
@@ -419,41 +420,38 @@ def _subset_covers(n: int) -> Callable:
                        for m in range(2**n))
 
 
-def _partition_lattice(n: int) -> tuple[list[str], Callable]:
-    """The partition lattice grown from n = 0 one element at a time: the
-    labels of the partitions of n - 1 elements, from which _grown_labels
-    cuts the last level's as they are read, and covers(at) of the lattice of n.
+def _partition_lattice(n: int) -> Callable:
+    """covers(at) of the partition lattice of n, grown from n = 0 up.
 
     A level is held flat, with no list per node: a byte per node for its
     k + 1 children and a count of its upper covers, then the covers of all
     its nodes in turn, each as the position of its first child one level
     up, and two bytes a cover for the pair bi < bj of blocks it splits (a
     byte holds k + 2 to level 253; growing level 254, of Bell(254) nodes,
-    raises). Each node's label is one str. _grown_covers gives every level's covers: for the
-    levels to n - 1 it reads them from the list of first child positions
-    one level up, and they go straight into one flat list. Level n, with
-    most of the nodes and edges, is not built: its covers are read from
-    the caller's list.
+    raises). _grown_covers gives every level's covers: for the levels to
+    n - 1 it reads them from the list of first child positions one level
+    up, and they go straight into one flat list. Level n, with most of
+    the nodes and edges, is not built: its covers are read from the
+    caller's list. No label is made here; _lattice cuts them apart.
     """
-    labels, level = [""], (b"\1", [0], b"", [])  # the one partition of no elements
+    level = (b"\1", [0], b"", [])  # the one partition of no elements
     grown = [b""]  # grown[k + 1]: the children's k + 1, k times k + 1 and once k + 2
     for u in range(n - 1):
         grown.append(bytes([u + 1] * u + [u + 2]))  # level u has k <= u
         sizes = b"".join(map(grown.__getitem__, level[0]))
         rows = _grown_covers(level, list(itertools.accumulate(sizes, initial=0)))
         level = sizes, *_grown_pairs(level), list(itertools.chain.from_iterable(rows))
-        labels = list(_grown_labels(labels, u))
-    return labels, lambda at: _grown_covers(level, at)
+    return lambda at: _grown_covers(level, at)
 
 
 def _grown_labels(labels: Iterable[str], u: int) -> Iterator[str]:
     """Each partition's children in order, each label cut from its parent's
     as it is read: u goes in at the end of each block in turn, then after
-    a "|", or alone for u = 0, whose one parent "" has no blocks."""
-    tail, new = f",{u}", f"|{u}" if u else "0"
+    a "|" as a block of its own."""
+    tail, new = f",{u}", f"|{u}"
     for label in labels:
         end = -1
-        for block in label.split("|") if u else ():
+        for block in label.split("|"):
             end += len(block) + 1
             yield label[:end] + tail + label[end:]
         yield label + new

@@ -510,8 +510,9 @@ class TestLatticeGrowth:
         assert list(labels) == [str(s) for s in subset_lattice_nodes(n)]
 
     def test_growth_holds_no_merge_data_per_edge(self):
-        # growing and draining n = 9 peaks at 0.77-0.81 MiB on Python
-        # 3.10-3.13; two lists per node, of positions and of pairs, read
+        # growing and draining n = 9 peaks at 0.57-0.59 MiB on Python
+        # 3.10-3.13; growth that also listed each level's labels read
+        # 0.77-0.81, two lists per node, of positions and of pairs,
         # 1.99-2.02, and a (position, bi, bj) tuple per edge in the last
         # level 5.15-5.36. The list the covers are read from is the
         # caller's, as the CLI's names are
@@ -524,20 +525,20 @@ class TestLatticeGrowth:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 2**20
+        assert peak < 0.75 * 2**20
 
     @pytest.mark.parametrize("style", ["--json", "--dot"])
     def test_cli_at_nine_holds_each_level_no_longer_than_needed(self, monkeypatch, style):
         # after an untraced call, which loads modules and first-use caches,
-        # the peak holds the names, the level below with its labels, from
-        # which the last level's are cut a chunk at a time, and one batch,
-        # but no list of labels: 1.82-2.02 MiB on Python 3.10-3.13, where
-        # two lists per node read 2.75-2.95 and a list of all the labels
-        # 4.32-4.33. By the last write the names and the level below are
-        # gone: 0.01-0.03 MiB, where a label stream that the CLI kept held
-        # the level below (0.27 MiB), a list of labels 2.9 MiB as JSON and
-        # 1.6 as DOT, and a covers callable kept alive by the CLI the rest
-        # too (5.4 and 3.7 MiB)
+        # the peak holds the names, the level below, one label a level of
+        # the chain the labels are cut through, and one batch, but no list
+        # of labels: 1.57-1.75 MiB on Python 3.10-3.13, where a list of
+        # the level below's labels read 1.82-2.03, two lists per node
+        # 2.75-2.95 and a list of all the labels 4.32-4.33. By the last
+        # write the names and the level below are gone: 0.01-0.03 MiB,
+        # where a list of labels kept by the CLI read 2.9 MiB as JSON and
+        # 1.6 as DOT, and a covers callable kept alive the rest too (5.4
+        # and 3.7 MiB)
         class NullSink:
             def write(self, text):
                 self.traced = tracemalloc.get_traced_memory()[0]
@@ -557,25 +558,74 @@ class TestLatticeGrowth:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 2.5 * 2**20
+        assert peak < 2.0 * 2**20
         assert sink.traced < 0.1 * 2**20
 
     def test_first_labels_cut_only_their_parents(self, monkeypatch):
-        # reading the first _NODES labels at n = 9 reads the level below
-        # only as far as their parents, and cuts no label past them
-        grown, read = partitions_module._partition_lattice, []
+        # reading the first _NODES labels at n = 9 reads each level below
+        # only as far as the parents of the labels it gave, and cuts no
+        # label past them; a level gives what the level above reads
+        grown, read, given = partitions_module._grown_labels, {}, {}
 
-        def counted(n):
-            labels, covers = grown(n)
-            return (read.append(label) or label for label in labels), covers
+        def counted(labels, u):
+            parents, children = read.setdefault(u, []), given.setdefault(u, [])
+            for label in grown((parents.append(p) or p for p in labels), u):
+                children.append(label)
+                yield label
 
-        monkeypatch.setattr(partitions_module, "_partition_lattice", counted)
+        monkeypatch.setattr(partitions_module, "_grown_labels", counted)
         _, labels, _ = _lattice("partition", 9, DEFAULT_LIMITS)
         first = list(itertools.islice(labels, cli._NODES))
         assert first == [str(p) for p in itertools.islice(enumerate_partitions(9), cli._NODES)]
-        # a parent of k blocks, k - 1 bars, has k + 1 children
-        children = [label.count("|") + 2 for label in read]
-        assert sum(children[:-1]) < cli._NODES <= sum(children)
+        assert sorted(read) == list(range(1, 9)) and given[8] == first
+        assert read[1] == ["0"] and all(read[u] == given[u - 1] for u in range(2, 9))
+        for u in range(1, 9):
+            # a parent of k blocks, k - 1 bars, has k + 1 children
+            children = [label.count("|") + 2 for label in read[u]]
+            assert sum(children[:-1]) < len(given[u]) <= sum(children)
+
+    @pytest.mark.parametrize("kind", ["partition", "subset"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_cover_edges_build_no_label(self, monkeypatch, kind, n):
+        count, _, covers = _lattice(kind, n, DEFAULT_LIMITS)
+        nodes = list(enumerate_partitions(n) if kind == "partition" else subset_lattice_nodes(n))
+        want = [(nodes[x], nodes[y]) for x, ys in enumerate(covers(list(range(count)))) for y in ys]
+
+        def refuse(*args):
+            raise AssertionError("a label was built")
+
+        def refused(*args):  # a generator, as _grown_labels is: it raises when read
+            yield refuse()
+
+        monkeypatch.setattr(partitions_module, "_grown_labels", refused)
+        monkeypatch.setattr(partitions_module, "_subset_text", refuse)
+        assert hasse_cover_edges(kind, n) == want
+
+    def test_cover_edges_refused_before_growth(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lattice grown before the cap check")
+
+        monkeypatch.setattr(partitions_module, "_partition_lattice", refuse)
+        with pytest.raises(ResourceLimitError, match=r"^enumerating Bell\(11\) = 678570 partitions"):
+            hasse_cover_edges("partition", 11)
+
+    def test_label_chain_holds_no_level(self, monkeypatch):
+        # with growth stubbed out, the labels alone: draining n = 10 traces
+        # 5-6 KiB on Python 3.10-3.13, where a list of the level below
+        # would hold its 21,147 labels
+        monkeypatch.setattr(partitions_module, "_partition_lattice", lambda n: None)
+        for n in range(1, 10):
+            _, labels, _ = _lattice("partition", n, DEFAULT_LIMITS)
+            assert list(labels) == [str(p) for p in enumerate_partitions(n)]
+        tracemalloc.start()
+        try:
+            _, labels, _ = _lattice("partition", 10, DEFAULT_LIMITS)
+            for _ in labels:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 2**20
 
     def test_cap_fires_before_growth(self, monkeypatch):
         def refuse(*args):
