@@ -4,7 +4,7 @@ A partition is stored as a restricted-growth sequence: position u holds
 the block index of element u, with blocks numbered in order of first
 appearance. The encoding is canonical, so structural equality is
 partition equality, and sorting sequences lexicographically gives a
-stable enumeration order, which one iterative generator walks.
+stable enumeration order, grown by the child rule of the lattice below.
 
 The refinement order used throughout puts the all-singletons partition
 (discrete) at the top and the one-block partition (indiscrete) at the
@@ -341,21 +341,13 @@ def _check_lattice_n(kind: str, n: int, limits: Limits) -> None:
 
 
 def _rgs(n: int) -> Iterator[tuple[int, ...]]:
-    """Restricted-growth sequences of length n >= 1 in lexicographic order
-    (Knuth's Algorithm H, TAOCP Vol. 4A, 7.2.1.5): each step raises the
-    last a[i] below b[i] = 1 + max(a[:i]) and zeroes the positions after."""
-    a, b = [0] * n, [1] * n
-    while True:
-        yield tuple(a)
-        j = n - 1
-        while j > 0 and a[j] == b[j]:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        top = b[j] + (a[j] == b[j])
-        for i in range(j + 1, n):
-            a[i], b[i] = 0, top
+    """Restricted-growth sequences of length n >= 1 in lexicographic order,
+    one generator a level: each sequence is followed by its children, the
+    next element in each of its blocks in turn, then in a block of its own."""
+    level: Iterator[tuple[int, ...]] = iter([(0,)])
+    for _ in range(1, n):
+        level = (x + (b,) for x in level for b in range(max(x) + 2))
+    return level
 
 
 def enumerate_partitions(
