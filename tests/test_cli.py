@@ -1483,6 +1483,131 @@ class TestExitFreeze:
         )
 
 
+# A finalizer that writes "teardown" to stderr when the interpreter tears
+# down, set up before ditkit is imported; a process that ends in os._exit
+# never writes it
+_TEARDOWN_MARKER = "import os, sys, weakref\nweakref.finalize(sys, os.write, 2, b'teardown\\n')\n"
+# main as bench/cli_child.py calls it: at the top level of __main__, with
+# the process's own argv, its status passed to sys.exit
+_PROGRAM = "code = main(sys.argv[1:])\n"
+_EXIT_PATHS = {
+    "valid": ["taut", "p -> p", "--logic", "partition"],
+    "invalid": ["taut", "p | ~p", "--logic", "partition"],
+    "usage": ["taut", "p &", "--logic", "truth"],
+    "argparse help": ["--help"],
+    "argparse usage": ["taut"],
+    "domain": ["eval", "p & q", "--logic", "subset", "--n", "2", "--assign", "p={0}"],
+    "cap": ["lattice", "--kind", "partition", "--n", "99"],
+}
+
+
+def _marked_child(tmp_path, way: str, argv: list, script: str = _PROGRAM + "sys.exit(code)\n"):
+    """The command and environment of a child that runs ditkit's CLI as
+    the program, with the teardown marker set up first: a script shaped
+    like bench/cli_child.py, or python -m ditkit.cli, whose __main__ is
+    cli.py itself, so its marker is set up in sitecustomize."""
+    env = _child_env(COLUMNS="80")  # argparse wraps help to the terminal width
+    if way == "script":
+        path = tmp_path / "cli_child.py"
+        path.write_text(_TEARDOWN_MARKER + "from ditkit.cli import main\n" + script)
+        return [sys.executable, str(path), *argv], env
+    (tmp_path / "sitecustomize.py").write_text(_TEARDOWN_MARKER)
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    return [sys.executable, "-m", "ditkit.cli", *argv], env
+
+
+class TestProgramExit:
+    """When main is the program, an atexit hook ends the process with
+    os._exit once the answer is flushed, skipping module teardown; every
+    other caller keeps the interpreter's own exit."""
+
+    @pytest.mark.parametrize("way", ["script", "module"])
+    @pytest.mark.parametrize("argv", _EXIT_PATHS.values(), ids=_EXIT_PATHS)
+    def test_every_exit_path_skips_teardown(self, capsys, monkeypatch, tmp_path, way, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        command, env = _marked_child(tmp_path, way, argv)
+        child = subprocess.run(command, capture_output=True, timeout=60, env=env)
+        assert b"teardown" not in child.stderr
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, out.encode(), err.encode()
+        )
+
+    @pytest.mark.parametrize("way", ["script", "module"])
+    def test_closed_stdout_skips_teardown(self, tmp_path, way):
+        command, env = _marked_child(tmp_path, way, ["lattice", "--kind", "partition", "--n", "8"])
+        child = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()  # no reader is left, so every write fails
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=60), err) == (3, b"")
+
+    def test_sitecustomize_marker_writes_at_teardown(self, tmp_path):
+        # the module way's marker, in the same set-up, where main never runs;
+        # the script way's marker writes in every case below
+        _, env = _marked_child(tmp_path, "module", [])
+        child = subprocess.run([sys.executable, "-c", "pass"], capture_output=True, timeout=60,
+                               env=env)
+        assert (child.returncode, child.stderr) == (0, b"teardown\n")
+
+    # each script ends with a status of its own, 40 + main's, which must stand
+    @pytest.mark.parametrize(
+        "script, argv",
+        [
+            ("def run():\n    return main(sys.argv[1:])\ncode = run()\n", _EXIT_PATHS["invalid"]),
+            ("code = main(%r)\n" % _EXIT_PATHS["invalid"], []),
+            ("code = main(%r)\n" % _EXIT_PATHS["invalid"], ["taut", "p", "--logic", "truth"]),
+            ("sys.settrace(lambda *args: None)\n" + _PROGRAM, _EXIT_PATHS["invalid"]),
+            pytest.param(
+                "sys.monitoring.use_tool_id(sys.monitoring.COVERAGE_ID, 'probe')\n" + _PROGRAM,
+                _EXIT_PATHS["invalid"],
+                marks=pytest.mark.skipif(not hasattr(sys, "monitoring"),
+                                         reason="sys.monitoring is 3.12's"),
+            ),
+        ],
+        ids=["in a function", "own argv", "other argv", "trace function", "monitoring tool"],
+    )
+    def test_other_callers_keep_their_exit(self, capsys, tmp_path, script, argv):
+        code = main(list(_EXIT_PATHS["invalid"]))
+        out, _ = capsys.readouterr()
+        command, env = _marked_child(tmp_path, "script", argv, script + "sys.exit(40 + code)\n")
+        child = subprocess.run(command, capture_output=True, timeout=60, env=env)
+        assert (child.returncode, child.stdout, child.stderr) == (40 + code, out.encode(),
+                                                                  b"teardown\n")
+
+    def test_exception_after_main_keeps_its_traceback(self, capsys, tmp_path):
+        assert main(list(_EXIT_PATHS["valid"])) == 0
+        out, _ = capsys.readouterr()
+        script = _PROGRAM + "raise RuntimeError('after main')\n"
+        command, env = _marked_child(tmp_path, "script", _EXIT_PATHS["valid"], script)
+        child = subprocess.run(command, capture_output=True, timeout=60, env=env)
+        assert (child.returncode, child.stdout) == (1, out.encode())
+        assert child.stderr.startswith(b"Traceback (most recent call last):\n")
+        assert child.stderr.endswith(b"RuntimeError: after main\nteardown\n")
+
+    @pytest.mark.parametrize("call", ["function", "exec"])
+    def test_in_process_call_registers_only_freeze(self, capsys, monkeypatch, call):
+        # exec runs main at the top level of a module that is not __main__,
+        # as cProfile and runpy.run_module do
+        import atexit
+        import gc
+
+        hooks = []
+        monkeypatch.setattr(cli, "_freeze_registered", False)  # as in a fresh process
+        monkeypatch.setattr(cli, "_exit_status", None)
+        monkeypatch.setattr(atexit, "register", hooks.append)
+        monkeypatch.setattr(sys, "argv", ["ditkit", "taut", "p -> p", "--logic", "truth"])
+        namespace = {"main": main}
+        if call == "function":
+            namespace["code"] = main()
+        else:
+            exec("code = main()", namespace)
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert (namespace["code"], hooks) == (0, [gc.freeze])
+
+
 _FORMULAS = ["p | ~p", "p -> q", "T", "F", "~~p", "p & q & r", "p &", "(p q)", ")"]
 _INTS = st.integers(min_value=-2, max_value=6).map(str)
 _BITS = st.text(alphabet="01", min_size=1, max_size=6)
