@@ -22,19 +22,17 @@ its JSON itself, without _json, and the rest goes through textio's JSON
 writer (taut --json, sim, compare, error lines); taut prints a
 counterexample with str(), without textio.
 
-A process ends one of two ways. Every call registers gc.freeze with
-atexit once per process, so the interpreter's last collections skip
-the objects alive at exit, which it is about to drop; nothing is
-frozen while a call runs. When main is the program, called at the top
+A CLI process ends one way. When main is the program, called at the top
 level of __main__ with the process's own argv (the ditkit script,
-python -m ditkit.cli, bench/cli_child.py), it also registers _exit_now,
-which runs before gc.freeze: it flushes stdout and stderr and ends the
+python -m ditkit.cli, bench/cli_child.py), it registers _exit_now with
+atexit once per process: it flushes stdout and stderr and ends the
 process with os._exit and main's status, which such a program exits
 with. That skips module teardown, the last collections and every
 atexit hook registered before main. It steps aside for the
 interpreter's own exit when an uncaught exception followed main, when
 a trace function or a sys.monitoring tool is set (coverage saves its
-data from atexit), or when a flush fails. On Python 3.11.7 it took
+data from atexit), or when a flush fails. Any other caller registers
+nothing and keeps the interpreter's own exit. On Python 3.11.7 it took
 bench/run.py's lattice-cli latency from 48.5 to 47.1 ms.
 """
 from __future__ import annotations
@@ -66,19 +64,11 @@ _LIMIT_FLAGS = Limits._fields
 
 _BLOCK = io.DEFAULT_BUFFER_SIZE  # buffered stdout writes blocks of this size too
 
-_freeze_registered = False  # whether main has registered gc.freeze with atexit
 _exit_status = None  # main's last status as the program, once _exit_now is registered
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _freeze_registered, _exit_status
-    if not _freeze_registered:
-        # once per process, by a flag: each atexit.unregister leaves a dead slot
-        import atexit
-        import gc
-
-        atexit.register(gc.freeze)
-        _freeze_registered = True
+    global _exit_status
     caller = sys._getframe(1)
     program = (
         (argv is None or argv == sys.argv[1:])
@@ -90,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         if _exit_status is None:
             import atexit
 
-            atexit.register(_exit_now)  # after gc.freeze, so it runs first
+            atexit.register(_exit_now)
         _exit_status = code
     return code
 

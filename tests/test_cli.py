@@ -1368,121 +1368,6 @@ class TestBlockWrites:
         assert hashlib.sha256(outputs[1]).hexdigest() == digest
 
 
-# atexit runs its hooks last in, first out, so this one, registered before
-# main, runs after main's freeze and reports on stderr whether gc froze
-# anything. Some builds start with objects frozen already (375 on CPython
-# 3.12.1), so the count is read before ditkit is imported, and compared with
-_FREEZE_PROBE = (
-    "import atexit, gc, sys\n"
-    "start = gc.get_freeze_count()\n"
-    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > start, file=sys.stderr))\n"
-)
-
-
-class TestExitFreeze:
-    """main registers gc.freeze with atexit, so a CLI process skips the
-    interpreter's last collections; nothing is frozen while it runs, and
-    a process that never calls main freezes nothing."""
-
-    @pytest.mark.parametrize(
-        "argv, status",
-        [
-            (["taut", "p -> p", "--logic", "partition"], 0),
-            (["taut", "p | ~p", "--logic", "partition"], 1),
-            (["taut", "p &", "--logic", "truth"], 2),
-            (["--help"], 0),
-            (["taut"], 2),
-            (["eval", "p & q", "--logic", "subset", "--n", "2", "--assign", "p={0}"], 3),
-            (["lattice", "--kind", "partition", "--n", "99"], 4),
-        ],
-        ids=["valid", "invalid", "usage", "argparse help", "argparse usage", "domain", "cap"],
-    )
-    def test_every_exit_path_freezes_at_exit(self, argv, status):
-        code = _FREEZE_PROBE + f"from ditkit.cli import main\nsys.exit(main({argv!r}))\n"
-        child = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
-                               env=_child_env())
-        assert child.returncode == status
-        assert child.stderr.endswith(b"frozen True\n")
-
-    def test_closed_stdout_freezes_at_exit(self):
-        code = _FREEZE_PROBE + "from ditkit.cli import main\nsys.exit(main(['lattice', "
-        code += "'--kind', 'partition', '--n', '8']))\n"
-        child = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                                 stderr=subprocess.PIPE, env=_child_env())
-        child.stdout.close()  # no reader is left, so every write fails
-        err = child.stderr.read()
-        child.stderr.close()
-        assert child.wait(timeout=60) == 3
-        assert err == b"frozen True\n"
-
-    def test_library_calls_freeze_nothing(self):
-        code = _FREEZE_PROBE + (
-            "import ditkit, ditkit.cli\n"
-            "from ditkit import compare_mechanisms, parse, partition_tautology\n"
-            "from ditkit.partitions import _lattice\n"
-            "partition_tautology(parse('((p -> q) -> p) -> p'), 4)\n"
-            "compare_mechanisms(3, 0b010, 1.0)\n"
-            "count, labels, covers = _lattice('partition', 5, ditkit.Limits())\n"
-            "print(count, len(list(labels)), gc.get_freeze_count() - start)\n"
-        )
-        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                               timeout=60, env=_child_env(), check=True)
-        assert (child.stdout, child.stderr) == ("52 52 0\n", "frozen False\n")
-
-    def test_repeated_calls_register_one_freeze(self, capsys, monkeypatch):
-        import atexit
-        import gc
-
-        hooks, frozen = [], gc.get_freeze_count()
-        monkeypatch.setattr(cli, "_freeze_registered", False)  # as in a fresh process
-        monkeypatch.setattr(atexit, "register", hooks.append)
-        codes = [main(["taut", "p -> p", "--logic", "truth"]), main(["taut"]),
-                 main(["lattice", "--kind", "partition", "--n", "99"])]
-        monkeypatch.undo()
-        capsys.readouterr()
-        assert codes == [0, 2, 4]
-        assert hooks == [gc.freeze]
-        assert gc.get_freeze_count() == frozen  # frozen at exit, never during a call
-
-    @pytest.mark.skipif(not hasattr(__import__("atexit"), "_ncallbacks"),
-                        reason="atexit._ncallbacks is CPython's")
-    def test_repeated_calls_add_one_atexit_hook(self):
-        code = (
-            "import atexit, contextlib, io\n"
-            "from ditkit.cli import main\n"
-            "before = atexit._ncallbacks()\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [main(['taut', 'p', '--logic', 'truth']) for _ in range(3)]\n"
-            "print(codes, atexit._ncallbacks() - before)\n"
-        )
-        assert _child(code) == "[1, 1, 1] 1\n"
-
-    # one command per exit code; stdout and stderr are written in full
-    # before the frozen exit, byte for byte as in process
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            _MECHANISM_CASES["compare k=12"],
-            ["taut", "p | ~p", "--logic", "partition", "--json"],
-            ["--help"],
-            ["taut", "p &", "--logic", "truth"],
-            ["taut"],
-            ["eval", "p & q", "--logic", "subset", "--n", "2", "--assign", "p={0}"],
-            ["lattice", "--kind", "partition", "--n", "99"],
-        ],
-        ids=["0", "1", "0 argparse", "2", "2 argparse", "3", "4"],
-    )
-    def test_module_entry_matches_in_process(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
-        code = main(list(argv))
-        out, err = capsys.readouterr()
-        child = subprocess.run([sys.executable, "-m", "ditkit.cli", *argv], capture_output=True,
-                               timeout=60, env=_child_env(COLUMNS="80"))
-        assert (child.returncode, child.stdout, child.stderr) == (
-            code, out.encode(), err.encode()
-        )
-
-
 # A finalizer that writes "teardown" to stderr when the interpreter tears
 # down, set up before ditkit is imported; a process that ends in os._exit
 # never writes it
@@ -1498,6 +1383,8 @@ _EXIT_PATHS = {
     "argparse usage": ["taut"],
     "domain": ["eval", "p & q", "--logic", "subset", "--n", "2", "--assign", "p={0}"],
     "cap": ["lattice", "--kind", "partition", "--n", "99"],
+    "invalid json": ["taut", "p | ~p", "--logic", "partition", "--json"],
+    "compare k=12": _MECHANISM_CASES["compare k=12"],  # 2.5 MB, flushed before os._exit
 }
 
 
@@ -1519,7 +1406,7 @@ def _marked_child(tmp_path, way: str, argv: list, script: str = _PROGRAM + "sys.
 class TestProgramExit:
     """When main is the program, an atexit hook ends the process with
     os._exit once the answer is flushed, skipping module teardown; every
-    other caller keeps the interpreter's own exit."""
+    other caller registers nothing and keeps the interpreter's own exit."""
 
     @pytest.mark.parametrize("way", ["script", "module"])
     @pytest.mark.parametrize("argv", _EXIT_PATHS.values(), ids=_EXIT_PATHS)
@@ -1587,15 +1474,13 @@ class TestProgramExit:
         assert child.stderr.endswith(b"RuntimeError: after main\nteardown\n")
 
     @pytest.mark.parametrize("call", ["function", "exec"])
-    def test_in_process_call_registers_only_freeze(self, capsys, monkeypatch, call):
+    def test_in_process_call_registers_no_hook(self, capsys, monkeypatch, call):
         # exec runs main at the top level of a module that is not __main__,
         # as cProfile and runpy.run_module do
         import atexit
-        import gc
 
         hooks = []
-        monkeypatch.setattr(cli, "_freeze_registered", False)  # as in a fresh process
-        monkeypatch.setattr(cli, "_exit_status", None)
+        monkeypatch.setattr(cli, "_exit_status", None)  # as in a fresh process
         monkeypatch.setattr(atexit, "register", hooks.append)
         monkeypatch.setattr(sys, "argv", ["ditkit", "taut", "p -> p", "--logic", "truth"])
         namespace = {"main": main}
@@ -1605,7 +1490,35 @@ class TestProgramExit:
             exec("code = main()", namespace)
         monkeypatch.undo()
         capsys.readouterr()
-        assert (namespace["code"], hooks) == (0, [gc.freeze])
+        assert (namespace["code"], hooks) == (0, [])
+
+    # each child counts its callbacks from before ditkit is imported; a
+    # program's last main sets the status, whatever the script would exit
+    # with, and calls it at the top level, as before 3.12 a comprehension
+    # is a frame of its own
+    @pytest.mark.skipif(not hasattr(__import__("atexit"), "_ncallbacks"),
+                        reason="atexit._ncallbacks is CPython's")
+    @pytest.mark.parametrize(
+        "script, argv, result",
+        [
+            ("codes = [main(['taut', 'p', '--logic', 'truth']) for _ in range(3)]\n", [],
+             (0, "[1, 1, 1] 0\n")),
+            ("codes = [main(sys.argv[1:])]\ncodes.append(main(sys.argv[1:]))\n",
+             ["taut", "p", "--logic", "truth"], (1, "[1, 1] 1\n")),
+        ],
+        ids=["own argv 3 calls", "program 2 calls"],
+    )
+    def test_atexit_hooks_per_process(self, script, argv, result):
+        code = (
+            "import atexit, sys\n"
+            "before = atexit._ncallbacks()\n"
+            "from ditkit.cli import main\n"
+            + script
+            + "print(codes, atexit._ncallbacks() - before, file=sys.stderr)\n"
+        )
+        child = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                               text=True, timeout=60, env=_child_env())
+        assert (child.returncode, child.stderr) == result
 
 
 _FORMULAS = ["p | ~p", "p -> q", "T", "F", "~~p", "p & q & r", "p &", "(p q)", ")"]
