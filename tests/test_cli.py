@@ -1368,6 +1368,38 @@ class TestBlockWrites:
         assert hashlib.sha256(outputs[1]).hexdigest() == digest
 
 
+class TestExitFreeze:
+    """python -m ditkit.cli, run plainly, ends with the status of an
+    in-process call to main and writes the same stdout and stderr byte
+    for byte. The class keeps the name it had when the CLI froze the heap
+    at exit, so these test ids stay what they were."""
+
+    # one command per exit code; stdout and stderr are written in full
+    # before the process ends, byte for byte as in process
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _MECHANISM_CASES["compare k=12"],
+            ["taut", "p | ~p", "--logic", "partition", "--json"],
+            ["--help"],
+            ["taut", "p &", "--logic", "truth"],
+            ["taut"],
+            ["eval", "p & q", "--logic", "subset", "--n", "2", "--assign", "p={0}"],
+            ["lattice", "--kind", "partition", "--n", "99"],
+        ],
+        ids=["0", "1", "0 argparse", "2", "2 argparse", "3", "4"],
+    )
+    def test_module_entry_matches_in_process(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        child = subprocess.run([sys.executable, "-m", "ditkit.cli", *argv], capture_output=True,
+                               timeout=60, env=_child_env(COLUMNS="80"))
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, out.encode(), err.encode()
+        )
+
+
 # A finalizer that writes "teardown" to stderr when the interpreter tears
 # down, set up before ditkit is imported; a process that ends in os._exit
 # never writes it
