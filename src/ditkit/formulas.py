@@ -17,8 +17,8 @@ pair. &, -> and <-> are partitions._BOOLEAN pair by pair, then the
 interior; | is the pairwise union, already a distinction set, and ~a
 splits every pair where a splits none, and none elsewhere. Subsets of
 n points are its one-pair case, n bits wide.
-Parsing, compiling, evaluating and printing all use explicit stacks, so
-no formula is too deep for them.
+Parsing, compiling, evaluating, printing and the JSON tree all use
+explicit stacks, so no formula is too deep for them.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .errors import (
     UniverseMismatchError,
     UniverseTooSmallError,
 )
-from .partitions import _BOOLEAN, CONNECTIVE_ARITY, Connective, Partition, _blocks_of, _dit_mask
+from .partitions import _BOOLEAN, Connective, Partition, _blocks_of, _dit_mask
 from .relations import Subset, _check_n, _Record
 
 
@@ -48,9 +48,7 @@ class Formula(_Record):
         )
 
     def __repr__(self) -> str:
-        program = _compile(self)
-        env = {name: f"Var(name={name!r})" for name in _variables(program)}
-        return _evaluate(program, _REPR, env)
+        return _fold(self, _REPR, "Var(name={!r})".format)
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -209,6 +207,12 @@ def _variables(program: tuple[Formula, ...]) -> tuple[str, ...]:
     return tuple(sorted({node.name for node in program if type(node) is Var}))
 
 
+def _fold(f: Formula, algebra: dict, leaf: Callable[[str], object]):
+    """Run f's program over algebra, each variable's value being leaf(name)."""
+    program = _compile(f)
+    return _evaluate(program, algebra, {name: leaf(name) for name in _variables(program)})
+
+
 def _evaluate(program: tuple[Formula, ...], algebra: dict, env: Mapping[str, object]):
     """Run a postfix program on one stack; env gives each variable's value."""
     stack: list = []
@@ -303,26 +307,26 @@ _REPR = {
 }
 
 
+def _json_node(kind: str, *children: dict) -> dict:
+    return {"kind": kind, "children": list(map(dict, children))}
+
+
+# formula_to_json's nodes. Callers may mutate the tree, so each parent copies the
+# children it takes and the root is copied: a repeated leaf or a constant shares no dict.
+_JSON = {
+    Const: ({"kind": "const", "value": "F"}, {"kind": "const", "value": "T"}),
+    **{shape: functools.partial(_json_node, shape._connective.value) for shape in _CONNECTIVES},
+}
+
+
 def format_formula(f: Formula) -> str:
     """Render to concrete syntax; parse(format_formula(f)) rebuilds f."""
-    program = _compile(f)
-    env = {name: (name, _ATOM_PREC) for name in _variables(program)}
-    return _evaluate(program, _TEXT, env)[0]
+    return _fold(f, _TEXT, lambda name: (name, _ATOM_PREC))[0]
 
 
 def formula_to_json(f: Formula) -> dict:
     """Plain-dict syntax tree: node kind plus children."""
-    stack: list[dict] = []
-    for node in _compile(f):
-        kind = type(node)
-        if kind is Var:
-            stack.append({"kind": "var", "name": node.name})
-        elif kind is Const:
-            stack.append({"kind": "const", "value": "T" if node.value else "F"})
-        else:
-            arity = CONNECTIVE_ARITY[kind._connective]
-            stack[-arity:] = [{"kind": kind._connective.value, "children": stack[-arity:]}]
-    return stack[0]
+    return dict(_fold(f, _JSON, lambda name: {"kind": "var", "name": name}))
 
 
 def free_variables(f: Formula) -> tuple[str, ...]:
@@ -332,13 +336,15 @@ def free_variables(f: Formula) -> tuple[str, ...]:
 
 class _Assignment(_Record):
     n: int
-    values: Mapping[str, Subset | Partition]
+    values: Mapping[str, Subset | Partition]  # each a subclass's _kind
 
     def __post_init__(self) -> None:
         _check_n(self.n)
         values = dict(self.values)
         object.__setattr__(self, "values", values)
         for name, value in values.items():
+            if not isinstance(value, self._kind):
+                raise TypeError(f"expected a {self._kind.__name__}, got {type(value).__name__}")
             if value.n != self.n:
                 raise UniverseMismatchError(
                     f"value for {name!r} lives on n={value.n}, expected {self.n}"
@@ -348,9 +354,13 @@ class _Assignment(_Record):
 class SubsetAssignment(_Assignment):
     """Maps variable names to subsets of a shared universe."""
 
+    _kind = Subset
+
 
 class PartitionAssignment(_Assignment):
     """Maps variable names to partitions of a shared universe."""
+
+    _kind = Partition
 
 
 def eval_subset(f: Formula, assignment: SubsetAssignment) -> Subset:

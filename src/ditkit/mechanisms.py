@@ -772,7 +772,6 @@ def _comparison(
         steps = math.log(1.0 / extinction_threshold) / math.log1p(fitness_margin)
         # a subnormal margin or threshold overflows steps to inf, which the cap refuses
         max_steps = math.ceil(steps) + 2 if math.isfinite(steps) else steps
-    _check_steps(max_steps, limits)  # before either run builds anything
     selection = _selection(k, fitness, extinction_threshold, max_steps, limits)
     experience = [(i, (target >> (i - 1)) & 1) for i in range(1, k + 1)]
     generation = _generation(k, experience, False)

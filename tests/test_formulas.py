@@ -219,6 +219,21 @@ class TestFormat:
             ],
         }
 
+    @pytest.mark.parametrize("text", ["p & p", "T | T", "p", "T"])
+    def test_json_nodes_share_no_dict(self, text):
+        # callers may mutate the tree, so no node or children list of one
+        # result is another's, in that result or in a second one: a change
+        # to one leaf leaves its twin, and a later result, as they were
+        first, second = formula_to_json(parse(text)), formula_to_json(parse(text))
+        nodes = [node for tree in (first, second) for node in (tree, *tree.get("children", ()))]
+        lists = [tree["children"] for tree in (first, second) if "children" in tree]
+        assert len({id(part) for part in nodes + lists}) == len(nodes + lists)
+        expected = json.loads(json.dumps(first))
+        leaves = first.get("children", [first])
+        leaves[0]["kind"] = "mutated"
+        assert leaves[1:] == expected.get("children", [expected])[1:]
+        assert second == expected == formula_to_json(parse(text))
+
     def test_free_variables_sorted_unique(self):
         assert free_variables(parse("q & p | q")) == ("p", "q")
         assert free_variables(Const(True)) == ()
@@ -235,6 +250,22 @@ def test_assignment_values_share_its_universe(record, fits, misfit):
     with pytest.raises(UniverseMismatchError) as exc:
         record(2, {"q": fits, "p": misfit})
     assert str(exc.value) == "value for 'p' lives on n=3, expected 2"
+
+
+@pytest.mark.parametrize(
+    "record, fits, other",
+    [
+        (SubsetAssignment, Subset.of(2, [1]), Partition(2, (0, 1))),
+        (PartitionAssignment, Partition(2, (0, 1)), Subset.of(2, [1])),
+    ],
+)
+def test_assignment_values_are_its_kind(record, fits, other):
+    # a value's text, the other logic's value and an int are refused
+    # when the record is built, not later inside the evaluator
+    for wrong in (str(fits), other, 1):
+        message = f"^expected a {type(fits).__name__}, got {type(wrong).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            record(2, {"q": fits, "p": wrong})
 
 
 class TestSubsetEvaluation:

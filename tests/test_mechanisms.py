@@ -594,10 +594,10 @@ class TestSelectionist:
 class TestSelectionStepCap:
     @staticmethod
     def refuse(*args, **kwargs):
-        raise AssertionError("selectionist run started before the step cap check")
+        raise AssertionError("a run started before the step cap check")
 
     def test_run_refused_before_first_snapshot(self, monkeypatch):
-        monkeypatch.setattr(mechanisms, "_labels", self.refuse)
+        monkeypatch.setattr(mechanisms, "_halves", self.refuse)
         with pytest.raises(ResourceLimitError, match="^10001 selection steps exceeds the cap 10000$"):
             run_selectionist(3, Fitness.uniform(3), 0.01, 10_001)
         tight = Limits().replaced(max_selection_steps=5)
@@ -613,14 +613,15 @@ class TestSelectionStepCap:
         ],
     )
     def test_compare_refused_before_either_run(self, monkeypatch, margin, max_steps, steps):
-        for name in ("_labels", "run_generative"):
+        # _halves starts the selectionist run and _generation the generative one
+        for name in ("_halves", "_generation"):
             monkeypatch.setattr(mechanisms, name, self.refuse)
         with pytest.raises(ResourceLimitError, match=f"^{steps} selection steps exceeds"):
             compare_mechanisms(3, 2, margin, max_steps=max_steps)
 
     def test_infinite_steps_are_over_the_cap(self, monkeypatch):
         # the cap is checked before the type, so inf is a resource refusal
-        monkeypatch.setattr(mechanisms, "_labels", self.refuse)
+        monkeypatch.setattr(mechanisms, "_halves", self.refuse)
         with pytest.raises(ResourceLimitError, match="^inf selection steps exceeds the cap 10000$"):
             run_selectionist(2, Fitness.peaked(2, 1, 1.0), 0.1, math.inf)
 
@@ -629,7 +630,7 @@ class TestSelectionStepCap:
     def test_steps_must_be_a_positive_int(self, monkeypatch, entry, max_steps):
         # refused before anything is built, bools included; ints below 1
         # keep their own message
-        for name in ("_labels", "run_generative"):
+        for name in ("_halves", "_generation"):
             monkeypatch.setattr(mechanisms, name, self.refuse)
         if type(max_steps) is int:
             message = f"^max_steps must be >= 1, got {max_steps}$"
